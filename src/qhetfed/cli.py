@@ -47,8 +47,7 @@ def _set_override(user: dict, assignment: str) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     user: dict = {}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            user = json.load(fh)
+        user = harness.read_config_file(args.config)
     for assignment in args.set or []:
         _set_override(user, assignment)
     if args.output_dir is not None:

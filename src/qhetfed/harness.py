@@ -231,14 +231,20 @@ def parse_config(user: dict) -> ExperimentConfig:
     )
 
 
+def read_config_file(path: str):
+    """Parse a JSON config file: malformed JSON is a ``ConfigError``, a missing file an ``OSError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            user = json.load(fh)
+        user = read_config_file(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return parse_config(user)
 
 

@@ -14,6 +14,7 @@ which grows as the number of levels s shrinks and as the dimension grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,18 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, rng: np.random.Generator) -> np
     """Quantize ``x`` to ``spec.levels`` stochastic levels.
 
     Components that sit exactly on a grid point (including zeros) are passed
-    through deterministically; the rng is still advanced by one uniform draw
-    per component so stream usage does not depend on the data.
+    through deterministically.  A stochastic call on a nonzero vector draws
+    exactly one uniform per component, whatever the values; the zero vector
+    and identity mode return without drawing.  Callers that pass one shared
+    generator to several calls rely on this: how far it advances depends on
+    which vectors are zero.
     """
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
+    # np.linalg.norm(x) without its dispatch; a NaN or inf entry always makes
+    # the norm non-finite, so the entries are scanned only then
+    flat = x.ravel(order="K")
+    norm = math.sqrt(flat.dot(flat))
+    if not math.isfinite(norm) and not np.all(np.isfinite(x)):
         bad = int(np.count_nonzero(~np.isfinite(x)))
         raise NonFiniteInputError(
             f"quantize: {bad} non-finite component(s) in a vector of size {x.size}; "
@@ -76,15 +84,20 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, rng: np.random.Generator) -> np
         )
     if spec.mode == IDENTITY:
         return x.copy()
-    norm = float(np.linalg.norm(x))
     if norm == 0.0:
         return np.zeros_like(x)
     s = spec.levels
-    scaled = np.abs(x) * (s / norm)
+    # sign(x) * (norm / s) * (lower + bump), evaluated in place in that order
+    scaled = np.abs(x)
+    scaled *= s / norm
     lower = np.floor(scaled)
+    scaled -= lower
     # probability of rounding up equals the fractional position in the cell
-    bump = rng.random(x.shape) < (scaled - lower)
-    return np.sign(x) * (norm / s) * (lower + bump)
+    lower += rng.random(x.shape) < scaled
+    out = np.sign(x)
+    out *= norm / s
+    out *= lower
+    return out
 
 
 def estimate_variance_factor(

@@ -183,5 +183,15 @@ def test_quantizer_table_outputs_rows(capsys):
 
 def test_missing_config_file_fails(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "missing.json")])
-    assert code in (1, 2)
-    assert capsys.readouterr().err != ""
+    assert code == 1
+    assert "missing.json" in capsys.readouterr().err
+
+
+def test_malformed_config_json_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"seed": 7,', encoding="utf-8")
+    code = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+

@@ -79,11 +79,21 @@ def test_unbiased_at_small_scale():
 
 
 def test_non_finite_input_raises():
-    spec = QuantizerSpec(levels=2)
-    with pytest.raises(NonFiniteInputError):
-        quantize(np.array([1.0, np.nan]), spec, stream(0, "q"))
-    with pytest.raises(NonFiniteInputError):
-        quantize(np.array([np.inf, 0.0]), spec, stream(0, "q"))
+    cases = [
+        (np.array([1.0, np.nan]), 1),
+        (np.array([np.inf, 0.0, -np.inf, 1.0]), 2),
+        (np.array([1e200, np.nan, -np.inf]), 2),
+    ]
+    for spec in (QuantizerSpec(levels=2), identity_spec()):
+        for x, bad in cases:
+            expected = (
+                f"quantize: {bad} non-finite component(s) in a vector of size {x.size}; "
+                "upstream values have likely diverged"
+            )
+            # the norm is computed before the scan, so a huge entry can warn first
+            with pytest.raises(NonFiniteInputError) as exc, np.errstate(over="ignore"):
+                quantize(x, spec, stream(0, "q"))
+            assert str(exc.value) == expected
 
 
 def test_identity_spec_validation():
@@ -127,3 +137,72 @@ def test_variance_factor_argument_validation():
         estimate_variance_factor(2, 0, 100, stream(0, "v"))
     with pytest.raises(ValueError):
         estimate_variance_factor(2, 16, 0, stream(0, "v"))
+
+
+# The reference formula: sign(x) * (norm / s) * (lower + bump), one temporary
+# per step.  ``quantize`` must return the same bytes and consume the same draws.
+def _reference_quantize(x, spec, rng):
+    x = np.asarray(x, dtype=float)
+    norm = float(np.linalg.norm(x))
+    if norm == 0.0:
+        return np.zeros_like(x)
+    s = spec.levels
+    scaled = np.abs(x) * (s / norm)
+    lower = np.floor(scaled)
+    bump = rng.random(x.shape) < (scaled - lower)
+    return np.sign(x) * (norm / s) * (lower + bump)
+
+
+def _oracle_inputs(d):
+    base = stream(9, "oracle", d).standard_normal(d)
+    signed_zeros = base.copy()
+    signed_zeros[::3] = 0.0
+    signed_zeros[1::5] = -0.0
+    # grid-exact: |x_i| * s / ||x|| is exactly s (one entry) or s / 2 (four
+    # equal power-of-two entries), the rest exact zeros of both signs
+    grid = np.zeros(d)
+    if d >= 4:
+        grid[:4] = [0.5, -0.5, 0.5, -0.5]
+        grid[4::2] = -0.0
+    else:
+        grid[0] = -4.0
+        grid[1:] = -0.0
+    mixed = base.copy()
+    mixed[::2] *= 1e-160
+    mixed[1::2] *= 1e150
+    return {
+        "normal": base,
+        "signed_zeros": signed_zeros,
+        "grid": grid,
+        "tiny": base * 1e-160,
+        "underflow": base * 1e-300,
+        "huge": base * 1e150,
+        # finite entries whose norm overflows to inf: no error, NaN output
+        "overflow": base * 1e200,
+        "mixed": mixed,
+        "zeros": np.zeros(d),
+        "negative_zeros": np.full(d, -0.0),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2, 210, 2010])
+@pytest.mark.parametrize("s", [1, 4, 6, 16])
+def test_quantize_matches_reference_formula(d, s):
+    spec = QuantizerSpec(levels=s)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, x in _oracle_inputs(d).items():
+            got_rng, ref_rng = stream(d, "oracle-q", s), stream(d, "oracle-q", s)
+            for _ in range(3):
+                got = quantize(x, spec, got_rng)
+                ref = _reference_quantize(x, spec, ref_rng)
+                assert got.dtype == ref.dtype and got.shape == ref.shape, name
+                assert got.tobytes() == ref.tobytes(), name
+                assert got_rng.random() == ref_rng.random(), name
+
+
+def test_identity_mode_draws_nothing():
+    x = np.array([1.5, -0.0, 3.0])
+    rng, fresh = stream(0, "q"), stream(0, "q")
+    out = quantize(x, identity_spec(), rng)
+    assert out.tobytes() == x.tobytes()
+    assert rng.random() == fresh.random()
