@@ -463,3 +463,17 @@ _RUNNERS = {
 def run(config: FedRunConfig) -> RunRecord:
     """Dispatch on ``config.algorithm``."""
     return _RUNNERS[config.algorithm](config)
+
+
+def steps_per_round(algorithm: str, schedule: Schedule) -> int:
+    """Gradient steps each device takes per global iteration of ``algorithm``.
+
+    The oracle takes one step on the pooled data.  Run lengths scale with this
+    count, which is how the experiment harness orders runs longest first.
+    """
+    return {
+        QHETFED: schedule.tau + schedule.gamma,
+        HIER_LOCAL_QSGD: schedule.tau * schedule.gamma,
+        QHETFED_GAMMA1: schedule.tau + 1,
+        CENTRALIZED_SGD: 1,
+    }[algorithm]

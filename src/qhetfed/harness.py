@@ -13,16 +13,22 @@ repetition seed (paired comparisons), and writes:
 * ``resolved_config.json``: the fully defaulted config actually used
 
 All output is byte-deterministic for a fixed config: floats are written with
-``repr`` (shortest round-trip form) and JSON keys are sorted.
+``repr`` (shortest round-trip form) and JSON keys are sorted.  The runs are
+independent simulations and execute in parallel worker processes, at most
+one per usable CPU; since every draw is keyed, the files do not depend on
+that count.  Each file is written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import functools
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,15 +169,30 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
 
+def _int_key(cfg: dict, key: str, minimum: int) -> int:
+    value = cfg[key]
+    # bool is an int subclass, but true is not a repetition count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}")
+    return value
+
+
 def parse_config(user: dict) -> ExperimentConfig:
     cfg = resolved_config(user)
-    if cfg["repeats"] < 1:
-        raise ConfigError("repeats must be >= 1")
-    if cfg["metric_cadence"] < 1:
-        raise ConfigError("metric_cadence must be >= 1")
-    for alg in cfg["algorithms"]:
+    seed = _int_key(cfg, "seed", 0)
+    repeats = _int_key(cfg, "repeats", 1)
+    metric_cadence = _int_key(cfg, "metric_cadence", 1)
+    algorithms = cfg["algorithms"]
+    if not isinstance(algorithms, list) or not algorithms:
+        raise ConfigError("algorithms must be a non-empty list")
+    for i, alg in enumerate(algorithms):
         if alg not in ALGORITHMS:
             raise ConfigError(f"algorithms: unknown algorithm {alg!r}")
+        if alg in algorithms[:i]:
+            # one run_id per (algorithm, rep): a repeat would run and count twice
+            raise ConfigError(f"algorithms: {alg!r} is listed twice")
 
     ds = cfg["dataset"]
     part = cfg["partition"]
@@ -213,11 +234,11 @@ def parse_config(user: dict) -> ExperimentConfig:
         times = PhaseTimes(float(rt["t_cp"]), float(rt["t_de"]), float(rt["t_ec"]))
 
     return ExperimentConfig(
-        seed=int(cfg["seed"]),
-        repeats=int(cfg["repeats"]),
+        seed=seed,
+        repeats=repeats,
         output_dir=cfg["output_dir"],
-        algorithms=list(cfg["algorithms"]),
-        metric_cadence=int(cfg["metric_cadence"]),
+        algorithms=list(algorithms),
+        metric_cadence=metric_cadence,
         dataset=ds,
         scheme=scheme,
         topology=topology,
@@ -319,8 +340,22 @@ def _sample_std(values: list[float]) -> float:
     return float(np.std(np.asarray(values), ddof=1))
 
 
-def aggregate_records(records: list[tuple[str, RunRecord]], config_echo: dict) -> ComparisonReport:
-    by_alg: dict[str, dict[int, list[RunRecord]]] = {}
+class RunCurves(NamedTuple):
+    """What an experiment keeps of one simulation: its metric curves and how it ended.
+
+    The tables read only these fields, so a ``RunRecord`` can stand in for it.
+    """
+
+    algorithm: str
+    master_seed: int
+    train_loss: list[float]
+    test_accuracy: list[float]
+    runtime_s: list[float]
+    diverged_at: int | None
+
+
+def aggregate_records(records: list[tuple[str, RunCurves | RunRecord]], config_echo: dict) -> ComparisonReport:
+    by_alg: dict[str, dict[int, list[RunCurves | RunRecord]]] = {}
     for _, rec in records:
         per_t = by_alg.setdefault(rec.algorithm, {})
         for t in range(len(rec.train_loss)):
@@ -350,7 +385,7 @@ def aggregate_records(records: list[tuple[str, RunRecord]], config_echo: dict) -
 RUN_COLUMNS = ("run_id", "algorithm", "t", "train_loss", "test_accuracy", "runtime_s")
 
 
-def _run_rows(run_id: str, rec: RunRecord, cadence: int) -> list[tuple]:
+def _run_rows(run_id: str, rec: RunCurves | RunRecord, cadence: int) -> list[tuple]:
     rows = []
     last = len(rec.train_loss)
     for t in range(1, last + 1):
@@ -362,22 +397,43 @@ def _run_rows(run_id: str, rec: RunRecord, cadence: int) -> list[tuple]:
     return rows
 
 
-def _write_table(path: str, columns: tuple, rows: list[tuple]) -> None:
+def _write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
+
+    Readers, and a later run after a crash, see the old file or the whole new
+    one, never a partial file.
+    """
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _write_table(path: str, columns: tuple, rows: list[tuple]) -> None:
+    lines = [",".join(columns)]
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    try:
+        _write_atomic(path, "\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write metrics file {path}: {exc}") from exc
 
 
-def emit_metrics(records: list[tuple[str, RunRecord]], output_dir: str,
+def _write_json(path: str, payload) -> None:
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def emit_metrics(records: list[tuple[str, RunCurves | RunRecord]], output_dir: str,
                  cadence: int = 1, config_echo: dict | None = None) -> list[str]:
     """Write the combined metrics table and the aggregate, return written paths.
 
-    ``records`` is a list of (run_id, RunRecord).  An empty list still
-    produces header-only tables.
+    ``records`` is a list of (run_id, RunCurves or RunRecord).  An empty list
+    still produces header-only tables.
     """
     os.makedirs(output_dir, exist_ok=True)
     written = []
@@ -413,9 +469,7 @@ def emit_metrics(records: list[tuple[str, RunRecord]], output_dir: str,
         },
     }
     json_path = os.path.join(output_dir, "aggregate.json")
-    with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(agg_json, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(json_path, agg_json)
     written.append(json_path)
     return written
 
@@ -444,8 +498,69 @@ def _build_run_config(cfg: ExperimentConfig, algorithm: str, rep: int,
     )
 
 
+def _run_one(cfg: ExperimentConfig, partitions: list, test: list,
+             task: tuple[int, str]) -> tuple[tuple[int, str], RunCurves]:
+    rep, algorithm = task
+    rec = federation.run(_build_run_config(cfg, algorithm, rep, partitions[rep], test))
+    return task, RunCurves(rec.algorithm, rec.master_seed, rec.train_loss,
+                           rec.test_accuracy, rec.runtime_s, rec.diverged_at)
+
+
+# A worker's copy of the parent's (cfg, partitions, test), set by the pool
+# initializer.  The pool forks, so the shards reach the workers by
+# inheritance; only (rep, algorithm) tasks and RunCurves results are pickled.
+_worker_inputs: tuple = ()
+
+
+def _init_worker(*inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _run_in_worker(task: tuple[int, str]) -> tuple[tuple[int, str], RunCurves]:
+    return _run_one(*_worker_inputs, task)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(runs: int) -> int:
+    """Processes for an experiment of ``runs`` simulations: one per run, at most one per usable CPU."""
+    return max(1, min(runs, _usable_cpus()))
+
+
+@contextlib.contextmanager
+def _run_mapper(inputs: tuple, workers: int):
+    """Yield a map from tasks to ``(task, RunCurves)`` results, in the order the runs finish.
+
+    More than one worker runs the tasks in a fork pool; one worker, or a
+    platform without fork, maps the same function in this process.  A run
+    that raises stops the map with its own exception type.
+    """
+    if workers > 1:
+        # imported here rather than with the package: it adds about 1 MB to
+        # every process that loads it, and single simulations never need it
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(workers, _init_worker, inputs) as pool:
+                yield functools.partial(pool.imap_unordered, _run_in_worker)
+            return
+    yield functools.partial(map, functools.partial(_run_one, *inputs))
+
+
 def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
-    """Run every (algorithm, repetition) pair and write all result files."""
+    """Run every (algorithm, repetition) pair and write all result files.
+
+    The runs go to ``min(runs, usable CPUs)`` worker processes.  Every run
+    draws from streams keyed by (seed, rep, algorithm), so the files do not
+    depend on that count or on the order in which runs finish.  Each per-run
+    CSV is written as soon as its run returns, so a run that raises leaves
+    the finished runs' files behind.
+    """
     if isinstance(cfg, dict):
         cfg = parse_config(cfg)
     ds = cfg.dataset
@@ -455,45 +570,46 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
         separation=float(ds["separation"]), noise=float(ds["noise"]),
     )
     train, test = split_dataset(dataset, float(ds["test_fraction"]), stream(cfg.seed, "split"))
+    partitions = [
+        datagen.partition(train, cfg.topology, cfg.scheme, stream(cfg.seed, "partition", rep))
+        for rep in range(cfg.repeats)
+    ]
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     chash = config_hash(cfg)
-    written = []
-    records: list[tuple[str, RunRecord]] = []
-    manifest = []
-    for rep in range(cfg.repeats):
-        shards = datagen.partition(train, cfg.topology, cfg.scheme, stream(cfg.seed, "partition", rep))
-        for algorithm in cfg.algorithms:
-            run_cfg = _build_run_config(cfg, algorithm, rep, shards, test)
-            rec = federation.run(run_cfg)
-            run_id = f"{algorithm}_s{cfg.seed}_r{rep:02d}"
-            records.append((run_id, rec))
-            run_path = os.path.join(cfg.output_dir, f"{run_id}_{chash}.csv")
-            _write_table(run_path, RUN_COLUMNS, _run_rows(run_id, rec, cfg.metric_cadence))
-            written.append(run_path)
-            manifest.append(
-                {
-                    "run_id": run_id,
-                    "algorithm": algorithm,
-                    "rep": rep,
-                    "master_seed": rec.master_seed,
-                    "iterations_completed": len(rec.train_loss),
-                    "diverged_at": rec.diverged_at,
-                    "file": os.path.basename(run_path),
-                }
-            )
+    tasks = [(rep, algorithm) for rep in range(cfg.repeats) for algorithm in cfg.algorithms]
+    # longest runs first, so two long ones do not end up queued on one worker
+    by_length = sorted(tasks, key=lambda task: -federation.steps_per_round(task[1], cfg.schedule))
+    run_ids = {(rep, alg): f"{alg}_s{cfg.seed}_r{rep:02d}" for rep, alg in tasks}
+    run_paths = {task: os.path.join(cfg.output_dir, f"{run_id}_{chash}.csv") for task, run_id in run_ids.items()}
+    finished: dict[tuple[int, str], RunCurves] = {}
+    with _run_mapper((cfg, partitions, test), _worker_count(len(tasks))) as run_map:
+        for task, curves in run_map(by_length):
+            _write_table(run_paths[task], RUN_COLUMNS, _run_rows(run_ids[task], curves, cfg.metric_cadence))
+            finished[task] = curves
 
+    # every table below is in (rep, algorithm) order, whatever order the runs finished in
+    records = [(run_ids[task], finished[task]) for task in tasks]
+    manifest = [
+        {
+            "run_id": run_ids[task],
+            "algorithm": task[1],
+            "rep": task[0],
+            "master_seed": finished[task].master_seed,
+            "iterations_completed": len(finished[task].train_loss),
+            "diverged_at": finished[task].diverged_at,
+            "file": os.path.basename(run_paths[task]),
+        }
+        for task in tasks
+    ]
+    written = [run_paths[task] for task in tasks]
     written.extend(emit_metrics(records, cfg.output_dir, cfg.metric_cadence, cfg.raw))
 
     manifest_path = os.path.join(cfg.output_dir, "runs.json")
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(manifest_path, manifest)
     written.append(manifest_path)
 
     resolved_path = os.path.join(cfg.output_dir, "resolved_config.json")
-    with open(resolved_path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(cfg.raw, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(resolved_path, cfg.raw)
     written.append(resolved_path)
     return written

@@ -10,7 +10,9 @@ Draw contract: ``stream(seed, *label)`` is draw-for-draw equal to
 ``np.random.default_rng(np.random.SeedSequence(entropy))``, where ``entropy``
 is the tuple ``(seed, *encoded_label)``: integer parts are kept as they are
 and each string part becomes the first 8 bytes of its sha256 digest, read as
-a little-endian integer.  The replay tests and the exact acceptance criteria
+a little-endian integer.  The seed and the non-string parts must be
+non-negative integers (Python or numpy); a float is a ``TypeError``, never
+truncated.  The replay tests and the exact acceptance criteria
 pin the draws, so the construction keeps numpy's SeedSequence -> PCG64 path
 bit for bit and removes only the Python overhead around it, because the
 simulator builds one generator per device step and per upload:
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from operator import index as _index
 
 import numpy as np
 
@@ -104,15 +107,18 @@ def _string_words(part: str) -> tuple[int, ...]:
 
 
 def _entropy_words(master_seed: int, label: tuple) -> np.ndarray:
-    if master_seed < 0:
+    # operator.index accepts Python and numpy integers and rejects floats, so
+    # stream(0, "batch", 2.7) raises instead of aliasing stream(0, "batch", 2)
+    seed = _index(master_seed)
+    if seed < 0:
         raise ValueError("master_seed must be non-negative")
     words: list[int] = []
-    _split_words(int(master_seed), words)
+    _split_words(seed, words)
     for part in label:
         if isinstance(part, str):
             words.extend(_string_words(part))
             continue
-        value = int(part)
+        value = _index(part)
         if value < 0:
             raise ValueError(f"stream label parts must be non-negative, got {part}")
         _split_words(value, words)

@@ -1,5 +1,9 @@
 import re
 
+import pytest
+
+from qhetfed import harness
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 
@@ -18,3 +22,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for num in sorted(outcomes):
         verdict = "PASS" if outcomes[num] else "FAIL"
         terminalreporter.write_line(f"criterion {num}: {verdict}")
+
+
+@pytest.fixture(autouse=True)
+def _at_most_two_workers(monkeypatch):
+    """An experiment run by a test starts at most two worker processes, on any machine."""
+    usable = harness._usable_cpus
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: min(2, usable()))

@@ -195,3 +195,12 @@ def test_malformed_config_json_is_a_config_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+
+@pytest.mark.parametrize("algorithms", [["qhetfed", "qhetfed"], []])
+def test_run_rejects_duplicate_or_empty_algorithms(tmp_path, capsys, algorithms):
+    cfg = write_config(tmp_path, dict(TINY, algorithms=algorithms))
+    code = main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "algorithms" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

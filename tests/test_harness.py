@@ -1,9 +1,12 @@
 import json
+import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
 
+from qhetfed import federation, harness
 from qhetfed.federation import RunRecord
 from qhetfed.harness import (
     AGG_COLUMNS,
@@ -16,6 +19,7 @@ from qhetfed.harness import (
     resolved_config,
     run_experiment,
 )
+from qhetfed.streams import derive_seed
 from qhetfed.planner import LinkComputeParams, compute_times
 from qhetfed.quantizer import IDENTITY
 
@@ -141,6 +145,40 @@ def test_validation_of_counts():
         parse_config({"metric_cadence": 0})
     with pytest.raises(ConfigError):
         parse_config({"algorithms": ["sgd"]})
+
+
+@pytest.mark.parametrize("algorithms", [["qhetfed", "qhetfed"], ["qhetfed", "hier_local_qsgd", "qhetfed"], [], "qhetfed"])
+def test_duplicate_or_empty_algorithms_rejected(algorithms):
+    with pytest.raises(ConfigError, match="algorithms"):
+        parse_config({"algorithms": algorithms})
+
+
+@pytest.mark.parametrize(
+    "user",
+    [
+        {"repeats": "3"},
+        {"repeats": 2.0},
+        {"repeats": True},
+        {"metric_cadence": 1.5},
+        {"metric_cadence": "1"},
+        {"metric_cadence": False},
+        {"seed": 2.7},
+        {"seed": "5"},
+        {"seed": True},
+        {"seed": None},
+        {"seed": -1},
+    ],
+    ids=lambda user: f"{next(iter(user))}={next(iter(user.values()))!r}",
+)
+def test_integer_keys_take_only_integers_in_range(user):
+    key = next(iter(user))
+    with pytest.raises(ConfigError, match=key):
+        parse_config(user)
+
+
+def test_integer_keys_keep_their_values():
+    cfg = parse_config({"seed": 2**70, "repeats": 3, "metric_cadence": 4})
+    assert (cfg.seed, cfg.repeats, cfg.metric_cadence) == (2**70, 3, 4)
 
 
 def test_config_hash_ignores_output_dir():
@@ -283,3 +321,107 @@ def test_run_experiment_gamma1_algorithm_forces_gamma(tmp_path):
         manifest = json.load(fh)
     assert {m["algorithm"] for m in manifest} == {"qhetfed_gamma1"}
     assert all(m["iterations_completed"] == 3 for m in manifest)
+
+
+def test_no_temporary_file_left_behind(tmp_path):
+    out = tmp_path / "out"
+    written = run_experiment(dict(TINY, output_dir=str(out)))
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in written)
+    # a rerun replaces every file in place
+    assert run_experiment(dict(TINY, output_dir=str(out))) == written
+    assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in written)
+
+
+# ---------------------------------------------------------------------------
+# worker processes
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="the pool needs the fork start method"
+)
+
+
+def _record_pids(monkeypatch, log):
+    """Make every simulation append the id of the process it ran in to ``log``."""
+    real_run = federation.run
+
+    def run(config):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real_run(config)
+
+    monkeypatch.setattr(federation, "run", run)
+
+
+def _read_dir(path):
+    return {name: (path / name).read_bytes() for name in sorted(os.listdir(path))}
+
+
+@needs_fork
+def test_pool_and_in_process_runs_write_identical_files(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    user = dict(TINY, output_dir=str(out), algorithms=["qhetfed", "hier_local_qsgd", "qhetfed_gamma1"])
+    outputs, pids = {}, {}
+    for workers in (2, 1):
+        monkeypatch.setattr(harness, "_worker_count", lambda runs, n=workers: min(n, runs))
+        log = tmp_path / f"pids-{workers}.txt"
+        _record_pids(monkeypatch, log)
+        written = run_experiment(user)
+        outputs[workers] = (written, _read_dir(out))
+        pids[workers] = log.read_text(encoding="utf-8").split()
+        os.rename(out, tmp_path / f"out-{workers}")
+    assert outputs[2] == outputs[1]
+    written, files = outputs[1]
+    assert {"runs.json", "aggregate.json", "metrics.csv"} <= set(files)
+    assert len(files) == 6 + 5
+    # runs finish longest first, but the manifest and the path list keep (rep, algorithm) order
+    manifest = json.loads(files["runs.json"])
+    assert [(m["rep"], m["algorithm"]) for m in manifest] == [
+        (rep, alg) for rep in range(2) for alg in user["algorithms"]
+    ]
+    assert [os.path.basename(p) for p in written[:6]] == [m["file"] for m in manifest]
+    assert len(pids[1]) == len(pids[2]) == 6
+    assert set(pids[1]) == {str(os.getpid())}
+    assert str(os.getpid()) not in pids[2]
+
+
+def test_worker_count_is_capped_by_runs_and_cpus(monkeypatch):
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
+    assert [harness._worker_count(runs) for runs in (1, 2, 4, 20, 64, 100)] == [1, 2, 4, 20, 64, 64]
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    assert harness._worker_count(20) == 1
+    monkeypatch.undo()
+    assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
+
+
+class RunFailed(RuntimeError):
+    """Raised by a deliberately failing simulation."""
+
+
+@pytest.mark.parametrize("workers", [pytest.param(2, marks=needs_fork), 1])
+def test_failing_run_raises_its_own_type_and_keeps_finished_runs(tmp_path, monkeypatch, workers):
+    reference = tmp_path / "reference"
+    run_experiment(dict(TINY, output_dir=str(reference)))
+    per_run = sorted(p.name for p in reference.glob("*_s7_r*.csv"))
+
+    # at tau = 2, gamma = 1 a hier_local_qsgd run is the shorter (2 steps a
+    # round against 3), so its r01 is submitted last; it fails once the parent
+    # has written the other three runs' files, which it must do as they arrive
+    out = tmp_path / "out"
+    real_run = federation.run
+
+    def run(config):
+        if config.algorithm == "hier_local_qsgd" and config.master_seed == derive_seed(7, "run", 1):
+            deadline = time.monotonic() + 30.0
+            while len(list(out.glob("*_s7_r*.csv"))) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RunFailed("hier_local_qsgd r01 failed")
+        return real_run(config)
+
+    monkeypatch.setattr(federation, "run", run)
+    monkeypatch.setattr(harness, "_worker_count", lambda runs: min(workers, runs))
+    with pytest.raises(RunFailed, match="r01 failed"):
+        run_experiment(dict(TINY, output_dir=str(out)))
+    kept = sorted(os.listdir(out))
+    assert kept == [name for name in per_run if not name.startswith("hier_local_qsgd_s7_r01")]
+    for name in kept:
+        assert (out / name).read_bytes() == (reference / name).read_bytes()

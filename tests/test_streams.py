@@ -45,6 +45,19 @@ def test_negative_label_rejected():
         derive_seed(0, "run", -1)
 
 
+def test_non_integer_key_part_rejected():
+    # floats were once truncated, so these aliased stream(0, "batch", 2) and stream(3, "x")
+    with pytest.raises(TypeError):
+        stream(0, "batch", 2.7)
+    with pytest.raises(TypeError):
+        stream(3.9, "x")
+    with pytest.raises(TypeError):
+        stream(0, "q1", np.float64(2.0))
+    with pytest.raises(TypeError):
+        derive_seed(0, "run", 1.0)
+    assert np.array_equal(stream(np.uint64(3), "x", np.int32(4)).random(4), stream(3, "x", 4).random(4))
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         stream(-1, "batch")
