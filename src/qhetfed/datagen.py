@@ -1,5 +1,10 @@
 """Synthetic classification data, device partitioning schemes, and heterogeneity.
 
+Data lives in stacked arrays: a dataset, each half of a split and each
+device shard is an ``(X, y)`` pair of a float feature matrix and an int label
+vector, the batch form of ``models``.  The entry points also take a
+``LabeledSample`` list, which they stack once.
+
 The partition schemes control how class-skewed each device's shard is:
 
 * ``iid``     -- every device draws uniformly from the whole dataset.
@@ -18,12 +23,12 @@ trajectory cover the region a run actually visits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from . import models as _models
-from .models import LabeledSample, ModelSpec
+from .models import Batch, ModelSpec
 
 IID = "iid"
 MIXED = "mixed"
@@ -37,23 +42,27 @@ _CLASSES_PER_DEVICE = {NONIID1: 2, NONIID2: 1}
 
 @dataclass
 class DeviceShard:
-    """One device's local dataset, with features pre-stacked for fast slicing."""
+    """One device's local dataset as stacked ``features`` and ``labels`` arrays.
+
+    ``samples`` is an ``(X, y)`` pair or a ``LabeledSample`` list; it is
+    stacked once and not kept.
+    """
 
     set_index: int
     device_index: int
-    samples: list[LabeledSample]
+    samples: InitVar[Batch]
     features: np.ndarray = field(init=False, repr=False)
     labels: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not self.samples:
-            raise ValueError("a device shard cannot be empty")
-        self.features = np.stack([np.asarray(s.features, dtype=float) for s in self.samples])
-        self.labels = np.array([s.label for s in self.samples], dtype=int)
+    def __post_init__(self, samples: Batch) -> None:
+        # stack_batch rejects an empty shard
+        self.features, self.labels = _models.stack_batch(samples)
+        if len(self.labels) != len(self.features):
+            raise ValueError(f"{len(self.features)} feature rows but {len(self.labels)} labels")
 
     @property
     def size(self) -> int:
-        return len(self.samples)
+        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -82,8 +91,8 @@ def make_synthetic_dataset(
     *,
     separation: float = 6.0,
     noise: float = 1.0,
-) -> list[LabeledSample]:
-    """Balanced Gaussian class clusters.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Balanced Gaussian class clusters as ``(X, y)``, class by class.
 
     Class means are random directions scaled to length ``separation``; each
     sample is its class mean plus ``noise``-scaled standard normal jitter, so
@@ -96,28 +105,31 @@ def make_synthetic_dataset(
     directions = rng.standard_normal((num_classes, input_dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = separation * directions
-    dataset: list[LabeledSample] = []
+    # each class block is drawn into its place in X: one copy of the data, never two
+    X = np.empty((num_classes * per_class, input_dim))
     for k in range(num_classes):
-        points = means[k] + noise * rng.standard_normal((per_class, input_dim))
-        dataset.extend(LabeledSample(features=p, label=k) for p in points)
-    return dataset
+        block = X[k * per_class : (k + 1) * per_class]
+        rng.standard_normal(out=block)
+        block *= noise
+        block += means[k]
+    return X, np.repeat(np.arange(num_classes), per_class)
 
 
 def split_dataset(
-    dataset: list[LabeledSample], test_fraction: float, rng: np.random.Generator
-) -> tuple[list[LabeledSample], list[LabeledSample]]:
-    """Shuffle and split into (train, test)."""
+    dataset: Batch, test_fraction: float, rng: np.random.Generator
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Shuffle and split into ``(train, test)``, each an ``(X, y)`` pair."""
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError("test_fraction must be in [0, 1)")
-    order = rng.permutation(len(dataset))
-    n_test = int(round(test_fraction * len(dataset)))
-    test = [dataset[i] for i in order[:n_test]]
-    train = [dataset[i] for i in order[n_test:]]
-    return train, test
+    X, y = _models.stack_batch(dataset)
+    order = rng.permutation(len(y))
+    n_test = int(round(test_fraction * len(y)))
+    test, train = order[:n_test], order[n_test:]
+    return (X[train], y[train]), (X[test], y[test])
 
 
 def partition(
-    dataset: list[LabeledSample],
+    dataset: Batch,
     topology,
     scheme: PartitionScheme,
     rng: np.random.Generator,
@@ -130,9 +142,7 @@ def partition(
     pool is smaller than the drawn shard size, sampling falls back to
     with-replacement (or raises if ``replace_when_short`` is False).
     """
-    if not dataset:
-        raise ValueError("cannot partition an empty dataset")
-    labels = np.array([s.label for s in dataset], dtype=int)
+    X, labels = _models.stack_batch(dataset)
     num_classes = int(labels.max()) + 1
     by_class = [np.flatnonzero(labels == k) for k in range(num_classes)]
     present = [k for k in range(num_classes) if len(by_class[k])]
@@ -147,7 +157,7 @@ def partition(
         raise ValueError("the mixed scheme is defined for exactly 3 device sets")
 
     lo, hi = scheme.size_range
-    all_indices = np.arange(len(dataset))
+    all_indices = np.arange(len(labels))
     shards: list[DeviceShard] = []
     for l in range(topology.num_sets):
         n_dev = topology.devices_per_set[l]
@@ -168,9 +178,7 @@ def partition(
                     f"device ({l},{n}): pool of {len(pool)} samples cannot fill "
                     f"a shard of {size} without replacement"
                 )
-            shards.append(
-                DeviceShard(set_index=l, device_index=n, samples=[dataset[i] for i in idx])
-            )
+            shards.append(DeviceShard(l, n, (X[idx], labels[idx])))
     return shards
 
 
@@ -231,7 +239,7 @@ def estimate_heterogeneity(
 
 def training_trajectory_probes(
     spec: ModelSpec,
-    samples: list[LabeledSample],
+    samples: Batch,
     rng: np.random.Generator | None = None,
     *,
     count: int = 5,
@@ -253,31 +261,3 @@ def training_trajectory_probes(
             w = w - lr * _models.gradient(spec, w, (X, y))
         probes.append(w.copy())
     return probes
-
-
-# ---------------------------------------------------------------------------
-# flat text import/export
-
-
-def save_dataset(path, samples: list[LabeledSample]) -> None:
-    """One sample per line: label then features, space-separated."""
-    with open(path, "w", encoding="utf8") as fh:
-        for s in samples:
-            feats = " ".join(repr(float(v)) for v in np.asarray(s.features, dtype=float))
-            fh.write(f"{int(s.label)} {feats}\n")
-
-
-def load_dataset(path) -> list[LabeledSample]:
-    samples: list[LabeledSample] = []
-    with open(path, encoding="utf8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            try:
-                label = int(parts[0])
-                feats = np.array([float(v) for v in parts[1:]], dtype=float)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: malformed sample line") from exc
-            samples.append(LabeledSample(features=feats, label=label))
-    return samples

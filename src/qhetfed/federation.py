@@ -99,7 +99,7 @@ class FedRunConfig:
     q2: QuantizerSpec = field(default_factory=identity_spec)
     algorithm: str = QHETFED
     master_seed: int = 0
-    test_samples: list | None = None
+    test_samples: tuple[np.ndarray, np.ndarray] | list | None = None
     times: PhaseTimes = field(default_factory=lambda: PhaseTimes(1.0, 0.1, 1.0))
     initial_params: np.ndarray | None = None
     init_scale: float = 0.1
@@ -265,9 +265,13 @@ def _metrics_appender(config: FedRunConfig, per_iteration_delay: float):
         config=config,
     )
 
+    test = config.test_samples
+    # an (X, y) pair is truthy even with no rows, so count its labels
+    has_test = test is not None and len(test[1] if isinstance(test, tuple) else test) > 0
+
     def append(w: np.ndarray, t: int) -> None:
         record.train_loss.append(global_loss(config.shards, config.model, w))
-        if config.test_samples:
+        if has_test:
             record.test_accuracy.append(_models.accuracy(config.model, w, config.test_samples))
         else:
             record.test_accuracy.append(0.0)

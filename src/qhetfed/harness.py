@@ -26,6 +26,7 @@ import copy
 import functools
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -137,17 +138,6 @@ def resolved_config(user: dict) -> dict:
     return merged
 
 
-def _quantizer_pair(block: dict) -> tuple[QuantizerSpec, QuantizerSpec]:
-    mode = block["mode"]
-    if mode == IDENTITY:
-        return identity_spec(), identity_spec()
-    if mode != STOCHASTIC:
-        raise ConfigError(f"quantizers.mode must be '{STOCHASTIC}' or '{IDENTITY}'")
-    q1 = QuantizerSpec(levels=int(block["levels_device"]), mode=STOCHASTIC)
-    q2 = QuantizerSpec(levels=int(block["levels_edge"]), mode=STOCHASTIC)
-    return q1, q2
-
-
 @dataclass
 class ExperimentConfig:
     """Fully resolved experiment description plus the raw dict it came from."""
@@ -169,14 +159,42 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
 
-def _int_key(cfg: dict, key: str, minimum: int) -> int:
-    value = cfg[key]
-    # bool is an int subclass, but true is not a repetition count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{key} must be >= {minimum}")
+def _key(cfg: dict, path: str):
+    value = cfg
+    for part in path.split("."):
+        value = value[part]
     return value
+
+
+def _int_value(value, path: str, minimum: int) -> int:
+    # bool is an int subclass, but true is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{path} must be >= {minimum}")
+    return value
+
+
+def _int_key(cfg: dict, path: str, minimum: int) -> int:
+    """The integer at dotted ``path``; any other type, bool included, or a value below ``minimum`` is a ``ConfigError``."""
+    return _int_value(_key(cfg, path), path, minimum)
+
+
+def _float_key(cfg: dict, path: str) -> float:
+    """The finite number (int or float, not bool) at dotted ``path``, as a float."""
+    value = _key(cfg, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return float(value)
+
+
+@contextlib.contextmanager
+def _checked(path: str):
+    """Re-raise a ``ValueError`` or ``TypeError`` from building the ``path`` block as a ``ConfigError`` naming it."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def parse_config(user: dict) -> ExperimentConfig:
@@ -194,44 +212,60 @@ def parse_config(user: dict) -> ExperimentConfig:
             # one run_id per (algorithm, rep): a repeat would run and count twice
             raise ConfigError(f"algorithms: {alg!r} is listed twice")
 
-    ds = cfg["dataset"]
-    part = cfg["partition"]
-    scheme = PartitionScheme(
-        kind=part["scheme"], size_range=(int(part["size_min"]), int(part["size_max"]))
-    )
+    classes = _int_key(cfg, "dataset.classes", 2)
+    input_dim = _int_key(cfg, "dataset.input_dim", 1)
+    _int_key(cfg, "dataset.per_class", 1)
+    _float_key(cfg, "dataset.separation")
+    _float_key(cfg, "dataset.noise")
+    if not 0.0 <= _float_key(cfg, "dataset.test_fraction") < 1.0:
+        raise ConfigError("dataset.test_fraction must be in [0, 1)")
 
-    topo_block = cfg["topology"]
-    per_set = topo_block["devices_per_set"]
-    if isinstance(per_set, int):
-        per_set = [per_set] * int(topo_block["num_sets"])
-    elif len(per_set) != topo_block["num_sets"]:
-        raise ConfigError("topology.devices_per_set length must equal topology.num_sets")
-    topology = Topology(devices_per_set=tuple(int(n) for n in per_set))
+    size_range = (_int_key(cfg, "partition.size_min", 1), _int_key(cfg, "partition.size_max", 1))
+    with _checked("partition"):
+        scheme = PartitionScheme(kind=cfg["partition"]["scheme"], size_range=size_range)
 
-    mdl = cfg["model"]
-    model = ModelSpec(
-        kind=mdl["kind"],
-        input_dim=int(ds["input_dim"]),
-        num_classes=int(ds["classes"]),
-        hidden_width=int(mdl["hidden_width"]) if mdl["kind"] == "mlp" else 0,
-    )
+    num_sets = _int_key(cfg, "topology.num_sets", 1)
+    per_set = cfg["topology"]["devices_per_set"]
+    if isinstance(per_set, list):
+        if len(per_set) != num_sets:
+            raise ConfigError("topology.devices_per_set length must equal topology.num_sets")
+        counts = tuple(_int_value(n, f"topology.devices_per_set[{i}]", 1) for i, n in enumerate(per_set))
+    else:
+        counts = (_int_key(cfg, "topology.devices_per_set", 1),) * num_sets
+    topology = Topology(devices_per_set=counts)
 
-    sch = cfg["schedule"]
-    schedule = Schedule(
-        tau=int(sch["tau"]),
-        gamma=int(sch["gamma"]),
-        mu=float(sch["mu"]),
-        rounds=int(sch["rounds"]),
-        batch=int(sch["batch"]),
-    )
+    kind = cfg["model"]["kind"]
+    hidden_width = _int_key(cfg, "model.hidden_width", 1 if kind == "mlp" else 0)
+    with _checked("model"):
+        model = ModelSpec(
+            kind=kind,
+            input_dim=input_dim,
+            num_classes=classes,
+            hidden_width=hidden_width if kind == "mlp" else 0,
+        )
 
-    q1, q2 = _quantizer_pair(cfg["quantizers"])
+    steps = {name: _int_key(cfg, f"schedule.{name}", 1) for name in ("tau", "gamma", "rounds", "batch")}
+    mu = _float_key(cfg, "schedule.mu")
+    with _checked("schedule"):
+        schedule = Schedule(mu=mu, **steps)
+
+    mode = cfg["quantizers"]["mode"]
+    levels = (_int_key(cfg, "quantizers.levels_device", 1), _int_key(cfg, "quantizers.levels_edge", 1))
+    if mode == IDENTITY:
+        q1, q2 = identity_spec(), identity_spec()
+    elif mode == STOCHASTIC:
+        with _checked("quantizers"):
+            q1, q2 = (QuantizerSpec(levels=s, mode=STOCHASTIC) for s in levels)
+    else:
+        raise ConfigError(f"quantizers.mode must be '{STOCHASTIC}' or '{IDENTITY}'")
 
     if "link" in cfg:
-        times = compute_times(LinkComputeParams(**cfg["link"]))
+        with _checked("link"):
+            times = compute_times(LinkComputeParams(**cfg["link"]))
     else:
-        rt = cfg["runtime"]
-        times = PhaseTimes(float(rt["t_cp"]), float(rt["t_de"]), float(rt["t_ec"]))
+        delays = [_float_key(cfg, f"runtime.{name}") for name in ("t_cp", "t_de", "t_ec")]
+        with _checked("runtime"):
+            times = PhaseTimes(*delays)
 
     return ExperimentConfig(
         seed=seed,
@@ -239,7 +273,7 @@ def parse_config(user: dict) -> ExperimentConfig:
         output_dir=cfg["output_dir"],
         algorithms=list(algorithms),
         metric_cadence=metric_cadence,
-        dataset=ds,
+        dataset=cfg["dataset"],
         scheme=scheme,
         topology=topology,
         model=model,
@@ -247,7 +281,7 @@ def parse_config(user: dict) -> ExperimentConfig:
         q1=q1,
         q2=q2,
         times=times,
-        init_scale=float(mdl["init_scale"]),
+        init_scale=_float_key(cfg, "model.init_scale"),
         raw=cfg,
     )
 
@@ -498,7 +532,7 @@ def _build_run_config(cfg: ExperimentConfig, algorithm: str, rep: int,
     )
 
 
-def _run_one(cfg: ExperimentConfig, partitions: list, test: list,
+def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np.ndarray],
              task: tuple[int, str]) -> tuple[tuple[int, str], RunCurves]:
     rep, algorithm = task
     rec = federation.run(_build_run_config(cfg, algorithm, rep, partitions[rep], test))
@@ -512,9 +546,42 @@ def _run_one(cfg: ExperimentConfig, partitions: list, test: list,
 _worker_inputs: tuple = ()
 
 
+# OpenBLAS's thread-count setter under the names numpy's wheels and system builds export
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _single_blas_thread() -> None:
+    """Cap the OpenBLAS this process has loaded at one thread; do nothing if none is found.
+
+    The pool already runs one worker per usable CPU, so BLAS threads in the
+    workers would only compete with each other for the same CPUs.
+    """
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                return
+
+
 def _init_worker(*inputs) -> None:
     global _worker_inputs
     _worker_inputs = inputs
+    _single_blas_thread()
 
 
 def _run_in_worker(task: tuple[int, str]) -> tuple[tuple[int, str], RunCurves]:
@@ -564,12 +631,12 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     if isinstance(cfg, dict):
         cfg = parse_config(cfg)
     ds = cfg.dataset
+    # parse_config has checked every value's type and range
     dataset = datagen.make_synthetic_dataset(
-        int(ds["classes"]), int(ds["per_class"]), int(ds["input_dim"]),
-        stream(cfg.seed, "dataset"),
-        separation=float(ds["separation"]), noise=float(ds["noise"]),
+        ds["classes"], ds["per_class"], ds["input_dim"], stream(cfg.seed, "dataset"),
+        separation=ds["separation"], noise=ds["noise"],
     )
-    train, test = split_dataset(dataset, float(ds["test_fraction"]), stream(cfg.seed, "split"))
+    train, test = split_dataset(dataset, ds["test_fraction"], stream(cfg.seed, "split"))
     partitions = [
         datagen.partition(train, cfg.topology, cfg.scheme, stream(cfg.seed, "partition", rep))
         for rep in range(cfg.repeats)

@@ -12,8 +12,9 @@ can treat a model as a single array.  Layouts:
   need a loss with a known minimizer, exact gradients, and known smoothness
   and curvature constants (L = 1, and the quadratic growth constant is 1).
 
-Batches are sequences of ``LabeledSample`` or a pre-stacked ``(X, y)`` pair of
-arrays; the array form avoids re-stacking in inner training loops.
+Batches are pre-stacked ``(X, y)`` pairs of arrays, the form in which
+``datagen`` builds datasets, splits and shards, or sequences of
+``LabeledSample``, which every call stacks afresh.
 """
 
 from __future__ import annotations

@@ -204,3 +204,16 @@ def test_run_rejects_duplicate_or_empty_algorithms(tmp_path, capsys, algorithms)
     assert code == 2
     assert "algorithms" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "assignment",
+    ["schedule.tau=2.7", "topology.devices_per_set=true", 'partition.scheme="bogus"',
+     "schedule.rounds=0", "dataset.classes=1"],
+)
+def test_run_set_rejects_bad_nested_value(tmp_path, capsys, assignment):
+    cfg = write_config(tmp_path, TINY)
+    code = main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out"), "--set", assignment])
+    assert code == 2
+    assert assignment.split("=")[0].split(".")[0] in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -6,35 +6,158 @@ from qhetfed.datagen import (
     PartitionScheme,
     estimate_heterogeneity,
     global_gradient,
+    _device_rule,
     global_loss,
-    load_dataset,
     make_synthetic_dataset,
     partition,
-    save_dataset,
     split_dataset,
     training_trajectory_probes,
 )
 from qhetfed.federation import Topology
-from qhetfed.models import LabeledSample, ModelSpec
+from qhetfed.models import LabeledSample, ModelSpec, accuracy
 from qhetfed.streams import stream
 
 
-def _labels(samples):
-    return [s.label for s in samples]
+# The per-sample construction the array path replaced, kept as the reference:
+# the same rng calls in the same order, one LabeledSample per row.
+
+
+def _reference_dataset(num_classes, per_class, input_dim, rng, separation=6.0, noise=1.0):
+    directions = rng.standard_normal((num_classes, input_dim))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    means = separation * directions
+    dataset = []
+    for k in range(num_classes):
+        points = means[k] + noise * rng.standard_normal((per_class, input_dim))
+        dataset.extend(LabeledSample(features=p, label=k) for p in points)
+    return dataset
+
+
+def _reference_split(dataset, test_fraction, rng):
+    order = rng.permutation(len(dataset))
+    n_test = int(round(test_fraction * len(dataset)))
+    return [dataset[i] for i in order[n_test:]], [dataset[i] for i in order[:n_test]]
+
+
+def _reference_partition(dataset, topology, scheme, rng, replace_when_short=True):
+    """(set, device, X, y) per device, stacked from the chosen sample objects."""
+    labels = np.array([s.label for s in dataset], dtype=int)
+    by_class = [np.flatnonzero(labels == k) for k in range(int(labels.max()) + 1)]
+    present = [k for k in range(len(by_class)) if len(by_class[k])]
+    lo, hi = scheme.size_range
+    shards = []
+    for l in range(topology.num_sets):
+        n_dev = topology.devices_per_set[l]
+        for n in range(n_dev):
+            rule = _device_rule(scheme, l, n, n_dev)
+            size = int(rng.integers(lo, hi + 1))
+            if rule == "iid":
+                pool = np.arange(len(dataset))
+            else:
+                chosen = rng.choice(present, size={"noniid1": 2, "noniid2": 1}[rule], replace=False)
+                pool = np.concatenate([by_class[k] for k in np.sort(chosen)])
+            if size > len(pool) and not replace_when_short:
+                raise ValueError("pool too small")
+            idx = rng.choice(pool, size=size, replace=size > len(pool))
+            samples = [dataset[i] for i in idx]
+            shards.append((l, n, np.stack([s.features for s in samples]),
+                           np.array([s.label for s in samples], dtype=int)))
+    return shards
+
+
+def _as_samples(X, y):
+    return [LabeledSample(features=x, label=int(k)) for x, k in zip(X, y)]
+
+
+def _assert_pair_equal(pair, samples):
+    X, y = pair
+    assert np.array_equal(X, np.stack([s.features for s in samples]))
+    assert np.array_equal(y, [s.label for s in samples])
+    assert X.dtype == np.float64 and y.dtype == np.int64
+
+
+def _assert_shards_equal(shards, reference):
+    assert len(shards) == len(reference)
+    for s, (l, n, X, y) in zip(shards, reference):
+        assert (s.set_index, s.device_index) == (l, n)
+        assert np.array_equal(s.features, X) and np.array_equal(s.labels, y)
+        assert s.size == len(y)
+
+
+def _rows(X):
+    return {row.tobytes() for row in X}
+
+
+@pytest.mark.parametrize("args", [(3, 20, 5, 6.0, 1.0), (10, 48, 200, 2.0, 1.5), (2, 1, 1, 0.5, 0.0)])
+def test_dataset_matches_per_sample_reference(args):
+    classes, per_class, dim, separation, noise = args
+    rng, ref_rng = stream(9, "ds"), stream(9, "ds")
+    pair = make_synthetic_dataset(classes, per_class, dim, rng, separation=separation, noise=noise)
+    _assert_pair_equal(pair, _reference_dataset(classes, per_class, dim, ref_rng, separation, noise))
+    # the same number of draws: both generators continue identically
+    assert rng.random() == ref_rng.random()
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.2, 0.5])
+def test_split_matches_per_sample_reference(fraction):
+    pair = make_synthetic_dataset(3, 30, 4, stream(10, "ds"))
+    reference = _reference_dataset(3, 30, 4, stream(10, "ds"))
+    for data in (pair, reference):
+        train, test = split_dataset(data, fraction, stream(10, "split"))
+        ref_train, ref_test = _reference_split(reference, fraction, stream(10, "split"))
+        _assert_pair_equal(train, ref_train)
+        if ref_test:
+            _assert_pair_equal(test, ref_test)
+        else:
+            assert test[0].shape == (0, 4) and test[1].shape == (0,)
+
+
+@pytest.mark.parametrize("kind", ["iid", "noniid1", "noniid2", "mixed"])
+def test_partition_matches_per_sample_reference(kind):
+    pair = make_synthetic_dataset(5, 60, 4, stream(11, "ds"))
+    reference = _reference_dataset(5, 60, 4, stream(11, "ds"))
+    topo = Topology((3, 4, 5))
+    scheme = PartitionScheme(kind=kind, size_range=(20, 40))
+    expected = _reference_partition(reference, topo, scheme, stream(11, kind))
+    _assert_shards_equal(partition(pair, topo, scheme, stream(11, kind)), expected)
+    # a LabeledSample list gives the same shards as the (X, y) pair
+    _assert_shards_equal(partition(reference, topo, scheme, stream(11, kind)), expected)
+
+
+def test_partition_falls_back_to_replacement_like_the_reference():
+    # noniid2 pools hold 8 samples, shards want 10 to 12
+    pair = make_synthetic_dataset(3, 8, 2, stream(12, "ds"))
+    reference = _reference_dataset(3, 8, 2, stream(12, "ds"))
+    topo = Topology((2, 2))
+    scheme = PartitionScheme(kind="noniid2", size_range=(10, 12))
+    shards = partition(pair, topo, scheme, stream(12, "p"))
+    _assert_shards_equal(shards, _reference_partition(reference, topo, scheme, stream(12, "p")))
+    assert all(len(_rows(s.features)) < s.size for s in shards)
+    with pytest.raises(ValueError, match="without replacement"):
+        partition(pair, topo, scheme, stream(12, "p"), replace_when_short=False)
+
+
+def test_shards_and_accuracy_agree_for_samples_and_arrays():
+    X, y = make_synthetic_dataset(3, 10, 4, stream(13, "ds"))
+    samples = _as_samples(X, y)
+    from_pair, from_list = DeviceShard(1, 2, (X, y)), DeviceShard(1, 2, samples)
+    assert np.array_equal(from_pair.features, from_list.features)
+    assert np.array_equal(from_pair.labels, from_list.labels)
+    assert from_pair.size == from_list.size == 30
+    spec = ModelSpec(kind="logistic", input_dim=4, num_classes=3)
+    w = 0.3 * stream(13, "w").standard_normal(spec.dim)
+    assert accuracy(spec, w, (X, y)) == accuracy(spec, w, samples)
 
 
 def test_synthetic_dataset_shape_and_order():
-    ds = make_synthetic_dataset(3, 20, 5, stream(0, "ds"))
-    assert len(ds) == 60
-    assert _labels(ds) == [0] * 20 + [1] * 20 + [2] * 20
-    assert ds[0].features.shape == (5,)
+    X, y = make_synthetic_dataset(3, 20, 5, stream(0, "ds"))
+    assert X.shape == (60, 5)
+    assert y.tolist() == [0] * 20 + [1] * 20 + [2] * 20
 
 
 def test_synthetic_classes_are_separated():
-    ds = make_synthetic_dataset(4, 100, 8, stream(1, "ds"), separation=8.0, noise=1.0)
-    means = {}
-    for k in range(4):
-        means[k] = np.mean([s.features for s in ds if s.label == k], axis=0)
+    X, y = make_synthetic_dataset(4, 100, 8, stream(1, "ds"), separation=8.0, noise=1.0)
+    means = {k: X[y == k].mean(axis=0) for k in range(4)}
     for a in range(4):
         for b in range(a + 1, 4):
             assert np.linalg.norm(means[a] - means[b]) > 4.0
@@ -43,13 +166,14 @@ def test_synthetic_classes_are_separated():
 def test_split_dataset():
     ds = make_synthetic_dataset(2, 50, 3, stream(2, "ds"))
     train, test = split_dataset(ds, 0.2, stream(2, "split"))
-    assert len(test) == 20
-    assert len(train) == 80
-    train_ids = {id(s) for s in train}
-    assert all(id(s) not in train_ids for s in test)
+    assert len(test[1]) == 20 and len(test[0]) == 20
+    assert len(train[1]) == 80 and len(train[0]) == 80
+    # no row in both halves, and together they are the whole dataset
+    assert not _rows(train[0]) & _rows(test[0])
+    assert _rows(train[0]) | _rows(test[0]) == _rows(ds[0])
     # deterministic for a fixed stream
     train2, test2 = split_dataset(ds, 0.2, stream(2, "split"))
-    assert _labels(test) == _labels(test2)
+    assert np.array_equal(test[1], test2[1]) and np.array_equal(test[0], test2[0])
     with pytest.raises(ValueError):
         split_dataset(ds, 1.0, stream(0, "x"))
 
@@ -66,8 +190,8 @@ def test_iid_partition_sizes_and_diversity():
     for s in shards:
         assert 40 <= s.size <= 60
         assert len(set(s.labels.tolist())) >= 2
-        # without replacement: no duplicated sample objects inside one device
-        assert len({id(x) for x in s.samples}) == s.size
+        # without replacement: no duplicated rows inside one device
+        assert len(_rows(s.features)) == s.size
 
 
 def test_noniid_partitions_limit_class_counts():
@@ -134,28 +258,13 @@ def test_heterogeneity_orders_partition_schemes():
     assert g_skewed > g_iid
 
 
-def test_dataset_round_trip(tmp_path):
-    ds = make_synthetic_dataset(2, 5, 3, stream(9, "ds"))
-    path = tmp_path / "data.txt"
-    save_dataset(path, ds)
-    back = load_dataset(path)
-    assert len(back) == len(ds)
-    for a, b in zip(ds, back):
-        assert a.label == b.label
-        assert np.array_equal(a.features, b.features)
-
-
-def test_load_dataset_reports_bad_line(tmp_path):
-    path = tmp_path / "broken.txt"
-    path.write_text("0 1.0 2.0\n1 not-a-number\n")
-    with pytest.raises(ValueError) as err:
-        load_dataset(path)
-    assert ":2:" in str(err.value)
-
-
 def test_shard_validation():
     with pytest.raises(ValueError):
         DeviceShard(0, 0, [])
+    with pytest.raises(ValueError):
+        DeviceShard(0, 0, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
+    with pytest.raises(ValueError):
+        DeviceShard(0, 0, (np.zeros((3, 2)), np.zeros(2, dtype=int)))
     with pytest.raises(ValueError):
         PartitionScheme(kind="iid", size_range=(10, 5))
     with pytest.raises(ValueError):

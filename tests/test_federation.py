@@ -41,7 +41,7 @@ def quadratic_config(devices_per_set, shard_values, tau, gamma, mu, rounds, **kw
         for l, row in enumerate(shard_values)
         for n, vals in enumerate(row)
     ]
-    batch = kw.pop("batch", max(len(s.samples) for s in shards))
+    batch = kw.pop("batch", max(s.size for s in shards))
     return FedRunConfig(
         topology=topo,
         schedule=Schedule(tau=tau, gamma=gamma, mu=mu, rounds=rounds, batch=batch),

@@ -181,6 +181,68 @@ def test_integer_keys_keep_their_values():
     assert (cfg.seed, cfg.repeats, cfg.metric_cadence) == (2**70, 3, 4)
 
 
+@pytest.mark.parametrize(
+    "user, key",
+    [
+        ({"schedule": {"tau": 2.7}}, "schedule.tau"),
+        ({"schedule": {"batch": None}}, "schedule.batch"),
+        ({"topology": {"devices_per_set": True}}, "topology.devices_per_set"),
+        ({"topology": {"num_sets": 2, "devices_per_set": [3, True]}}, r"topology.devices_per_set\[1\]"),
+        ({"topology": {"num_sets": 3.0}}, "topology.num_sets"),
+        ({"dataset": {"per_class": "600"}}, "dataset.per_class"),
+        ({"dataset": {"input_dim": 20.5}}, "dataset.input_dim"),
+        ({"partition": {"size_min": 5.5}}, "partition.size_min"),
+        ({"model": {"kind": "mlp", "hidden_width": 16.0}}, "model.hidden_width"),
+        ({"quantizers": {"levels_device": True}}, "quantizers.levels_device"),
+        ({"quantizers": {"levels_edge": 2.5}}, "quantizers.levels_edge"),
+        ({"schedule": {"mu": True}}, "schedule.mu"),
+        ({"schedule": {"mu": "0.1"}}, "schedule.mu"),
+        ({"dataset": {"noise": float("nan")}}, "dataset.noise"),
+        ({"model": {"init_scale": None}}, "model.init_scale"),
+        ({"runtime": {"t_cp": "2"}}, "runtime.t_cp"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else "",
+)
+def test_nested_numbers_are_checked_not_cast(user, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(user)
+
+
+@pytest.mark.parametrize(
+    "user, key",
+    [
+        ({"partition": {"scheme": "bogus"}}, "partition"),
+        ({"partition": {"size_min": 10, "size_max": 5}}, "partition"),
+        ({"schedule": {"rounds": 0}}, "schedule.rounds"),
+        ({"schedule": {"mu": -0.1}}, "schedule"),
+        ({"dataset": {"classes": 1}}, "dataset.classes"),
+        ({"dataset": {"test_fraction": 1.0}}, "dataset.test_fraction"),
+        ({"topology": {"devices_per_set": 0}}, "topology.devices_per_set"),
+        ({"model": {"kind": "tree"}}, "model"),
+        ({"model": {"kind": "mlp", "hidden_width": 0}}, "model.hidden_width"),
+        ({"quantizers": {"levels_edge": 0}}, "quantizers.levels_edge"),
+        ({"runtime": {"t_ec": 0}}, "runtime"),
+        ({"link": {k: v for k, v in LINK_BLOCK.items() if k != "cpu_hz"}}, "link"),
+        ({"link": dict(LINK_BLOCK, power_w=-1.0)}, "link"),
+    ],
+    ids=lambda v: json.dumps(v)[:60] if isinstance(v, dict) else "",
+)
+def test_out_of_range_nested_values_are_config_errors(user, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(user)
+
+
+def test_number_keys_accept_ints_and_valid_configs_keep_their_hash():
+    cfg = parse_config({"schedule": {"mu": 1}, "dataset": {"test_fraction": 0}})
+    assert cfg.schedule.mu == 1.0 and isinstance(cfg.schedule.mu, float)
+    # hashes of the code before nested values were checked
+    assert config_hash(parse_config({})) == "47fe5935"
+    assert config_hash(parse_config(TINY)) == "83d2a07c"
+    mixed = {"link": LINK_BLOCK, "model": {"kind": "mlp"}, "quantizers": {"mode": "identity"},
+             "topology": {"num_sets": 2, "devices_per_set": [3, 5]}}
+    assert config_hash(parse_config(mixed)) == "73c746de"
+
+
 def test_config_hash_ignores_output_dir():
     a = parse_config({"output_dir": "/tmp/a", **TINY})
     b = parse_config({"output_dir": "/tmp/b", **TINY})
@@ -312,6 +374,14 @@ def test_run_experiment_reruns_byte_identical(tmp_path):
     csvs_a = sorted(p.name for p in (tmp_path / "a").glob("*_s7_*.csv"))
     csvs_b = sorted(p.name for p in (tmp_path / "b").glob("*_s7_*.csv"))
     assert csvs_a == csvs_b and len(csvs_a) == 4
+
+
+def test_run_experiment_without_test_split_records_zero_accuracy(tmp_path):
+    user = dict(TINY, output_dir=str(tmp_path / "out"), dataset=dict(TINY["dataset"], test_fraction=0.0))
+    run_experiment(user)
+    header, rows = read_csv(tmp_path / "out" / "metrics.csv")
+    column = header.index("test_accuracy")
+    assert len(rows) == 12 and all(row[column] == "0.0" for row in rows)
 
 
 def test_run_experiment_gamma1_algorithm_forces_gamma(tmp_path):
