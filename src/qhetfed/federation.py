@@ -1,27 +1,28 @@
 """Hierarchical federated training engine: cloud, edge sets, devices.
 
-Two algorithm families run over the same topology:
+The hierarchical algorithms share one global iteration: each device set runs
+its list of phases from the cloud model, then the cloud averages the quantized
+set deltas weighted by set size.  A phase is one of
 
-* ``qhetfed``: each global iteration performs tau synchronized rounds in
-  which every device uploads a quantized mini-batch gradient, the edge
-  averages them, and the whole set takes one shared descent step; then each
-  device runs gamma solo steps, the edge averages the quantized parameter
-  deltas, and the cloud averages quantized set deltas weighted by set size.
-* ``hier_local_qsgd``: each of the tau rounds instead runs gamma solo steps
-  per device followed by edge averaging of quantized deltas (model averaging
-  at both levels).
+* ``(GRAD, k, k)``: every device uploads a quantized mini-batch gradient,
+  taken at the shared set model on batch step k, under q1 key k; the edge
+  averages them and the whole set takes one descent step;
+* ``(LOCAL, k0, key)``: every device takes gamma solo steps on batch steps
+  k0..k0+gamma-1; the edge averages their quantized parameter deltas (q1 key
+  ``key``) onto the set model.
 
-``qhetfed_gamma1`` is the reduced form of the first family at gamma = 1 (tau
-+ 1 gradient rounds, then cloud aggregation); ``centralized_sgd`` is the
+``qhetfed`` runs gradient rounds k = 0..tau-1, then ``(LOCAL, tau, tau)``;
+``hier_local_qsgd`` runs ``(LOCAL, i*gamma, i)`` for i = 0..tau-1 (model
+averaging at both levels); ``qhetfed_gamma1``, the reduced form of qhetfed at
+gamma = 1, runs gradient rounds k = 0..tau.  ``centralized_sgd`` is the
 single-worker oracle the degenerate topologies are checked against.
 
 Every random draw is keyed by (master seed, purpose, set, device, iteration,
 step) through :mod:`qhetfed.streams`, never by call order.  The batch step
-index is global within an iteration: qhetfed's tau gradient rounds use
-k = 0..tau-1 and its local phase k = tau..tau+gamma-1, the baseline's nested
-loops use k = round*gamma + step, and the oracle consumes k = 0..steps-1.
+index is global within an iteration, and the oracle consumes k = 0..steps-1.
 Variants that perform the same conceptual draw therefore read the same
-stream, which is what makes the equivalence tests exact.
+stream, which is what makes the equivalence tests exact: qhetfed_gamma1's
+round tau reads the streams of qhetfed's local phase.
 """
 
 from __future__ import annotations
@@ -45,6 +46,14 @@ CENTRALIZED_SGD = "centralized_sgd"
 
 ALGORITHMS = (QHETFED, HIER_LOCAL_QSGD, QHETFED_GAMMA1, CENTRALIZED_SGD)
 
+GRAD = "grad"
+LOCAL = "local"
+
+
+def _is_count(n) -> bool:
+    """A Python or numpy integer; a bool or a float is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -55,6 +64,8 @@ class Topology:
     def __post_init__(self) -> None:
         if not self.devices_per_set:
             raise ValueError("need at least one device set")
+        if not all(map(_is_count, self.devices_per_set)):
+            raise ValueError(f"device counts must be integers, got {self.devices_per_set!r}")
         if any(n < 1 for n in self.devices_per_set):
             raise ValueError("every set needs at least one device")
         object.__setattr__(self, "devices_per_set", tuple(int(n) for n in self.devices_per_set))
@@ -79,6 +90,8 @@ class Schedule:
     batch: int
 
     def __post_init__(self) -> None:
+        if not all(map(_is_count, (self.tau, self.gamma, self.rounds, self.batch))):
+            raise ValueError("tau, gamma, rounds and batch must be integers")
         if self.tau < 1 or self.gamma < 1:
             raise ValueError("tau and gamma must be >= 1")
         if self.mu <= 0:
@@ -287,41 +300,63 @@ def _diverged(w: np.ndarray, guard: float) -> bool:
     return not np.all(np.isfinite(w)) or float(np.linalg.norm(w)) > guard
 
 
-def run_qhetfed(config: FedRunConfig) -> RunRecord:
-    """Gradient-aggregation rounds plus a trailing local phase, per global iteration."""
-    if config.algorithm not in (QHETFED, QHETFED_GAMMA1):
-        raise ValueError("config.algorithm does not name a qhetfed run")
+def _phases(algorithm: str, schedule: Schedule) -> list[tuple[str, int, int]]:
+    """One global iteration of a hierarchical ``algorithm`` on one set, phase by phase."""
+    tau, gamma = schedule.tau, schedule.gamma
+    return {
+        QHETFED: [(GRAD, k, k) for k in range(tau)] + [(LOCAL, tau, tau)],
+        HIER_LOCAL_QSGD: [(LOCAL, i * gamma, i) for i in range(tau)],
+        QHETFED_GAMMA1: [(GRAD, k, k) for k in range(tau + 1)],
+    }[algorithm]
+
+
+def _check_algorithm(config: FedRunConfig, algorithm: str) -> None:
+    if config.algorithm != algorithm:
+        raise ValueError(f"a {algorithm!r} run got a {config.algorithm!r} config")
+
+
+def _set_model(config: FedRunConfig, phases, w: np.ndarray, l: int, t: int) -> np.ndarray:
+    """Model of set l after running ``phases`` of global iteration t from the cloud model ``w``."""
+    mu, gamma, seed = config.schedule.mu, config.schedule.gamma, config.master_seed
+    devices = config._grid[l]
+    # one shared array per set: the broadcast value every device holds
+    w_set = w.copy()
+    for kind, k, key in phases:
+        rngs = [stream(seed, "q1", l, n, t, key) for n in range(len(devices))]
+        if kind == GRAD:
+            grads = [
+                _models.gradient(config.model, w_set, _batch_view(s, config, l, n, t, k))
+                for n, s in enumerate(devices)
+            ]
+            w_set = w_set - mu * edge_aggregate_gradients(grads, config.q1, rngs)
+        else:
+            deltas = []
+            for n, s in enumerate(devices):
+                w_dev = w_set
+                for j in range(k, k + gamma):
+                    batch = _batch_view(s, config, l, n, t, j)
+                    w_dev = w_dev - mu * _models.gradient(config.model, w_dev, batch)
+                deltas.append(w_dev - w_set)
+            w_set = edge_aggregate_models(deltas, w_set, config.q1, rngs)
+    return w_set
+
+
+def _run_hierarchical(config: FedRunConfig, algorithm: str) -> RunRecord:
+    """Global iterations of ``algorithm``: every set runs its phases, then the cloud aggregates."""
+    _check_algorithm(config, algorithm)
     sched = config.schedule
     topo = config.topology
-    grid = config._grid
-    delay = iteration_delay(sched.tau, sched.gamma, config.times)
+    phases = _phases(algorithm, sched)
+    delay = (baseline_iteration_delay if algorithm == HIER_LOCAL_QSGD else iteration_delay)(
+        sched.tau, sched.gamma, config.times
+    )
     record, append = _metrics_appender(config, delay)
     w = _initial_params(config)
-    seed = config.master_seed
 
     for t in range(sched.rounds):
         try:
-            set_models = []
-            for l in range(topo.num_sets):
-                # one shared array per set: the broadcast value every device holds
-                w_set = w.copy()
-                for i in range(sched.tau):
-                    grads = [
-                        _models.gradient(config.model, w_set, _batch_view(s, config, l, n, t, i))
-                        for n, s in enumerate(grid[l])
-                    ]
-                    rngs = [stream(seed, "q1", l, n, t, i) for n in range(len(grid[l]))]
-                    w_set = w_set - sched.mu * edge_aggregate_gradients(grads, config.q1, rngs)
-                deltas = []
-                for n, s in enumerate(grid[l]):
-                    w_dev = w_set.copy()
-                    for j in range(sched.gamma):
-                        batch = _batch_view(s, config, l, n, t, sched.tau + j)
-                        w_dev = w_dev - sched.mu * _models.gradient(config.model, w_dev, batch)
-                    deltas.append(w_dev - w_set)
-                rngs = [stream(seed, "q1", l, n, t, sched.tau) for n in range(len(grid[l]))]
-                set_models.append(edge_aggregate_models(deltas, w_set, config.q1, rngs))
-            rngs = [stream(seed, "q2", l, t) for l in range(topo.num_sets)]
+            set_models = [_set_model(config, phases, w, l, t) for l in range(topo.num_sets)]
+            rngs = [stream(config.master_seed, "q2", l, t) for l in range(topo.num_sets)]
             w_next = cloud_aggregate(set_models, w, topo, config.q2, rngs)
         except NonFiniteInputError:
             record.diverged_at = t
@@ -334,91 +369,21 @@ def run_qhetfed(config: FedRunConfig) -> RunRecord:
 
     record.final_params = w
     return record
+
+
+def run_qhetfed(config: FedRunConfig) -> RunRecord:
+    """Gradient-aggregation rounds plus a trailing local phase, per global iteration."""
+    return _run_hierarchical(config, QHETFED)
 
 
 def run_hier_local_qsgd(config: FedRunConfig) -> RunRecord:
     """Model averaging at both levels: gamma local steps inside each of tau rounds."""
-    sched = config.schedule
-    topo = config.topology
-    grid = config._grid
-    delay = baseline_iteration_delay(sched.tau, sched.gamma, config.times)
-    record, append = _metrics_appender(config, delay)
-    w = _initial_params(config)
-    seed = config.master_seed
-
-    for t in range(sched.rounds):
-        try:
-            set_models = []
-            for l in range(topo.num_sets):
-                w_set = w.copy()
-                for i in range(sched.tau):
-                    deltas = []
-                    for n, s in enumerate(grid[l]):
-                        w_dev = w_set.copy()
-                        for j in range(sched.gamma):
-                            batch = _batch_view(s, config, l, n, t, i * sched.gamma + j)
-                            w_dev = w_dev - sched.mu * _models.gradient(config.model, w_dev, batch)
-                        deltas.append(w_dev - w_set)
-                    rngs = [stream(seed, "q1", l, n, t, i) for n in range(len(grid[l]))]
-                    w_set = edge_aggregate_models(deltas, w_set, config.q1, rngs)
-                set_models.append(w_set)
-            rngs = [stream(seed, "q2", l, t) for l in range(topo.num_sets)]
-            w_next = cloud_aggregate(set_models, w, topo, config.q2, rngs)
-        except NonFiniteInputError:
-            record.diverged_at = t
-            break
-        if _diverged(w_next, config.norm_guard):
-            record.diverged_at = t
-            break
-        w = w_next
-        append(w, t)
-
-    record.final_params = w
-    return record
+    return _run_hierarchical(config, HIER_LOCAL_QSGD)
 
 
 def run_qhetfed_gamma1(config: FedRunConfig) -> RunRecord:
-    """Reduced single-local-step variant: tau + 1 gradient rounds, then cloud aggregation.
-
-    Trajectory-equivalent to ``run_qhetfed`` at gamma = 1 because round tau
-    reads the same batch and quantizer streams as the local phase it replaces.
-    """
-    if config.schedule.gamma != 1:
-        raise ValueError("the reduced variant requires gamma == 1")
-    sched = config.schedule
-    topo = config.topology
-    grid = config._grid
-    delay = iteration_delay(sched.tau, 1, config.times)
-    record, append = _metrics_appender(config, delay)
-    w = _initial_params(config)
-    seed = config.master_seed
-
-    for t in range(sched.rounds):
-        try:
-            set_models = []
-            for l in range(topo.num_sets):
-                w_set = w.copy()
-                for i in range(sched.tau + 1):
-                    grads = [
-                        _models.gradient(config.model, w_set, _batch_view(s, config, l, n, t, i))
-                        for n, s in enumerate(grid[l])
-                    ]
-                    rngs = [stream(seed, "q1", l, n, t, i) for n in range(len(grid[l]))]
-                    w_set = w_set - sched.mu * edge_aggregate_gradients(grads, config.q1, rngs)
-                set_models.append(w_set)
-            rngs = [stream(seed, "q2", l, t) for l in range(topo.num_sets)]
-            w_next = cloud_aggregate(set_models, w, topo, config.q2, rngs)
-        except NonFiniteInputError:
-            record.diverged_at = t
-            break
-        if _diverged(w_next, config.norm_guard):
-            record.diverged_at = t
-            break
-        w = w_next
-        append(w, t)
-
-    record.final_params = w
-    return record
+    """Reduced single-local-step variant: tau + 1 gradient rounds, then cloud aggregation."""
+    return _run_hierarchical(config, QHETFED_GAMMA1)
 
 
 def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> RunRecord:
@@ -428,6 +393,7 @@ def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> R
     iteration, so the oracle can be aligned with a federated run that takes
     several descent steps per global iteration.
     """
+    _check_algorithm(config, CENTRALIZED_SGD)
     if steps_per_iteration < 1:
         raise ValueError("steps_per_iteration must be positive")
     sched = config.schedule
@@ -472,12 +438,10 @@ def run(config: FedRunConfig) -> RunRecord:
 def steps_per_round(algorithm: str, schedule: Schedule) -> int:
     """Gradient steps each device takes per global iteration of ``algorithm``.
 
-    The oracle takes one step on the pooled data.  Run lengths scale with this
-    count, which is how the experiment harness orders runs longest first.
+    A gradient round is one step and a local phase gamma; the oracle takes one
+    step on the pooled data.  Run lengths scale with this count, which is how
+    the experiment harness orders runs longest first.
     """
-    return {
-        QHETFED: schedule.tau + schedule.gamma,
-        HIER_LOCAL_QSGD: schedule.tau * schedule.gamma,
-        QHETFED_GAMMA1: schedule.tau + 1,
-        CENTRALIZED_SGD: 1,
-    }[algorithm]
+    if algorithm == CENTRALIZED_SGD:
+        return 1
+    return sum(1 if kind == GRAD else schedule.gamma for kind, _, _ in _phases(algorithm, schedule))

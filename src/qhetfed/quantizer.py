@@ -35,14 +35,11 @@ class NonFiniteInputError(ValueError):
 class QuantizerSpec:
     """Quantizer configuration: number of levels plus a mode switch.
 
-    ``variance_factor`` is informational: it carries a measured or assumed q
-    for use by the bound calculators, and is not consulted by ``quantize``.
     ``identity`` mode passes vectors through exactly, so degenerate-case tests
     can disable quantization without touching the code path layout.
     """
 
     levels: int = 1
-    variance_factor: float = 0.0
     mode: str = STOCHASTIC
 
     def __post_init__(self) -> None:
@@ -50,15 +47,11 @@ class QuantizerSpec:
             raise ValueError(f"unknown quantizer mode {self.mode!r}")
         if self.levels < 1:
             raise ValueError("levels must be a positive integer")
-        if self.variance_factor < 0:
-            raise ValueError("variance_factor must be non-negative")
-        if self.mode == IDENTITY and self.variance_factor != 0.0:
-            raise ValueError("identity mode is exact; variance_factor must be 0")
 
 
 def identity_spec() -> QuantizerSpec:
     """Spec for the exact pass-through quantizer."""
-    return QuantizerSpec(levels=1, variance_factor=0.0, mode=IDENTITY)
+    return QuantizerSpec(levels=1, mode=IDENTITY)
 
 
 def quantize(x: np.ndarray, spec: QuantizerSpec, rng: np.random.Generator) -> np.ndarray:

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from qhetfed.datagen import DeviceShard
+from qhetfed import models
+from qhetfed.datagen import NONIID1, DeviceShard, PartitionScheme, make_synthetic_dataset, partition
 from qhetfed.federation import (
     ALGORITHMS,
     CENTRALIZED_SGD,
@@ -19,8 +22,9 @@ from qhetfed.federation import (
     run_hier_local_qsgd,
     run_qhetfed,
     run_qhetfed_gamma1,
+    steps_per_round,
 )
-from qhetfed.models import ModelSpec, QUADRATIC, gradient
+from qhetfed.models import LOGISTIC, MLP, ModelSpec, QUADRATIC, gradient
 from qhetfed.planner import PhaseTimes, baseline_iteration_delay, iteration_delay
 from qhetfed.quantizer import QuantizerSpec, identity_spec, quantize
 from qhetfed.streams import stream
@@ -68,7 +72,7 @@ def test_edge_gradient_single_device_passthrough():
 
 
 def test_edge_gradient_matches_manual_quantization():
-    spec = QuantizerSpec(levels=4, variance_factor=0.0)
+    spec = QuantizerSpec(levels=4)
     grads = [np.array([0.3, -1.1, 0.7]), np.array([2.2, 0.05, -0.4])]
     rngs = [stream(7, "q1", 0, n, 0, 0) for n in range(2)]
     fresh = [stream(7, "q1", 0, n, 0, 0) for n in range(2)]
@@ -180,20 +184,25 @@ def test_config_rejects_initial_params_of_wrong_length():
 
 
 def test_topology_validation():
-    with pytest.raises(ValueError):
-        Topology(())
-    with pytest.raises(ValueError):
-        Topology((2, 0))
+    for counts in [(), (2, 0), (2.7,), (2.0, 1), (True, 2), (np.float64(3),), ("2",)]:
+        with pytest.raises(ValueError):
+            Topology(counts)
     assert Topology((3, 1)).num_devices == 4
+    topo = Topology((np.int64(3), np.int32(1)))
+    assert topo.devices_per_set == (3, 1)
+    assert all(type(n) is int for n in topo.devices_per_set)
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        Schedule(0, 1, 0.1, 1, 1)
-    with pytest.raises(ValueError):
-        Schedule(1, 1, 0.0, 1, 1)
-    with pytest.raises(ValueError):
-        Schedule(1, 1, 0.1, 1, 0)
+    bad = [
+        (0, 1, 0.1, 1, 1), (1, 1, 0.0, 1, 1), (1, 1, 0.1, 1, 0),
+        (2.7, 1, 0.1, 1, 1), (1, 2.0, 0.1, 1, 1), (1, 1, 0.1, True, 1), (1, 1, 0.1, 1, 4.5),
+    ]
+    for args in bad:
+        with pytest.raises(ValueError):
+            Schedule(*args)
+    sched = Schedule(np.int64(2), np.int32(3), 1, np.int64(4), np.int64(5))
+    assert steps_per_round(QHETFED, sched) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +486,21 @@ def test_accuracy_column_defaults_to_zero_without_test_samples():
     assert rec.test_accuracy == [0.0, 0.0, 0.0]
 
 
+def test_runners_reject_another_algorithms_config():
+    runners = {
+        QHETFED: run_qhetfed,
+        HIER_LOCAL_QSGD: run_hier_local_qsgd,
+        QHETFED_GAMMA1: run_qhetfed_gamma1,
+        CENTRALIZED_SGD: run_centralized_sgd,
+    }
+    for algo, runner in runners.items():
+        for other in ALGORITHMS:
+            if other != algo:
+                cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=1, algorithm=other)
+                with pytest.raises(ValueError, match=f"{algo!r} run got a {other!r} config"):
+                    runner(cfg)
+
+
 def test_dispatcher_routes_every_algorithm():
     values = [[[1.0, 2.0]]]
     for algo in ALGORITHMS:
@@ -490,8 +514,6 @@ def test_dispatcher_routes_every_algorithm():
 
 
 def test_snapshots_match_param_hashes():
-    import hashlib
-
     cfg = quadratic_config(
         [1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=3, keep_snapshots=True,
     )
@@ -499,3 +521,64 @@ def test_snapshots_match_param_hashes():
     assert len(rec.snapshots) == 3
     for w, h in zip(rec.snapshots, rec.param_hash):
         assert hashlib.sha256(w.tobytes()).hexdigest() == h
+
+
+# ---------------------------------------------------------------------------
+# byte-level pins on synthetic data
+
+
+def synthetic_config(algorithm, kind):
+    """Sets of 2 and 3 devices on a small synthetic task, stochastic q1/q2.
+
+    Shard sizes straddle the batch size, so some devices draw sampled batches
+    and others take full-batch steps.
+    """
+    topo = Topology((2, 3))
+    train = make_synthetic_dataset(3, 20, 4, stream(5, "dataset"))
+    shards = partition(train, topo, PartitionScheme(NONIID1, (3, 9)), stream(5, "partition"))
+    return FedRunConfig(
+        topology=topo,
+        schedule=Schedule(tau=2, gamma=1 if algorithm == QHETFED_GAMMA1 else 3, mu=0.1,
+                          rounds=4, batch=5),
+        model=ModelSpec(kind=kind, input_dim=4, num_classes=3, hidden_width=5 if kind == MLP else 0),
+        shards=shards,
+        q1=QuantizerSpec(levels=4),
+        q2=QuantizerSpec(levels=8),
+        algorithm=algorithm,
+        master_seed=17,
+    )
+
+
+# sha256 of the newline-joined param_hash list of each run
+PINNED_DIGESTS = {
+    (QHETFED, LOGISTIC): "3c4eadc8be403c2550e70d5d0aebeae456fbfa353d9c8d630967b27bff939226",
+    (HIER_LOCAL_QSGD, LOGISTIC): "9756567819921e77f8508dec129bda1ac34b64dc0ba7efe88389568ee888e8ee",
+    (QHETFED_GAMMA1, LOGISTIC): "608b77bd8bcc05ececb44fac995958ee5692818547daba5b593eff8186cc96eb",
+    (QHETFED, MLP): "0e4860298f9e62ac90b84e274466e90fa6031346d179f54722fa7ca7376b9446",
+    (HIER_LOCAL_QSGD, MLP): "c34d005c1c3de59ba7672127a1751ffc90c5c1f5c6468ab4d463993b640de9c9",
+    (QHETFED_GAMMA1, MLP): "79d5a3f8d2cf7e2a6a3f3cb66063eda3d84a175aba8ffc5675ede1f9ab9cebfc",
+}
+
+
+@pytest.mark.parametrize("algorithm, kind", sorted(PINNED_DIGESTS))
+def test_trajectory_matches_pinned_digest(algorithm, kind):
+    rec = run(synthetic_config(algorithm, kind))
+    assert len(rec.param_hash) == 4 and rec.diverged_at is None
+    digest = hashlib.sha256("\n".join(rec.param_hash).encode()).hexdigest()
+    assert digest == PINNED_DIGESTS[algorithm, kind]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_steps_per_round_counts_gradient_calls_per_device(monkeypatch, algorithm):
+    calls = []
+
+    def counting_gradient(spec, w, batch):
+        calls.append(1)
+        return gradient(spec, w, batch)
+
+    monkeypatch.setattr(models, "gradient", counting_gradient)
+    cfg = synthetic_config(algorithm, LOGISTIC)
+    # the oracle steps once per iteration on the pooled data: one device
+    devices = 1 if algorithm == CENTRALIZED_SGD else cfg.topology.num_devices
+    run(cfg)
+    assert len(calls) == steps_per_round(algorithm, cfg.schedule) * devices * cfg.schedule.rounds

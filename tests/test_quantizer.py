@@ -98,9 +98,12 @@ def test_non_finite_input_raises():
 
 def test_identity_spec_validation():
     with pytest.raises(ValueError):
-        QuantizerSpec(levels=1, variance_factor=0.5, mode=IDENTITY)
-    with pytest.raises(ValueError):
         QuantizerSpec(levels=0)
+    with pytest.raises(ValueError):
+        QuantizerSpec(levels=0, mode=IDENTITY)
+    with pytest.raises(ValueError):
+        QuantizerSpec(mode="exact")
+    assert identity_spec() == QuantizerSpec(levels=1, mode=IDENTITY)
 
 
 def test_variance_factor_identity_is_zero():
