@@ -1,131 +1,7 @@
 """Quantized hierarchical federated learning: simulator, bounds, and scheduling."""
 
-from .analysis import (
-    BaselineGapBound,
-    GapBound,
-    GapDecomposition,
-    LrConditions,
-    TheoryParams,
-    baseline_gap_bound,
-    baseline_lr_condition,
-    check_lr_conditions,
-    convergence_rate_bound,
-    error_gap_decomposition,
-    qhetfed_gap_bound,
-    single_set_gap_bound,
-    tau_preference,
-)
-from .datagen import (
-    DeviceShard,
-    PartitionScheme,
-    estimate_heterogeneity,
-    make_synthetic_dataset,
-    partition,
-    split_dataset,
-)
-from .federation import (
-    ALGORITHMS,
-    FedRunConfig,
-    RunRecord,
-    Schedule,
-    Topology,
-    cloud_aggregate,
-    edge_aggregate_gradients,
-    edge_aggregate_models,
-    run,
-    run_centralized_sgd,
-    run_hier_local_qsgd,
-    run_qhetfed,
-    run_qhetfed_gamma1,
-)
-from .harness import (
-    ComparisonReport,
-    ConfigError,
-    ExperimentConfig,
-    emit_metrics,
-    load_config,
-    parse_config,
-    run_experiment,
-)
-from .models import ModelSpec, finite_diff_gradient, gradient, loss
-from .planner import (
-    DeadlinePlan,
-    InfeasibleScheduleError,
-    LinkComputeParams,
-    PhaseTimes,
-    ScheduleChoice,
-    baseline_iteration_delay,
-    compute_times,
-    gamma_from_tau,
-    grid_search_schedule,
-    iteration_delay,
-    objective_J,
-    optimize_schedule,
-)
-from .quantizer import QuantizerSpec, estimate_variance_factor, identity_spec, quantize
-from .streams import derive_seed, stream
+# loaded with the package, so ``import qhetfed`` makes every ``qhetfed.<module>`` available;
+# names are imported from the submodules
+from . import analysis, datagen, federation, harness, models, planner, quantizer, streams
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALGORITHMS",
-    "BaselineGapBound",
-    "ComparisonReport",
-    "ConfigError",
-    "DeadlinePlan",
-    "DeviceShard",
-    "ExperimentConfig",
-    "FedRunConfig",
-    "GapBound",
-    "GapDecomposition",
-    "InfeasibleScheduleError",
-    "LinkComputeParams",
-    "LrConditions",
-    "ModelSpec",
-    "PartitionScheme",
-    "PhaseTimes",
-    "RunRecord",
-    "Schedule",
-    "ScheduleChoice",
-    "TheoryParams",
-    "Topology",
-    "baseline_gap_bound",
-    "baseline_iteration_delay",
-    "baseline_lr_condition",
-    "check_lr_conditions",
-    "cloud_aggregate",
-    "compute_times",
-    "convergence_rate_bound",
-    "derive_seed",
-    "edge_aggregate_gradients",
-    "edge_aggregate_models",
-    "emit_metrics",
-    "error_gap_decomposition",
-    "estimate_heterogeneity",
-    "estimate_variance_factor",
-    "finite_diff_gradient",
-    "gamma_from_tau",
-    "gradient",
-    "grid_search_schedule",
-    "identity_spec",
-    "iteration_delay",
-    "load_config",
-    "loss",
-    "make_synthetic_dataset",
-    "objective_J",
-    "optimize_schedule",
-    "parse_config",
-    "partition",
-    "qhetfed_gap_bound",
-    "quantize",
-    "run",
-    "run_centralized_sgd",
-    "run_experiment",
-    "run_hier_local_qsgd",
-    "run_qhetfed",
-    "run_qhetfed_gamma1",
-    "single_set_gap_bound",
-    "split_dataset",
-    "stream",
-    "tau_preference",
-]

@@ -2,8 +2,7 @@
 
 Data lives in stacked arrays: a dataset, each half of a split and each
 device shard is an ``(X, y)`` pair of a float feature matrix and an int label
-vector, the batch form of ``models``.  The entry points also take a
-``LabeledSample`` list, which they stack once.
+vector, the batch form of ``models``.
 
 The partition schemes control how class-skewed each device's shard is:
 
@@ -28,7 +27,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import models as _models
-from .models import Batch, ModelSpec
+from .models import ModelSpec
 
 IID = "iid"
 MIXED = "mixed"
@@ -44,17 +43,17 @@ _CLASSES_PER_DEVICE = {NONIID1: 2, NONIID2: 1}
 class DeviceShard:
     """One device's local dataset as stacked ``features`` and ``labels`` arrays.
 
-    ``samples`` is an ``(X, y)`` pair or a ``LabeledSample`` list; it is
-    stacked once and not kept.
+    ``samples`` is an ``(X, y)`` pair; it is unpacked into the two fields and
+    not kept.
     """
 
     set_index: int
     device_index: int
-    samples: InitVar[Batch]
+    samples: InitVar[tuple[np.ndarray, np.ndarray]]
     features: np.ndarray = field(init=False, repr=False)
     labels: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, samples: Batch) -> None:
+    def __post_init__(self, samples: tuple[np.ndarray, np.ndarray]) -> None:
         # stack_batch rejects an empty shard
         self.features, self.labels = _models.stack_batch(samples)
         if len(self.labels) != len(self.features):
@@ -116,7 +115,7 @@ def make_synthetic_dataset(
 
 
 def split_dataset(
-    dataset: Batch, test_fraction: float, rng: np.random.Generator
+    dataset: tuple[np.ndarray, np.ndarray], test_fraction: float, rng: np.random.Generator
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Shuffle and split into ``(train, test)``, each an ``(X, y)`` pair."""
     if not 0.0 <= test_fraction < 1.0:
@@ -129,18 +128,16 @@ def split_dataset(
 
 
 def partition(
-    dataset: Batch,
+    dataset: tuple[np.ndarray, np.ndarray],
     topology,
     scheme: PartitionScheme,
     rng: np.random.Generator,
-    *,
-    replace_when_short: bool = True,
 ) -> list[DeviceShard]:
     """Build one shard per device under the given scheme.
 
     Draws are without replacement from the device's allowed pool; when the
     pool is smaller than the drawn shard size, sampling falls back to
-    with-replacement (or raises if ``replace_when_short`` is False).
+    with-replacement.
     """
     X, labels = _models.stack_batch(dataset)
     num_classes = int(labels.max()) + 1
@@ -169,15 +166,7 @@ def partition(
             else:
                 chosen = rng.choice(present, size=_CLASSES_PER_DEVICE[rule], replace=False)
                 pool = np.concatenate([by_class[k] for k in np.sort(chosen)])
-            if size <= len(pool):
-                idx = rng.choice(pool, size=size, replace=False)
-            elif replace_when_short:
-                idx = rng.choice(pool, size=size, replace=True)
-            else:
-                raise ValueError(
-                    f"device ({l},{n}): pool of {len(pool)} samples cannot fill "
-                    f"a shard of {size} without replacement"
-                )
+            idx = rng.choice(pool, size=size, replace=size > len(pool))
             shards.append(DeviceShard(l, n, (X[idx], labels[idx])))
     return shards
 
@@ -239,7 +228,7 @@ def estimate_heterogeneity(
 
 def training_trajectory_probes(
     spec: ModelSpec,
-    samples: Batch,
+    samples: tuple[np.ndarray, np.ndarray],
     rng: np.random.Generator | None = None,
     *,
     count: int = 5,

@@ -28,6 +28,7 @@ round tau reads the streams of qhetfed's local phase.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ from . import models as _models
 from .datagen import DeviceShard, global_loss
 from .models import ModelSpec
 from .planner import PhaseTimes, baseline_iteration_delay, iteration_delay
-from .quantizer import NonFiniteInputError, QuantizerSpec, identity_spec, quantize
+from .quantizer import NonFiniteInputError, QuantizerSpec, _is_count, identity_spec, quantize
 from .streams import stream
 
 QHETFED = "qhetfed"
@@ -48,11 +49,6 @@ ALGORITHMS = (QHETFED, HIER_LOCAL_QSGD, QHETFED_GAMMA1, CENTRALIZED_SGD)
 
 GRAD = "grad"
 LOCAL = "local"
-
-
-def _is_count(n) -> bool:
-    """A Python or numpy integer; a bool or a float is not a count."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 @dataclass(frozen=True)
@@ -94,8 +90,10 @@ class Schedule:
             raise ValueError("tau, gamma, rounds and batch must be integers")
         if self.tau < 1 or self.gamma < 1:
             raise ValueError("tau and gamma must be >= 1")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
+        is_number = isinstance(self.mu, (int, float, np.integer, np.floating)) and not isinstance(self.mu, bool)
+        # written as what is valid: a NaN fails every comparison
+        if not is_number or not 0 < self.mu < math.inf:
+            raise ValueError(f"mu must be a finite positive number, got {self.mu!r}")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
         if self.batch < 1:
@@ -112,7 +110,7 @@ class FedRunConfig:
     q2: QuantizerSpec = field(default_factory=identity_spec)
     algorithm: str = QHETFED
     master_seed: int = 0
-    test_samples: tuple[np.ndarray, np.ndarray] | list | None = None
+    test_samples: tuple[np.ndarray, np.ndarray] | None = None
     times: PhaseTimes = field(default_factory=lambda: PhaseTimes(1.0, 0.1, 1.0))
     initial_params: np.ndarray | None = None
     init_scale: float = 0.1
@@ -184,53 +182,49 @@ def _param_hash(w: np.ndarray) -> str:
 # aggregation operations
 
 
-def _rng_list(rng, count: int) -> list[np.random.Generator]:
-    if isinstance(rng, (list, tuple)):
-        if len(rng) != count:
-            raise ValueError(f"need {count} rng streams, got {len(rng)}")
-        return list(rng)
-    return [rng] * count
+def _check_rngs(rngs: list[np.random.Generator], count: int) -> None:
+    # zip would silently drop the messages or generators past the shorter list
+    if len(rngs) != count:
+        raise ValueError(f"need {count} rng streams, got {len(rngs)}")
 
 
-def edge_aggregate_gradients(local_grads, q1_spec: QuantizerSpec, rng) -> np.ndarray:
-    """Mean of the quantized device gradients of one set.
-
-    ``rng`` is a single generator (drawn from sequentially) or one generator
-    per device.
-    """
+def edge_aggregate_gradients(local_grads, q1_spec: QuantizerSpec, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Mean of the quantized device gradients of one set, one generator per device."""
     if len(local_grads) == 0:
         raise ValueError("no gradients to aggregate")
     dims = {len(g) for g in local_grads}
     if len(dims) != 1:
         raise ValueError(f"gradient length mismatch: {sorted(dims)}")
-    rngs = _rng_list(rng, len(local_grads))
+    _check_rngs(rngs, len(local_grads))
     total = np.zeros(len(local_grads[0]))
     for g, r in zip(local_grads, rngs):
         total += quantize(g, q1_spec, r)
     return total / len(local_grads)
 
 
-def edge_aggregate_models(deltas, base: np.ndarray, q1_spec: QuantizerSpec, rng) -> np.ndarray:
-    """Set model after averaging quantized parameter deltas onto ``base``."""
+def edge_aggregate_models(deltas, base: np.ndarray, q1_spec: QuantizerSpec,
+                          rngs: list[np.random.Generator]) -> np.ndarray:
+    """Set model after averaging quantized parameter deltas onto ``base``, one generator per device."""
     if len(deltas) == 0:
         raise ValueError("no deltas to aggregate")
     dims = {len(d) for d in deltas}
     if len(dims) != 1 or dims.pop() != len(base):
         raise ValueError("delta length mismatch")
-    rngs = _rng_list(rng, len(deltas))
+    _check_rngs(rngs, len(deltas))
     total = np.zeros(len(base))
     for d, r in zip(deltas, rngs):
         total += quantize(d, q1_spec, r)
     return base + total / len(deltas)
 
 
-def cloud_aggregate(set_models, global_prev: np.ndarray, topology: Topology, q2_spec: QuantizerSpec, rng) -> np.ndarray:
-    """Global model from quantized set deltas, weighted by set device counts."""
+def cloud_aggregate(set_models, global_prev: np.ndarray, topology: Topology, q2_spec: QuantizerSpec,
+                    rngs: list[np.random.Generator]) -> np.ndarray:
+    """Global model from quantized set deltas, weighted by set device counts, one generator per set."""
     if len(set_models) != topology.num_sets:
         raise ValueError(
             f"{len(set_models)} set models for {topology.num_sets} sets"
         )
-    rngs = _rng_list(rng, len(set_models))
+    _check_rngs(rngs, len(set_models))
     total = np.zeros(len(global_prev))
     for l, (m, r) in enumerate(zip(set_models, rngs)):
         total += topology.devices_per_set[l] * quantize(m - global_prev, q2_spec, r)
@@ -278,9 +272,8 @@ def _metrics_appender(config: FedRunConfig, per_iteration_delay: float):
         config=config,
     )
 
-    test = config.test_samples
     # an (X, y) pair is truthy even with no rows, so count its labels
-    has_test = test is not None and len(test[1] if isinstance(test, tuple) else test) > 0
+    has_test = config.test_samples is not None and len(config.test_samples[1]) > 0
 
     def append(w: np.ndarray, t: int) -> None:
         record.train_loss.append(global_loss(config.shards, config.model, w))

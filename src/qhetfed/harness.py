@@ -35,7 +35,7 @@ import numpy as np
 
 from . import datagen, federation
 from .datagen import PartitionScheme, split_dataset
-from .federation import ALGORITHMS, FedRunConfig, RunRecord, Schedule, Topology
+from .federation import ALGORITHMS, FedRunConfig, Schedule, Topology
 from .models import ModelSpec
 from .planner import LinkComputeParams, PhaseTimes, compute_times
 from .quantizer import IDENTITY, STOCHASTIC, QuantizerSpec, identity_spec
@@ -112,6 +112,8 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
         if key == "link" and not path:
+            if not isinstance(value, dict):
+                raise ConfigError("link must be a table of keys")
             bad = set(value) - LINK_KEYS
             if bad:
                 raise ConfigError(f"unknown configuration key: link.{sorted(bad)[0]}")
@@ -132,6 +134,8 @@ def resolved_config(user: dict) -> dict:
     """Merge a user config over the defaults, rejecting unknown keys."""
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
+    if "link" in user and "runtime" in user:
+        raise ConfigError("give either a runtime or a link table, not both")
     merged = _merge(DEFAULTS, user)
     if "link" in merged:
         merged.pop("runtime", None)
@@ -182,7 +186,10 @@ def _int_key(cfg: dict, path: str, minimum: int) -> int:
 
 def _float_key(cfg: dict, path: str) -> float:
     """The finite number (int or float, not bool) at dotted ``path``, as a float."""
-    value = _key(cfg, path)
+    return _float_value(_key(cfg, path), path)
+
+
+def _float_value(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise ConfigError(f"{path} must be a finite number, got {value!r}")
     return float(value)
@@ -199,6 +206,8 @@ def _checked(path: str):
 
 def parse_config(user: dict) -> ExperimentConfig:
     cfg = resolved_config(user)
+    if not isinstance(cfg["output_dir"], str) or not cfg["output_dir"]:
+        raise ConfigError(f"output_dir must be a non-empty string, got {cfg['output_dir']!r}")
     seed = _int_key(cfg, "seed", 0)
     repeats = _int_key(cfg, "repeats", 1)
     metric_cadence = _int_key(cfg, "metric_cadence", 1)
@@ -260,6 +269,10 @@ def parse_config(user: dict) -> ExperimentConfig:
         raise ConfigError(f"quantizers.mode must be '{STOCHASTIC}' or '{IDENTITY}'")
 
     if "link" in cfg:
+        for name, value in cfg["link"].items():
+            if not (name == "edge_cloud_time" and value is None):
+                _float_value(value, f"link.{name}")
+        # the raw values go on unchanged, so a valid link table keeps its config_hash
         with _checked("link"):
             times = compute_times(LinkComputeParams(**cfg["link"]))
     else:
@@ -321,20 +334,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-AGG_COLUMNS = (
-    "algorithm",
-    "t",
-    "runtime_s",
-    "runs",
-    "train_loss_mean",
-    "train_loss_std",
-    "test_accuracy_mean",
-    "test_accuracy_std",
-)
+class CurvePoint(NamedTuple):
+    """One row of the aggregate tables: the field order is the column order of both."""
 
-
-@dataclass(frozen=True)
-class CurvePoint:
     t: int
     runtime_s: float
     runs: int
@@ -342,6 +344,9 @@ class CurvePoint:
     train_loss_std: float
     test_accuracy_mean: float
     test_accuracy_std: float
+
+
+AGG_COLUMNS = ("algorithm", *CurvePoint._fields)
 
 
 @dataclass
@@ -357,14 +362,7 @@ class ComparisonReport:
     config_echo: dict
 
     def rows(self) -> list[tuple]:
-        out = []
-        for alg in sorted(self.curves):
-            for p in self.curves[alg]:
-                out.append(
-                    (alg, p.t, p.runtime_s, p.runs, p.train_loss_mean,
-                     p.train_loss_std, p.test_accuracy_mean, p.test_accuracy_std)
-                )
-        return out
+        return [(alg, *p) for alg in sorted(self.curves) for p in self.curves[alg]]
 
 
 def _sample_std(values: list[float]) -> float:
@@ -388,8 +386,8 @@ class RunCurves(NamedTuple):
     diverged_at: int | None
 
 
-def aggregate_records(records: list[tuple[str, RunCurves | RunRecord]], config_echo: dict) -> ComparisonReport:
-    by_alg: dict[str, dict[int, list[RunCurves | RunRecord]]] = {}
+def aggregate_records(records: list[tuple[str, RunCurves]], config_echo: dict) -> ComparisonReport:
+    by_alg: dict[str, dict[int, list[RunCurves]]] = {}
     for _, rec in records:
         per_t = by_alg.setdefault(rec.algorithm, {})
         for t in range(len(rec.train_loss)):
@@ -419,7 +417,7 @@ def aggregate_records(records: list[tuple[str, RunCurves | RunRecord]], config_e
 RUN_COLUMNS = ("run_id", "algorithm", "t", "train_loss", "test_accuracy", "runtime_s")
 
 
-def _run_rows(run_id: str, rec: RunCurves | RunRecord, cadence: int) -> list[tuple]:
+def _run_rows(run_id: str, rec: RunCurves, cadence: int) -> list[tuple]:
     rows = []
     last = len(rec.train_loss)
     for t in range(1, last + 1):
@@ -462,12 +460,12 @@ def _write_json(path: str, payload) -> None:
     _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def emit_metrics(records: list[tuple[str, RunCurves | RunRecord]], output_dir: str,
+def emit_metrics(records: list[tuple[str, RunCurves]], output_dir: str,
                  cadence: int = 1, config_echo: dict | None = None) -> list[str]:
     """Write the combined metrics table and the aggregate, return written paths.
 
-    ``records`` is a list of (run_id, RunCurves or RunRecord).  An empty list
-    still produces header-only tables.
+    ``records`` is a list of (run_id, RunCurves).  An empty list still
+    produces header-only tables.
     """
     os.makedirs(output_dir, exist_ok=True)
     written = []
@@ -486,21 +484,7 @@ def emit_metrics(records: list[tuple[str, RunCurves | RunRecord]], output_dir: s
 
     agg_json = {
         "config": report.config_echo,
-        "curves": {
-            alg: [
-                {
-                    "t": p.t,
-                    "runtime_s": p.runtime_s,
-                    "runs": p.runs,
-                    "train_loss_mean": p.train_loss_mean,
-                    "train_loss_std": p.train_loss_std,
-                    "test_accuracy_mean": p.test_accuracy_mean,
-                    "test_accuracy_std": p.test_accuracy_std,
-                }
-                for p in pts
-            ]
-            for alg, pts in report.curves.items()
-        },
+        "curves": {alg: [p._asdict() for p in pts] for alg, pts in report.curves.items()},
     }
     json_path = os.path.join(output_dir, "aggregate.json")
     _write_json(json_path, agg_json)

@@ -12,15 +12,13 @@ can treat a model as a single array.  Layouts:
   need a loss with a known minimizer, exact gradients, and known smoothness
   and curvature constants (L = 1, and the quadratic growth constant is 1).
 
-Batches are pre-stacked ``(X, y)`` pairs of arrays, the form in which
-``datagen`` builds datasets, splits and shards, or sequences of
-``LabeledSample``, which every call stacks afresh.
+Batches are ``(X, y)`` pairs of a float feature matrix and an int label
+vector, the form in which ``datagen`` builds datasets, splits and shards.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,14 +27,6 @@ MLP = "mlp"
 QUADRATIC = "quadratic"
 
 KINDS = (LOGISTIC, MLP, QUADRATIC)
-
-Batch = "Sequence[LabeledSample] | tuple[np.ndarray, np.ndarray]"
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    features: np.ndarray
-    label: int
 
 
 @dataclass(frozen=True)
@@ -69,16 +59,10 @@ class ModelSpec:
 
 
 def stack_batch(batch) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a batch to ``(X, y)`` arrays; rejects empty batches."""
-    if isinstance(batch, tuple):
-        X, y = batch
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=int)
-    else:
-        if len(batch) == 0:
-            raise ValueError("empty batch")
-        X = np.stack([np.asarray(s.features, dtype=float) for s in batch])
-        y = np.array([s.label for s in batch], dtype=int)
+    """Cast an ``(X, y)`` batch to float features and int labels; rejects empty batches."""
+    X, y = batch
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("empty batch")
     return X, y
@@ -158,13 +142,8 @@ def loss(spec: ModelSpec, w: np.ndarray, batch) -> float:
     return _cross_entropy(logits, y)
 
 
-def gradient(spec: ModelSpec, w: np.ndarray, batch, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Exact analytic gradient of ``loss`` at ``w`` over the given batch.
-
-    The rng argument is accepted for interface uniformity with stochastic
-    oracles and is unused: given the batch, the gradient is deterministic.
-    """
-    del rng
+def gradient(spec: ModelSpec, w: np.ndarray, batch) -> np.ndarray:
+    """Exact analytic gradient of ``loss`` at ``w`` over the given batch."""
     X, y = stack_batch(batch)
     _check_width(spec, X)
     n = X.shape[0]

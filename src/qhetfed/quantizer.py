@@ -23,6 +23,11 @@ STOCHASTIC = "stochastic"
 IDENTITY = "identity"
 
 
+def _is_count(n) -> bool:
+    """A Python or numpy integer; a bool or a float is not a count."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 class NonFiniteInputError(ValueError):
     """Raised when a vector handed to the quantizer has NaN or infinite entries.
 
@@ -45,8 +50,8 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         if self.mode not in (STOCHASTIC, IDENTITY):
             raise ValueError(f"unknown quantizer mode {self.mode!r}")
-        if self.levels < 1:
-            raise ValueError("levels must be a positive integer")
+        if not _is_count(self.levels) or self.levels < 1:
+            raise ValueError(f"levels must be a positive integer, got {self.levels!r}")
 
 
 def identity_spec() -> QuantizerSpec:

@@ -34,7 +34,6 @@ from qhetfed.federation import (
 )
 from qhetfed.harness import run_experiment
 from qhetfed.models import (
-    LabeledSample,
     ModelSpec,
     finite_diff_gradient,
     gradient,
@@ -56,13 +55,12 @@ def make_shards(topology, model_rng, samples_per_device, input_dim, num_classes)
     shards = []
     for l, n_dev in enumerate(topology.devices_per_set):
         for n in range(n_dev):
-            samples = [
-                LabeledSample(
-                    features=model_rng.standard_normal(input_dim),
-                    label=int(model_rng.integers(0, num_classes)),
-                )
+            # features then label, sample by sample: the draw order of the per-sample fixture
+            rows = [
+                (model_rng.standard_normal(input_dim), int(model_rng.integers(0, num_classes)))
                 for _ in range(samples_per_device)
             ]
+            samples = (np.stack([x for x, _ in rows]), np.array([k for _, k in rows]))
             shards.append(DeviceShard(set_index=l, device_index=n, samples=samples))
     return shards
 
@@ -193,7 +191,7 @@ def test_criterion_05_gap_bounds_hold():
     shards = [
         DeviceShard(
             set_index=l, device_index=n,
-            samples=[LabeledSample(features=np.array([1.0]), label=0)],
+            samples=(np.array([[1.0]]), np.array([0])),
         )
         for l in range(3)
         for n in range(2)

@@ -217,3 +217,23 @@ def test_run_set_rejects_bad_nested_value(tmp_path, capsys, assignment):
     assert code == 2
     assert assignment.split("=")[0].split(".")[0] in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "update, key",
+    [
+        ({"link": 5}, "link"),
+        ({"link": {"bandwidth_hz": True}}, "link.bandwidth_hz"),
+        ({"link": {"bandwidth_hz": 1e6}, "runtime": {"t_cp": 99}}, "runtime"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": None}, "output_dir"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else "",
+)
+def test_run_rejects_bad_config_shape(tmp_path, capsys, monkeypatch, update, key):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, dict(TINY, **update))
+    code = main(["run", "--config", cfg])
+    assert code == 2
+    assert key in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]

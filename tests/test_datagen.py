@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,17 @@ from qhetfed.datagen import (
     training_trajectory_probes,
 )
 from qhetfed.federation import Topology
-from qhetfed.models import LabeledSample, ModelSpec, accuracy
+from qhetfed.models import ModelSpec
 from qhetfed.streams import stream
 
 
 # The per-sample construction the array path replaced, kept as the reference:
-# the same rng calls in the same order, one LabeledSample per row.
+# the same rng calls in the same order, one Sample object per row.
+
+
+class Sample(NamedTuple):
+    features: np.ndarray
+    label: int
 
 
 def _reference_dataset(num_classes, per_class, input_dim, rng, separation=6.0, noise=1.0):
@@ -29,7 +36,7 @@ def _reference_dataset(num_classes, per_class, input_dim, rng, separation=6.0, n
     dataset = []
     for k in range(num_classes):
         points = means[k] + noise * rng.standard_normal((per_class, input_dim))
-        dataset.extend(LabeledSample(features=p, label=k) for p in points)
+        dataset.extend(Sample(features=p, label=k) for p in points)
     return dataset
 
 
@@ -39,7 +46,7 @@ def _reference_split(dataset, test_fraction, rng):
     return [dataset[i] for i in order[n_test:]], [dataset[i] for i in order[:n_test]]
 
 
-def _reference_partition(dataset, topology, scheme, rng, replace_when_short=True):
+def _reference_partition(dataset, topology, scheme, rng):
     """(set, device, X, y) per device, stacked from the chosen sample objects."""
     labels = np.array([s.label for s in dataset], dtype=int)
     by_class = [np.flatnonzero(labels == k) for k in range(int(labels.max()) + 1)]
@@ -56,17 +63,11 @@ def _reference_partition(dataset, topology, scheme, rng, replace_when_short=True
             else:
                 chosen = rng.choice(present, size={"noniid1": 2, "noniid2": 1}[rule], replace=False)
                 pool = np.concatenate([by_class[k] for k in np.sort(chosen)])
-            if size > len(pool) and not replace_when_short:
-                raise ValueError("pool too small")
             idx = rng.choice(pool, size=size, replace=size > len(pool))
             samples = [dataset[i] for i in idx]
             shards.append((l, n, np.stack([s.features for s in samples]),
                            np.array([s.label for s in samples], dtype=int)))
     return shards
-
-
-def _as_samples(X, y):
-    return [LabeledSample(features=x, label=int(k)) for x, k in zip(X, y)]
 
 
 def _assert_pair_equal(pair, samples):
@@ -102,14 +103,13 @@ def test_dataset_matches_per_sample_reference(args):
 def test_split_matches_per_sample_reference(fraction):
     pair = make_synthetic_dataset(3, 30, 4, stream(10, "ds"))
     reference = _reference_dataset(3, 30, 4, stream(10, "ds"))
-    for data in (pair, reference):
-        train, test = split_dataset(data, fraction, stream(10, "split"))
-        ref_train, ref_test = _reference_split(reference, fraction, stream(10, "split"))
-        _assert_pair_equal(train, ref_train)
-        if ref_test:
-            _assert_pair_equal(test, ref_test)
-        else:
-            assert test[0].shape == (0, 4) and test[1].shape == (0,)
+    train, test = split_dataset(pair, fraction, stream(10, "split"))
+    ref_train, ref_test = _reference_split(reference, fraction, stream(10, "split"))
+    _assert_pair_equal(train, ref_train)
+    if ref_test:
+        _assert_pair_equal(test, ref_test)
+    else:
+        assert test[0].shape == (0, 4) and test[1].shape == (0,)
 
 
 @pytest.mark.parametrize("kind", ["iid", "noniid1", "noniid2", "mixed"])
@@ -120,8 +120,6 @@ def test_partition_matches_per_sample_reference(kind):
     scheme = PartitionScheme(kind=kind, size_range=(20, 40))
     expected = _reference_partition(reference, topo, scheme, stream(11, kind))
     _assert_shards_equal(partition(pair, topo, scheme, stream(11, kind)), expected)
-    # a LabeledSample list gives the same shards as the (X, y) pair
-    _assert_shards_equal(partition(reference, topo, scheme, stream(11, kind)), expected)
 
 
 def test_partition_falls_back_to_replacement_like_the_reference():
@@ -133,20 +131,6 @@ def test_partition_falls_back_to_replacement_like_the_reference():
     shards = partition(pair, topo, scheme, stream(12, "p"))
     _assert_shards_equal(shards, _reference_partition(reference, topo, scheme, stream(12, "p")))
     assert all(len(_rows(s.features)) < s.size for s in shards)
-    with pytest.raises(ValueError, match="without replacement"):
-        partition(pair, topo, scheme, stream(12, "p"), replace_when_short=False)
-
-
-def test_shards_and_accuracy_agree_for_samples_and_arrays():
-    X, y = make_synthetic_dataset(3, 10, 4, stream(13, "ds"))
-    samples = _as_samples(X, y)
-    from_pair, from_list = DeviceShard(1, 2, (X, y)), DeviceShard(1, 2, samples)
-    assert np.array_equal(from_pair.features, from_list.features)
-    assert np.array_equal(from_pair.labels, from_list.labels)
-    assert from_pair.size == from_list.size == 30
-    spec = ModelSpec(kind="logistic", input_dim=4, num_classes=3)
-    w = 0.3 * stream(13, "w").standard_normal(spec.dim)
-    assert accuracy(spec, w, (X, y)) == accuracy(spec, w, samples)
 
 
 def test_synthetic_dataset_shape_and_order():
@@ -229,8 +213,8 @@ def test_mixed_partition_needs_three_sets():
 
 def test_global_loss_is_size_weighted():
     spec = ModelSpec(kind="quadratic", input_dim=1)
-    small = DeviceShard(0, 0, [LabeledSample(np.array([0.0]), 0)])
-    big = DeviceShard(0, 1, [LabeledSample(np.array([2.0]), 0)] * 3)
+    small = DeviceShard(0, 0, (np.array([[0.0]]), np.array([0])))
+    big = DeviceShard(0, 1, (np.full((3, 1), 2.0), np.zeros(3, dtype=int)))
     w = np.array([0.0])
     # losses are 0 and 2, sizes 1 and 3: weighted mean 1.5
     assert abs(global_loss([small, big], spec, w) - 1.5) < 1e-12
@@ -240,8 +224,8 @@ def test_global_loss_is_size_weighted():
 
 def test_heterogeneity_zero_for_identical_shards():
     spec = ModelSpec(kind="quadratic", input_dim=2)
-    samples = [LabeledSample(np.array([1.0, 2.0]), 0)]
-    shards = [DeviceShard(0, 0, list(samples)), DeviceShard(0, 1, list(samples))]
+    samples = (np.array([[1.0, 2.0]]), np.array([0]))
+    shards = [DeviceShard(0, 0, samples), DeviceShard(0, 1, samples)]
     probes = [np.zeros(2), np.ones(2)]
     assert estimate_heterogeneity(shards, spec, probes) < 1e-24
 
@@ -259,8 +243,6 @@ def test_heterogeneity_orders_partition_schemes():
 
 
 def test_shard_validation():
-    with pytest.raises(ValueError):
-        DeviceShard(0, 0, [])
     with pytest.raises(ValueError):
         DeviceShard(0, 0, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
     with pytest.raises(ValueError):

@@ -31,9 +31,7 @@ from qhetfed.streams import stream
 
 
 def scalar_shard(set_index, device_index, values):
-    from qhetfed.models import LabeledSample
-
-    samples = [LabeledSample(features=np.array([v], dtype=float), label=0) for v in values]
+    samples = (np.array(values, dtype=float).reshape(-1, 1), np.zeros(len(values), dtype=int))
     return DeviceShard(set_index=set_index, device_index=device_index, samples=samples)
 
 
@@ -61,13 +59,13 @@ def quadratic_config(devices_per_set, shard_values, tau, gamma, mu, rounds, **kw
 
 def test_edge_gradient_mean_identity():
     grads = [np.array([1.0, 1.0]), np.array([3.0, 3.0])]
-    out = edge_aggregate_gradients(grads, identity_spec(), stream(0, "unused"))
+    out = edge_aggregate_gradients(grads, identity_spec(), [stream(0, "unused")] * 2)
     assert np.array_equal(out, np.array([2.0, 2.0]))
 
 
 def test_edge_gradient_single_device_passthrough():
     g = np.array([0.5, -1.5, 2.0])
-    out = edge_aggregate_gradients([g], identity_spec(), stream(0, "unused"))
+    out = edge_aggregate_gradients([g], identity_spec(), [stream(0, "unused")])
     assert np.array_equal(out, g)
 
 
@@ -83,10 +81,10 @@ def test_edge_gradient_matches_manual_quantization():
 
 def test_edge_gradient_input_validation():
     with pytest.raises(ValueError):
-        edge_aggregate_gradients([], identity_spec(), stream(0, "x"))
+        edge_aggregate_gradients([], identity_spec(), [])
     with pytest.raises(ValueError):
         edge_aggregate_gradients(
-            [np.zeros(2), np.zeros(3)], identity_spec(), stream(0, "x")
+            [np.zeros(2), np.zeros(3)], identity_spec(), [stream(0, "x")] * 2
         )
     with pytest.raises(ValueError):
         edge_aggregate_gradients(
@@ -97,14 +95,14 @@ def test_edge_gradient_input_validation():
 def test_edge_model_zero_deltas_return_base():
     base = np.array([1.0, -2.0, 3.0])
     deltas = [np.zeros(3), np.zeros(3)]
-    out = edge_aggregate_models(deltas, base, identity_spec(), stream(0, "x"))
+    out = edge_aggregate_models(deltas, base, identity_spec(), [stream(0, "x")] * 2)
     assert np.array_equal(out, base)
 
 
 def test_edge_model_mean_of_deltas():
     base = np.array([1.0, 1.0])
     deltas = [np.array([2.0, 0.0]), np.array([0.0, 4.0])]
-    out = edge_aggregate_models(deltas, base, identity_spec(), stream(0, "x"))
+    out = edge_aggregate_models(deltas, base, identity_spec(), [stream(0, "x")] * 2)
     assert np.array_equal(out, np.array([2.0, 3.0]))
 
 
@@ -113,7 +111,7 @@ def test_cloud_weighted_by_device_counts():
     m1 = np.array([2.0, 2.0])
     m2 = np.array([6.0, 6.0])
     prev = np.zeros(2)
-    out = cloud_aggregate([m1, m2], prev, topo, identity_spec(), stream(0, "x"))
+    out = cloud_aggregate([m1, m2], prev, topo, identity_spec(), [stream(0, "x")] * 2)
     assert np.allclose(out, np.array([3.0, 3.0]), atol=1e-15)
 
 
@@ -122,14 +120,16 @@ def test_cloud_equal_sets_take_plain_mean():
     m1 = np.array([1.0])
     m2 = np.array([5.0])
     prev = np.array([1.0])
-    out = cloud_aggregate([m1, m2], prev, topo, identity_spec(), stream(0, "x"))
+    out = cloud_aggregate([m1, m2], prev, topo, identity_spec(), [stream(0, "x")] * 2)
     assert np.allclose(out, np.array([3.0]), atol=1e-15)
 
 
 def test_cloud_rejects_wrong_set_count():
     topo = Topology((2, 2))
     with pytest.raises(ValueError):
-        cloud_aggregate([np.zeros(2)], np.zeros(2), topo, identity_spec(), stream(0, "x"))
+        cloud_aggregate([np.zeros(2)], np.zeros(2), topo, identity_spec(), [stream(0, "x")])
+    with pytest.raises(ValueError, match="rng streams"):
+        cloud_aggregate([np.zeros(2)] * 2, np.zeros(2), topo, identity_spec(), [stream(0, "x")])
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,7 @@ def test_schedule_validation():
     bad = [
         (0, 1, 0.1, 1, 1), (1, 1, 0.0, 1, 1), (1, 1, 0.1, 1, 0),
         (2.7, 1, 0.1, 1, 1), (1, 2.0, 0.1, 1, 1), (1, 1, 0.1, True, 1), (1, 1, 0.1, 1, 4.5),
+        (1, 1, True, 1, 1), (1, 1, "0.1", 1, 1), (1, 1, float("nan"), 1, 1), (1, 1, float("inf"), 1, 1),
     ]
     for args in bad:
         with pytest.raises(ValueError):

@@ -1,17 +1,17 @@
+import hashlib
 import json
 import multiprocessing
 import os
 import time
 
-import numpy as np
 import pytest
 
 from qhetfed import federation, harness
-from qhetfed.federation import RunRecord
 from qhetfed.harness import (
     AGG_COLUMNS,
     ConfigError,
     RUN_COLUMNS,
+    RunCurves,
     aggregate_records,
     config_hash,
     emit_metrics,
@@ -54,19 +54,25 @@ TINY = {
 }
 
 
+# sha256 of the tables the TINY experiment writes into the relative output_dir
+# "out": a change to the table code must keep every byte of them
+TINY_TABLE_DIGESTS = {
+    "metrics.csv": "979becddb7d9a871a85fd15c76ff3c133d254b621e25ac590c62cf01ecf9e5ef",
+    "aggregate.csv": "2039aec4cda8a952c6fa3c4a4729415903bfa844072f8e07302dc2641b7ecefd",
+    "aggregate.json": "a9f6a162f2a55b319ba8c789e3ea56df433ed4ae27cc50e8b60cb6a97d1b3ebf",
+    "runs.json": "f29713682fa2b4db23d62d8380e9e053a5854fa6a45be9f60c718505e9c0ed3d",
+}
+
+
 def make_record(algorithm, losses, accs=None, delay=2.0):
     n = len(losses)
-    return RunRecord(
+    return RunCurves(
         algorithm=algorithm,
         master_seed=0,
         train_loss=list(losses),
         test_accuracy=list(accs) if accs is not None else [0.0] * n,
         runtime_s=[(t + 1) * delay for t in range(n)],
-        param_hash=[f"h{t}" for t in range(n)],
-        final_params=np.zeros(1),
         diverged_at=None,
-        snapshots=None,
-        config=None,
     )
 
 
@@ -130,6 +136,8 @@ def test_link_block_replaces_runtime_table():
     cfg = parse_config({"link": LINK_BLOCK})
     expected = compute_times(LinkComputeParams(**LINK_BLOCK))
     assert cfg.times == expected
+    # a null edge_cloud_time means "derive t_ec from the ratio", as when it is left out
+    assert parse_config({"link": dict(LINK_BLOCK, edge_cloud_time=None)}).times == expected
 
 
 def test_link_block_rejects_unknown_key():
@@ -200,6 +208,11 @@ def test_integer_keys_keep_their_values():
         ({"dataset": {"noise": float("nan")}}, "dataset.noise"),
         ({"model": {"init_scale": None}}, "model.init_scale"),
         ({"runtime": {"t_cp": "2"}}, "runtime.t_cp"),
+        ({"link": dict(LINK_BLOCK, bandwidth_hz=True)}, "link.bandwidth_hz"),
+        ({"link": dict(LINK_BLOCK, noise_w=float("nan"))}, "link.noise_w"),
+        ({"link": dict(LINK_BLOCK, cpu_hz=float("inf"))}, "link.cpu_hz"),
+        ({"link": dict(LINK_BLOCK, model_bits="1e6")}, "link.model_bits"),
+        ({"link": dict(LINK_BLOCK, edge_cloud_ratio=None)}, "link.edge_cloud_ratio"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else "",
 )
@@ -224,6 +237,11 @@ def test_nested_numbers_are_checked_not_cast(user, key):
         ({"runtime": {"t_ec": 0}}, "runtime"),
         ({"link": {k: v for k, v in LINK_BLOCK.items() if k != "cpu_hz"}}, "link"),
         ({"link": dict(LINK_BLOCK, power_w=-1.0)}, "link"),
+        ({"link": 5}, "link"),
+        ({"link": LINK_BLOCK, "runtime": {"t_cp": 99}}, "runtime"),
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": None}, "output_dir"),
+        ({"output_dir": ""}, "output_dir"),
     ],
     ids=lambda v: json.dumps(v)[:60] if isinstance(v, dict) else "",
 )
@@ -351,6 +369,14 @@ def test_run_experiment_end_to_end(tmp_path):
     assert resolved["schedule"]["tau"] == 2
     assert resolved["repeats"] == 2
     assert resolved["quantizers"]["levels_device"] == 4  # default survived the merge
+
+
+def test_run_experiment_tables_match_pinned_digests(tmp_path, monkeypatch):
+    # a relative output_dir keeps the config echo in aggregate.json the same in every checkout
+    monkeypatch.chdir(tmp_path)
+    run_experiment(dict(TINY, output_dir="out"))
+    for name, digest in TINY_TABLE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_experiment_reruns_byte_identical(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qhetfed.models import (
-    LabeledSample,
     ModelSpec,
     accuracy,
     finite_diff_gradient,
@@ -84,14 +83,13 @@ def test_quadratic_has_no_classifier_surface():
 
 
 def test_stack_batch_forms():
-    samples = [LabeledSample(np.array([1.0, 2.0]), 1), LabeledSample(np.array([3.0, 4.0]), 0)]
-    X, y = stack_batch(samples)
-    assert X.shape == (2, 2)
-    assert np.array_equal(y, [1, 0])
+    X, y = stack_batch(([[1, 2], [3, 4]], [1.0, 0.0]))
+    assert X.shape == (2, 2) and X.dtype == np.float64
+    assert np.array_equal(y, [1, 0]) and y.dtype == np.int64
     X2, y2 = stack_batch((X, y))
     assert X2 is X and y2 is y
     with pytest.raises(ValueError):
-        stack_batch([])
+        stack_batch((np.zeros((0, 2)), np.zeros(0, dtype=int)))
 
 
 def test_init_params():

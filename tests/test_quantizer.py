@@ -103,6 +103,10 @@ def test_identity_spec_validation():
         QuantizerSpec(levels=0, mode=IDENTITY)
     with pytest.raises(ValueError):
         QuantizerSpec(mode="exact")
+    for levels in (2.5, True, "4"):
+        with pytest.raises(ValueError, match="levels"):
+            QuantizerSpec(levels=levels)
+    assert QuantizerSpec(levels=np.int64(3)).levels == 3
     assert identity_spec() == QuantizerSpec(levels=1, mode=IDENTITY)
 
 
