@@ -52,11 +52,11 @@ class TheoryParams:
 
     def __post_init__(self) -> None:
         for name in ("L", "delta", "sigma2", "G2", "q1", "q2"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
         for name in ("mu", "tau", "gamma", "T", "batch"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not self.devices_per_set or any(n < 1 for n in self.devices_per_set):
             raise ValueError("devices_per_set must be non-empty positive integers")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -25,6 +26,19 @@ from .streams import stream
 
 def _f(x: float) -> str:
     return repr(float(x))
+
+
+# the planner.LinkComputeParams fields that link mode requires
+_LINK_ARGS = ("bandwidth_hz", "power_w", "noise_w", "channel_gain",
+              "cycles_per_bit", "cpu_hz", "bits_per_local_iter", "model_bits")
+
+
+def _finite(text: str) -> float:
+    """argparse type for the plan and bounds numbers: NaN and infinity are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _set_override(user: dict, assignment: str) -> None:
@@ -78,16 +92,7 @@ def _times_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if link_given and any(v is not None for v in direct):
         parser.error("give either --t-cp/--t-de/--t-ec or the link parameters, not both")
     if link_given:
-        required = {
-            "bandwidth_hz": args.bandwidth_hz,
-            "power_w": args.power_w,
-            "noise_w": args.noise_w,
-            "channel_gain": args.channel_gain,
-            "cycles_per_bit": args.cycles_per_bit,
-            "cpu_hz": args.cpu_hz,
-            "bits_per_local_iter": args.bits_per_local_iter,
-            "model_bits": args.model_bits,
-        }
+        required = {name: getattr(args, name) for name in _LINK_ARGS}
         missing = [k for k, v in required.items() if v is None]
         if missing:
             parser.error(f"link mode needs --{missing[0].replace('_', '-')}")
@@ -199,40 +204,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--repeats", type=int)
 
     p_plan = sub.add_parser("plan", help="optimize (tau, gamma) under a deadline")
-    p_plan.add_argument("--deadline", type=float, required=True, help="total time budget, seconds")
+    p_plan.add_argument("--deadline", type=_finite, required=True, help="total time budget, seconds")
     p_plan.add_argument("--rounds", type=int, required=True, help="global iterations T")
-    p_plan.add_argument("--q1", type=float, required=True, help="device quantizer variance factor")
+    p_plan.add_argument("--q1", type=_finite, required=True, help="device quantizer variance factor")
     p_plan.add_argument("--num-sets", type=int, required=True)
     p_plan.add_argument("--num-devices", type=int, required=True)
-    p_plan.add_argument("--t-cp", type=float, help="per-local-iteration compute time, seconds")
-    p_plan.add_argument("--t-de", type=float, help="device-to-edge upload time, seconds")
-    p_plan.add_argument("--t-ec", type=float, help="edge-to-cloud time, seconds")
-    p_plan.add_argument("--bandwidth-hz", type=float)
-    p_plan.add_argument("--power-w", type=float)
-    p_plan.add_argument("--noise-w", type=float)
-    p_plan.add_argument("--channel-gain", type=float)
-    p_plan.add_argument("--cycles-per-bit", type=float)
-    p_plan.add_argument("--cpu-hz", type=float)
-    p_plan.add_argument("--bits-per-local-iter", type=float)
-    p_plan.add_argument("--model-bits", type=float)
-    p_plan.add_argument("--edge-cloud-time", type=float)
-    p_plan.add_argument("--edge-cloud-ratio", type=float, default=10.0)
+    p_plan.add_argument("--t-cp", type=_finite, help="per-local-iteration compute time, seconds")
+    p_plan.add_argument("--t-de", type=_finite, help="device-to-edge upload time, seconds")
+    p_plan.add_argument("--t-ec", type=_finite, help="edge-to-cloud time, seconds")
+    for name in (*_LINK_ARGS, "edge_cloud_time"):
+        p_plan.add_argument(f"--{name.replace('_', '-')}", type=_finite)
+    p_plan.add_argument("--edge-cloud-ratio", type=_finite, default=10.0)
 
     p_bounds = sub.add_parser("bounds", help="evaluate the convergence-bound calculators")
-    p_bounds.add_argument("--L", type=float, required=True, help="smoothness constant")
-    p_bounds.add_argument("--delta", type=float, required=True, help="PL constant")
-    p_bounds.add_argument("--sigma2", type=float, required=True, help="gradient noise variance")
+    p_bounds.add_argument("--L", type=_finite, required=True, help="smoothness constant")
+    p_bounds.add_argument("--delta", type=_finite, required=True, help="PL constant")
+    p_bounds.add_argument("--sigma2", type=_finite, required=True, help="gradient noise variance")
     p_bounds.add_argument("--batch", type=int, required=True)
-    p_bounds.add_argument("--G2", type=float, required=True, help="heterogeneity bound")
-    p_bounds.add_argument("--q1", type=float, required=True)
-    p_bounds.add_argument("--q2", type=float, required=True)
-    p_bounds.add_argument("--mu", type=float, required=True)
+    p_bounds.add_argument("--G2", type=_finite, required=True, help="heterogeneity bound")
+    p_bounds.add_argument("--q1", type=_finite, required=True)
+    p_bounds.add_argument("--q2", type=_finite, required=True)
+    p_bounds.add_argument("--mu", type=_finite, required=True)
     p_bounds.add_argument("--tau", type=int, required=True)
     p_bounds.add_argument("--gamma", type=int, required=True)
     p_bounds.add_argument("--rounds", type=int, required=True)
     p_bounds.add_argument("--devices-per-set", required=True,
                           help="comma-separated device counts, e.g. 20,20,20")
-    p_bounds.add_argument("--gap0", type=float, default=1.0)
+    p_bounds.add_argument("--gap0", type=_finite, default=1.0)
 
     p_qt = sub.add_parser("quantizer-table", help="empirical variance factor per level count")
     p_qt.add_argument("--levels", default="1,2,4,8,16")

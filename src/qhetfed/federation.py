@@ -255,7 +255,7 @@ def _batch_view(shard: DeviceShard, config: FedRunConfig, l: int, n: int, t: int
     if B >= shard.size:
         return shard.features, shard.labels
     idx = stream(config.master_seed, "batch", l, n, t, k).integers(0, shard.size, size=B)
-    return shard.features[idx], shard.labels[idx]
+    return shard.features.take(idx, axis=0), shard.labels.take(idx)
 
 
 def _metrics_appender(config: FedRunConfig, per_iteration_delay: float):
@@ -327,8 +327,9 @@ def _set_model(config: FedRunConfig, phases, w: np.ndarray, l: int, t: int) -> n
             for n, s in enumerate(devices):
                 w_dev = w_set
                 for j in range(k, k + gamma):
-                    batch = _batch_view(s, config, l, n, t, j)
-                    w_dev = w_dev - mu * _models.gradient(config.model, w_dev, batch)
+                    step = _models.gradient(config.model, w_dev, _batch_view(s, config, l, n, t, j))
+                    step *= mu
+                    w_dev = w_dev - step
                 deltas.append(w_dev - w_set)
             w_set = edge_aggregate_models(deltas, w_set, config.q1, rngs)
     return w_set

@@ -308,14 +308,6 @@ def read_config_file(path: str):
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
-def load_config(path: str) -> ExperimentConfig:
-    try:
-        user = read_config_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(user)
-
-
 def config_hash(cfg: ExperimentConfig) -> str:
     # output_dir is excluded: the hash fingerprints the experiment, not
     # where its results land, so re-runs into fresh directories compare equal

@@ -13,7 +13,13 @@ can treat a model as a single array.  Layouts:
   and curvature constants (L = 1, and the quadratic growth constant is 1).
 
 Batches are ``(X, y)`` pairs of a float feature matrix and an int label
-vector, the form in which ``datagen`` builds datasets, splits and shards.
+vector (labels in ``0..K-1``, unchecked), the form in which ``datagen``
+builds datasets, splits and shards.
+
+``gradient`` is the simulator's hot kernel.  It computes in place and writes
+each block into one fresh output vector, yet returns the same bytes as the
+formula written one numpy operation per term (kept in the tests as the
+oracle): the same gemm and reduction calls in the same order.
 """
 
 from __future__ import annotations
@@ -112,12 +118,6 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(lse - logits[np.arange(len(y)), y]))
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    ez = np.exp(z)
-    return ez / ez.sum(axis=1, keepdims=True)
-
-
 def _forward_logits(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
     if spec.kind == LOGISTIC:
         W, b = _logistic_unpack(spec, w)
@@ -149,27 +149,34 @@ def gradient(spec: ModelSpec, w: np.ndarray, batch) -> np.ndarray:
     n = X.shape[0]
     if spec.kind == QUADRATIC:
         return w - X.mean(axis=0)
+    # logistic regression is the mlp's softmax output layer applied to X itself
+    out = np.empty(spec.dim)
     if spec.kind == LOGISTIC:
-        logits, _ = _forward_logits(spec, w, X)
-        resid = _softmax(logits)
-        resid[np.arange(n), y] -= 1.0
-        resid /= n
-        gW = resid.T @ X
-        gb = resid.sum(axis=0)
-        return np.concatenate([gW.ravel(), gb])
-    W1, b1, W2, b2 = _mlp_unpack(spec, w)
-    pre = X @ W1.T + b1
-    hidden = np.tanh(pre)
-    logits = hidden @ W2.T + b2
-    resid = _softmax(logits)
-    resid[np.arange(n), y] -= 1.0
+        W, b = _logistic_unpack(spec, w)
+        inputs, head = X, out
+    else:
+        W1, b1, W, b = _mlp_unpack(spec, w)
+        inputs = np.dot(X, W1.T)
+        inputs += b1
+        np.tanh(inputs, out=inputs)
+        head = out[W1.size + b1.size :]
+    # resid = (softmax(logits) - onehot(y)) / n, all in the logits array
+    resid = np.dot(inputs, W.T)
+    resid += b
+    resid -= np.maximum.reduce(resid, axis=1, keepdims=True)
+    np.exp(resid, out=resid)
+    resid /= np.add.reduce(resid, axis=1, keepdims=True)
+    resid.ravel()[np.arange(0, resid.size, b.size) + y] -= 1.0
     resid /= n
-    gW2 = resid.T @ hidden
-    gb2 = resid.sum(axis=0)
-    back = (resid @ W2) * (1.0 - hidden * hidden)
-    gW1 = back.T @ X
-    gb1 = back.sum(axis=0)
-    return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+    np.dot(resid.T, inputs, out=head[: W.size].reshape(W.shape))
+    np.add.reduce(resid, axis=0, out=head[W.size :])
+    if spec.kind == MLP:
+        back = np.dot(resid, W)
+        inputs *= inputs
+        back *= np.subtract(1.0, inputs, out=inputs)
+        np.dot(back.T, X, out=out[: W1.size].reshape(W1.shape))
+        np.add.reduce(back, axis=0, out=out[W1.size : W1.size + b1.size])
+    return out
 
 
 def finite_diff_gradient(spec: ModelSpec, w: np.ndarray, batch, h) -> np.ndarray:

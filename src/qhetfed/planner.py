@@ -32,8 +32,8 @@ class PhaseTimes:
 
     def __post_init__(self) -> None:
         for name in ("t_cp", "t_de", "t_ec"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ class LinkComputeParams:
             "model_bits",
             "edge_cloud_ratio",
         ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.edge_cloud_time is not None and self.edge_cloud_time <= 0:
-            raise ValueError("edge_cloud_time must be positive when given")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if self.edge_cloud_time is not None and not 0 < self.edge_cloud_time < math.inf:
+            raise ValueError("edge_cloud_time must be positive and finite when given")
 
 
 def compute_times(lp: LinkComputeParams) -> PhaseTimes:
@@ -91,9 +91,10 @@ class DeadlinePlan:
     def __post_init__(self) -> None:
         if self.rounds < 1:
             raise ValueError("rounds must be a positive integer")
-        if self.deadline_s <= self.rounds * self.times.t_ec:
+        if not self.rounds * self.times.t_ec < self.deadline_s < math.inf:
             raise ValueError(
-                "deadline leaves no time for computation: need deadline_s > rounds * t_ec"
+                "deadline must be finite and leave time for computation: "
+                "need rounds * t_ec < deadline_s < inf"
             )
 
 

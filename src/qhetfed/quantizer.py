@@ -116,7 +116,7 @@ def estimate_variance_factor(
     The estimate depends on d: expect q to grow with dimension at fixed s
     and to fall roughly like 1/s^2 at fixed dimension.
     """
-    spec = levels if isinstance(levels, QuantizerSpec) else QuantizerSpec(levels=int(levels))
+    spec = levels if isinstance(levels, QuantizerSpec) else QuantizerSpec(levels=levels)
     if spec.mode == IDENTITY:
         return 0.0
     if trials < 1:

@@ -143,6 +143,17 @@ def test_tau_preference_threshold():
     assert tau_preference(19.0, 60, 3) == INDIFFERENT
 
 
+@pytest.mark.parametrize("name,bad", [
+    ("G2", np.nan), ("q1", np.inf), ("sigma2", np.nan),
+    ("mu", np.nan), ("mu", np.inf), ("T", np.inf),
+])
+def test_theory_params_reject_non_finite(name, bad):
+    base = dict(L=1, delta=1, sigma2=1, batch=1, G2=1, q1=0, q2=0,
+                mu=0.1, tau=1, gamma=1, T=1, devices_per_set=(2,))
+    with pytest.raises(ValueError, match=name):
+        TheoryParams(**{**base, name: bad})
+
+
 def test_theory_params_validation():
     with pytest.raises(ValueError):
         TheoryParams(L=1, delta=1, sigma2=1, batch=1, G2=1, q1=-1, q2=0,

@@ -136,6 +136,50 @@ def test_plan_rejects_mixed_time_modes(capsys):
     assert exc.value.code == 2
 
 
+NUMERIC_COMMANDS = {
+    "plan": [
+        "plan", "--deadline", "15600", "--rounds", "100", "--q1", "1",
+        "--num-sets", "3", "--num-devices", "60",
+        "--t-cp", "2.0", "--t-de", "0.2", "--t-ec", "1.8",
+    ],
+    "plan-link": [
+        "plan", "--deadline", "15600", "--rounds", "100", "--q1", "1",
+        "--num-sets", "3", "--num-devices", "60",
+        "--bandwidth-hz", "1e6", "--power-w", "0.5", "--noise-w", "1e-10",
+        "--channel-gain", "1e-8", "--cycles-per-bit", "20", "--cpu-hz", "1e9",
+        "--bits-per-local-iter", "1e8", "--model-bits", "1e6",
+    ],
+    "bounds": [
+        "bounds", "--L", "1", "--delta", "1", "--sigma2", "1", "--batch", "1",
+        "--G2", "1", "--q1", "1", "--q2", "1", "--mu", "0.01",
+        "--tau", "12", "--gamma", "3", "--rounds", "100",
+        "--devices-per-set", "20,20,20",
+    ],
+}
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("plan", "--q1", "nan"),
+    ("plan", "--deadline", "inf"),
+    ("plan-link", "--bandwidth-hz", "nan"),
+    ("plan", "--t-cp", "nan"),
+    ("bounds", "--G2", "nan"),
+    ("bounds", "--gap0", "-inf"),
+])
+def test_non_finite_numbers_are_usage_errors(capsys, command, flag, value):
+    # rejected by argparse before anything is computed or printed
+    args = NUMERIC_COMMANDS[command]
+    assert main(args) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        # a repeated option overrides the earlier one
+        main(args + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{flag}: expected a finite number, got {value!r}" in captured.err
+
+
 def test_bounds_prints_frozen_values(capsys):
     code = main([
         "bounds", "--L", "1", "--delta", "1", "--sigma2", "1", "--batch", "1",

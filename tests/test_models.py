@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qhetfed import models
 from qhetfed.models import (
     ModelSpec,
     accuracy,
@@ -116,3 +118,94 @@ def test_finite_diff_step_validation():
     spec = ModelSpec(kind="quadratic", input_dim=2)
     with pytest.raises(ValueError):
         finite_diff_gradient(spec, np.zeros(2), (np.zeros((1, 2)), np.array([0])), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle for the in-place gradient kernels
+
+
+def _reference_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    ez = np.exp(z)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
+def _reference_gradient(spec, w, batch):
+    """The classifier gradients written one numpy operation per formula term."""
+    X, y = stack_batch(batch)
+    n = X.shape[0]
+    if spec.kind == "logistic":
+        W, b = models._logistic_unpack(spec, w)
+        logits = X @ W.T + b
+        resid = _reference_softmax(logits)
+        resid[np.arange(n), y] -= 1.0
+        resid /= n
+        gW = resid.T @ X
+        gb = resid.sum(axis=0)
+        return np.concatenate([gW.ravel(), gb])
+    W1, b1, W2, b2 = models._mlp_unpack(spec, w)
+    pre = X @ W1.T + b1
+    hidden = np.tanh(pre)
+    logits = hidden @ W2.T + b2
+    resid = _reference_softmax(logits)
+    resid[np.arange(n), y] -= 1.0
+    resid /= n
+    gW2 = resid.T @ hidden
+    gb2 = resid.sum(axis=0)
+    back = (resid @ W2) * (1.0 - hidden * hidden)
+    gW1 = back.T @ X
+    gb1 = back.sum(axis=0)
+    return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
+
+
+def _oracle_specs(kind):
+    hiddens = (1, 64) if kind == "mlp" else (0,)
+    for D, K, H in itertools.product((1, 20, 200), (2, 10), hiddens):
+        yield ModelSpec(kind=kind, input_dim=D, num_classes=K, hidden_width=H)
+
+
+@pytest.mark.parametrize("B", [1, 5, 40, 100])
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_gradient_is_byte_identical_to_reference(kind, B):
+    # weight scales up to 3 saturate the softmax at D = 200
+    for spec in _oracle_specs(kind):
+        rng = stream(11, "oracle", kind, B, spec.input_dim, spec.num_classes, spec.hidden_width)
+        X = rng.normal(size=(B, spec.input_dim))
+        y = rng.integers(0, spec.num_classes, size=B)
+        for scale in (1e-2, 0.3, 3.0):
+            w = scale * rng.standard_normal(spec.dim)
+            g = gradient(spec, w, (X, y))
+            assert g.tobytes() == _reference_gradient(spec, w, (X, y)).tobytes(), (spec, scale)
+
+
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_gradient_matches_reference_on_cast_inputs(kind):
+    spec = ModelSpec(kind=kind, input_dim=7, num_classes=3, hidden_width=5 if kind == "mlp" else 0)
+    rng = stream(12, "oracle-cast", kind)
+    wide = rng.normal(size=(9, 14))
+    y = rng.integers(0, 3, size=9)
+    w = rng.standard_normal(spec.dim)
+    for X, labels in [
+        (rng.integers(-3, 4, size=(9, 7)), y),
+        (wide[:, :7].astype(np.float32), y),
+        (wide[:, ::2], y),
+        (wide[:, 1::2].tolist(), y.astype(float)),
+    ]:
+        g = gradient(spec, w, (X, labels))
+        assert g.tobytes() == _reference_gradient(spec, w, (X, labels)).tobytes()
+
+
+@pytest.mark.parametrize("kind,hidden", [("logistic", 0), ("mlp", 4), ("quadratic", 0)])
+def test_gradient_returns_fresh_owned_vector(kind, hidden):
+    # the engine scales the returned gradient in place, so it must own its memory
+    spec = ModelSpec(kind=kind, input_dim=3, num_classes=2, hidden_width=hidden)
+    rng = stream(13, "fresh", kind)
+    w = rng.standard_normal(spec.dim)
+    X = rng.normal(size=(4, 3))
+    w_before, X_before = w.copy(), X.copy()
+    g = gradient(spec, w, (X, rng.integers(0, 2, size=4)))
+    assert g.dtype == np.float64 and g.shape == (spec.dim,)
+    assert g.flags.c_contiguous and g.flags.writeable and g.flags.owndata
+    assert not np.shares_memory(g, w) and not np.shares_memory(g, X)
+    g *= 2.0
+    assert np.array_equal(w, w_before) and np.array_equal(X, X_before)

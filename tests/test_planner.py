@@ -187,6 +187,19 @@ def test_plan_validation():
         DeadlinePlan(deadline_s=1.0, rounds=10, times=PhaseTimes(1.0, 0.1, 1.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
+def test_plan_inputs_must_be_positive_and_finite(bad):
+    # NaN fails every comparison, so each check is written as the valid range
+    with pytest.raises(ValueError, match="t_de"):
+        PhaseTimes(1.0, bad, 1.0)
+    with pytest.raises(ValueError, match="bandwidth_hz"):
+        LinkComputeParams(**{**vars(LINK), "bandwidth_hz": bad})
+    with pytest.raises(ValueError, match="edge_cloud_time"):
+        LinkComputeParams(**{**vars(LINK), "edge_cloud_time": bad})
+    with pytest.raises(ValueError, match="deadline"):
+        DeadlinePlan(deadline_s=bad, rounds=10, times=PhaseTimes(1.0, 0.1, 1.0))
+
+
 def test_objective_rejects_infeasible_tau():
     plan = _plan()
     with pytest.raises(InfeasibleScheduleError):

@@ -146,6 +146,12 @@ def test_variance_factor_argument_validation():
         estimate_variance_factor(2, 16, 0, stream(0, "v"))
 
 
+def test_variance_factor_rejects_fractional_levels():
+    # the level count reaches QuantizerSpec unchanged, so 2.5 is not measured as 2
+    with pytest.raises(ValueError, match="levels"):
+        estimate_variance_factor(2.5, 16, 256, stream(0, "v"))
+
+
 # The reference formula: sign(x) * (norm / s) * (lower + bump), one temporary
 # per step.  ``quantize`` must return the same bytes and consume the same draws.
 def _reference_quantize(x, spec, rng):
