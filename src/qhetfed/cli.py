@@ -14,6 +14,7 @@ run), 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -28,9 +29,9 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
-# the planner.LinkComputeParams fields that link mode requires
-_LINK_ARGS = ("bandwidth_hz", "power_w", "noise_w", "channel_gain",
-              "cycles_per_bit", "cpu_hz", "bits_per_local_iter", "model_bits")
+# one plan option per planner.LinkComputeParams field; link mode requires those without a default
+_LINK_FIELDS = dataclasses.fields(planner.LinkComputeParams)
+_LINK_ARGS = tuple(f.name for f in _LINK_FIELDS if f.default is dataclasses.MISSING)
 
 
 def _finite(text: str) -> float:
@@ -92,15 +93,10 @@ def _times_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if link_given and any(v is not None for v in direct):
         parser.error("give either --t-cp/--t-de/--t-ec or the link parameters, not both")
     if link_given:
-        required = {name: getattr(args, name) for name in _LINK_ARGS}
-        missing = [k for k, v in required.items() if v is None]
+        missing = [name for name in _LINK_ARGS if getattr(args, name) is None]
         if missing:
             parser.error(f"link mode needs --{missing[0].replace('_', '-')}")
-        lp = planner.LinkComputeParams(
-            **required,
-            edge_cloud_time=args.edge_cloud_time,
-            edge_cloud_ratio=args.edge_cloud_ratio,
-        )
+        lp = planner.LinkComputeParams(**{f.name: getattr(args, f.name) for f in _LINK_FIELDS})
         return planner.compute_times(lp)
     if any(v is None for v in direct):
         parser.error("need all of --t-cp, --t-de, --t-ec (or the link parameters)")
@@ -212,9 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--t-cp", type=_finite, help="per-local-iteration compute time, seconds")
     p_plan.add_argument("--t-de", type=_finite, help="device-to-edge upload time, seconds")
     p_plan.add_argument("--t-ec", type=_finite, help="edge-to-cloud time, seconds")
-    for name in (*_LINK_ARGS, "edge_cloud_time"):
-        p_plan.add_argument(f"--{name.replace('_', '-')}", type=_finite)
-    p_plan.add_argument("--edge-cloud-ratio", type=_finite, default=10.0)
+    for f in _LINK_FIELDS:
+        default = None if f.default is dataclasses.MISSING else f.default
+        p_plan.add_argument(f"--{f.name.replace('_', '-')}", type=_finite, default=default)
 
     p_bounds = sub.add_parser("bounds", help="evaluate the convergence-bound calculators")
     p_bounds.add_argument("--L", type=_finite, required=True, help="smoothness constant")

@@ -17,6 +17,13 @@ averaging at both levels); ``qhetfed_gamma1``, the reduced form of qhetfed at
 gamma = 1, runs gradient rounds k = 0..tau.  ``centralized_sgd`` is the
 single-worker oracle the degenerate topologies are checked against.
 
+``run(config)`` is the one entry point: it runs the algorithm that
+``config.algorithm`` names.  ``run_centralized_sgd`` stays callable on its own
+for its ``steps_per_iteration`` alignment.  The three aggregation steps (edge
+gradients, edge models, cloud) are one quantized average, QSGD-style
+(Alistarh et al., arXiv:1610.02132), over one checked loop: at least one
+message, every message of the model's length, one generator per message.
+
 Every random draw is keyed by (master seed, purpose, set, device, iteration,
 step) through :mod:`qhetfed.streams`, never by call order.  The batch step
 index is global within an iteration, and the oracle consumes k = 0..steps-1.
@@ -182,52 +189,46 @@ def _param_hash(w: np.ndarray) -> str:
 # aggregation operations
 
 
-def _check_rngs(rngs: list[np.random.Generator], count: int) -> None:
+def _quantized_sum(messages, dim: int, spec: QuantizerSpec, rngs: list[np.random.Generator],
+                   origin: np.ndarray | None = None, weights=None) -> np.ndarray:
+    """Sum of the quantized messages (each minus ``origin`` and times its weight, when given).
+
+    Every message must have length ``dim``: numpy would broadcast a length-1 one silently.
+    """
+    if len(messages) == 0:
+        raise ValueError("no messages to aggregate")
+    lengths = sorted({len(m) for m in messages})
+    if lengths != [dim]:
+        raise ValueError(f"message lengths {lengths} for a model of length {dim}")
     # zip would silently drop the messages or generators past the shorter list
-    if len(rngs) != count:
-        raise ValueError(f"need {count} rng streams, got {len(rngs)}")
+    if len(rngs) != len(messages):
+        raise ValueError(f"need {len(messages)} rng streams, got {len(rngs)}")
+    total = np.zeros(dim)
+    for i, (m, r) in enumerate(zip(messages, rngs)):
+        q = quantize(m if origin is None else m - origin, spec, r)
+        total += q if weights is None else weights[i] * q
+    return total
 
 
 def edge_aggregate_gradients(local_grads, q1_spec: QuantizerSpec, rngs: list[np.random.Generator]) -> np.ndarray:
     """Mean of the quantized device gradients of one set, one generator per device."""
-    if len(local_grads) == 0:
-        raise ValueError("no gradients to aggregate")
-    dims = {len(g) for g in local_grads}
-    if len(dims) != 1:
-        raise ValueError(f"gradient length mismatch: {sorted(dims)}")
-    _check_rngs(rngs, len(local_grads))
-    total = np.zeros(len(local_grads[0]))
-    for g, r in zip(local_grads, rngs):
-        total += quantize(g, q1_spec, r)
-    return total / len(local_grads)
+    dim = len(local_grads[0]) if len(local_grads) else 0
+    return _quantized_sum(local_grads, dim, q1_spec, rngs) / len(local_grads)
 
 
 def edge_aggregate_models(deltas, base: np.ndarray, q1_spec: QuantizerSpec,
                           rngs: list[np.random.Generator]) -> np.ndarray:
     """Set model after averaging quantized parameter deltas onto ``base``, one generator per device."""
-    if len(deltas) == 0:
-        raise ValueError("no deltas to aggregate")
-    dims = {len(d) for d in deltas}
-    if len(dims) != 1 or dims.pop() != len(base):
-        raise ValueError("delta length mismatch")
-    _check_rngs(rngs, len(deltas))
-    total = np.zeros(len(base))
-    for d, r in zip(deltas, rngs):
-        total += quantize(d, q1_spec, r)
-    return base + total / len(deltas)
+    return base + _quantized_sum(deltas, len(base), q1_spec, rngs) / len(deltas)
 
 
 def cloud_aggregate(set_models, global_prev: np.ndarray, topology: Topology, q2_spec: QuantizerSpec,
                     rngs: list[np.random.Generator]) -> np.ndarray:
     """Global model from quantized set deltas, weighted by set device counts, one generator per set."""
     if len(set_models) != topology.num_sets:
-        raise ValueError(
-            f"{len(set_models)} set models for {topology.num_sets} sets"
-        )
-    _check_rngs(rngs, len(set_models))
-    total = np.zeros(len(global_prev))
-    for l, (m, r) in enumerate(zip(set_models, rngs)):
-        total += topology.devices_per_set[l] * quantize(m - global_prev, q2_spec, r)
+        raise ValueError(f"{len(set_models)} set models for {topology.num_sets} sets")
+    total = _quantized_sum(set_models, len(global_prev), q2_spec, rngs,
+                           origin=global_prev, weights=topology.devices_per_set)
     return global_prev + total / topology.num_devices
 
 
@@ -303,11 +304,6 @@ def _phases(algorithm: str, schedule: Schedule) -> list[tuple[str, int, int]]:
     }[algorithm]
 
 
-def _check_algorithm(config: FedRunConfig, algorithm: str) -> None:
-    if config.algorithm != algorithm:
-        raise ValueError(f"a {algorithm!r} run got a {config.algorithm!r} config")
-
-
 def _set_model(config: FedRunConfig, phases, w: np.ndarray, l: int, t: int) -> np.ndarray:
     """Model of set l after running ``phases`` of global iteration t from the cloud model ``w``."""
     mu, gamma, seed = config.schedule.mu, config.schedule.gamma, config.master_seed
@@ -335,13 +331,12 @@ def _set_model(config: FedRunConfig, phases, w: np.ndarray, l: int, t: int) -> n
     return w_set
 
 
-def _run_hierarchical(config: FedRunConfig, algorithm: str) -> RunRecord:
-    """Global iterations of ``algorithm``: every set runs its phases, then the cloud aggregates."""
-    _check_algorithm(config, algorithm)
+def _run_hierarchical(config: FedRunConfig) -> RunRecord:
+    """Global iterations of ``config.algorithm``: every set runs its phases, then the cloud aggregates."""
     sched = config.schedule
     topo = config.topology
-    phases = _phases(algorithm, sched)
-    delay = (baseline_iteration_delay if algorithm == HIER_LOCAL_QSGD else iteration_delay)(
+    phases = _phases(config.algorithm, sched)
+    delay = (baseline_iteration_delay if config.algorithm == HIER_LOCAL_QSGD else iteration_delay)(
         sched.tau, sched.gamma, config.times
     )
     record, append = _metrics_appender(config, delay)
@@ -365,21 +360,6 @@ def _run_hierarchical(config: FedRunConfig, algorithm: str) -> RunRecord:
     return record
 
 
-def run_qhetfed(config: FedRunConfig) -> RunRecord:
-    """Gradient-aggregation rounds plus a trailing local phase, per global iteration."""
-    return _run_hierarchical(config, QHETFED)
-
-
-def run_hier_local_qsgd(config: FedRunConfig) -> RunRecord:
-    """Model averaging at both levels: gamma local steps inside each of tau rounds."""
-    return _run_hierarchical(config, HIER_LOCAL_QSGD)
-
-
-def run_qhetfed_gamma1(config: FedRunConfig) -> RunRecord:
-    """Reduced single-local-step variant: tau + 1 gradient rounds, then cloud aggregation."""
-    return _run_hierarchical(config, QHETFED_GAMMA1)
-
-
 def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> RunRecord:
     """Plain mini-batch SGD on the pooled data; the degenerate-case oracle.
 
@@ -387,7 +367,8 @@ def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> R
     iteration, so the oracle can be aligned with a federated run that takes
     several descent steps per global iteration.
     """
-    _check_algorithm(config, CENTRALIZED_SGD)
+    if config.algorithm != CENTRALIZED_SGD:
+        raise ValueError(f"a {CENTRALIZED_SGD!r} run got a {config.algorithm!r} config")
     if steps_per_iteration < 1:
         raise ValueError("steps_per_iteration must be positive")
     sched = config.schedule
@@ -416,17 +397,11 @@ def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> R
     return record
 
 
-_RUNNERS = {
-    QHETFED: run_qhetfed,
-    HIER_LOCAL_QSGD: run_hier_local_qsgd,
-    QHETFED_GAMMA1: run_qhetfed_gamma1,
-    CENTRALIZED_SGD: run_centralized_sgd,
-}
-
-
 def run(config: FedRunConfig) -> RunRecord:
-    """Dispatch on ``config.algorithm``."""
-    return _RUNNERS[config.algorithm](config)
+    """Run the simulation ``config.algorithm`` names: the centralized oracle or a hierarchical algorithm."""
+    if config.algorithm == CENTRALIZED_SGD:
+        return run_centralized_sgd(config)
+    return _run_hierarchical(config)
 
 
 def steps_per_round(algorithm: str, schedule: Schedule) -> int:

@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -89,18 +89,7 @@ DEFAULTS: dict = {
 }
 
 # physical-link alternative to the "runtime" block; mutually exclusive with it
-LINK_KEYS = {
-    "bandwidth_hz",
-    "power_w",
-    "noise_w",
-    "channel_gain",
-    "cycles_per_bit",
-    "cpu_hz",
-    "bits_per_local_iter",
-    "model_bits",
-    "edge_cloud_time",
-    "edge_cloud_ratio",
-}
+LINK_KEYS = {f.name for f in fields(LinkComputeParams)}
 
 
 class ConfigError(ValueError):
@@ -341,22 +330,6 @@ class CurvePoint(NamedTuple):
 AGG_COLUMNS = ("algorithm", *CurvePoint._fields)
 
 
-@dataclass
-class ComparisonReport:
-    """Mean and sample-std accuracy/loss curves per algorithm, on both axes.
-
-    Each curve carries the iteration index and the modeled cumulative runtime
-    for that iteration, so it can be plotted against either.  ``config_echo``
-    is the resolved experiment config the curves came from.
-    """
-
-    curves: dict[str, list[CurvePoint]]
-    config_echo: dict
-
-    def rows(self) -> list[tuple]:
-        return [(alg, *p) for alg in sorted(self.curves) for p in self.curves[alg]]
-
-
 def _sample_std(values: list[float]) -> float:
     # sample (ddof=1) standard deviation; a single observation has no spread
     if len(values) < 2:
@@ -378,7 +351,12 @@ class RunCurves(NamedTuple):
     diverged_at: int | None
 
 
-def aggregate_records(records: list[tuple[str, RunCurves]], config_echo: dict) -> ComparisonReport:
+def aggregate_records(records: list[tuple[str, RunCurves]]) -> dict[str, list[CurvePoint]]:
+    """Mean and sample-std loss and accuracy curves per algorithm.
+
+    Each point carries the iteration index and the modeled cumulative runtime
+    of that iteration, so a curve can be plotted against either.
+    """
     by_alg: dict[str, dict[int, list[RunCurves]]] = {}
     for _, rec in records:
         per_t = by_alg.setdefault(rec.algorithm, {})
@@ -403,7 +381,7 @@ def aggregate_records(records: list[tuple[str, RunCurves]], config_echo: dict) -
                 )
             )
         curves[alg] = pts
-    return ComparisonReport(curves=curves, config_echo=config_echo)
+    return curves
 
 
 RUN_COLUMNS = ("run_id", "algorithm", "t", "train_loss", "test_accuracy", "runtime_s")
@@ -469,14 +447,14 @@ def emit_metrics(records: list[tuple[str, RunCurves]], output_dir: str,
     _write_table(metrics_path, RUN_COLUMNS, rows)
     written.append(metrics_path)
 
-    report = aggregate_records(records, config_echo or {})
+    curves = aggregate_records(records)
     agg_path = os.path.join(output_dir, "aggregate.csv")
-    _write_table(agg_path, AGG_COLUMNS, report.rows())
+    _write_table(agg_path, AGG_COLUMNS, [(alg, *p) for alg in sorted(curves) for p in curves[alg]])
     written.append(agg_path)
 
     agg_json = {
-        "config": report.config_echo,
-        "curves": {alg: [p._asdict() for p in pts] for alg, pts in report.curves.items()},
+        "config": config_echo or {},
+        "curves": {alg: [p._asdict() for p in pts] for alg, pts in curves.items()},
     }
     json_path = os.path.join(output_dir, "aggregate.json")
     _write_json(json_path, agg_json)

@@ -13,7 +13,7 @@ to validate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,21 +56,12 @@ class LinkComputeParams:
     edge_cloud_ratio: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "bandwidth_hz",
-            "power_w",
-            "noise_w",
-            "channel_gain",
-            "cycles_per_bit",
-            "cpu_hz",
-            "bits_per_local_iter",
-            "model_bits",
-            "edge_cloud_ratio",
-        ):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if self.edge_cloud_time is not None and not 0 < self.edge_cloud_time < math.inf:
-            raise ValueError("edge_cloud_time must be positive and finite when given")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "edge_cloud_time" and value is None:
+                continue
+            if not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite")
 
 
 def compute_times(lp: LinkComputeParams) -> PhaseTimes:
@@ -191,6 +182,15 @@ class ScheduleChoice:
     candidates: tuple[float, ...]
 
 
+def _check_objective_inputs(q1: float, C: int, N: int) -> None:
+    """The objective's inputs: 1 <= C <= N sets and devices, and a finite q1 >= 0."""
+    # written as what is valid: a NaN fails every comparison
+    if not 1 <= C <= N < math.inf:
+        raise ValueError(f"need 1 <= num_sets <= num_devices, got {C} sets and {N} devices")
+    if not 0 <= q1 < math.inf:
+        raise ValueError(f"q1 must be finite and >= 0, got {q1!r}")
+
+
 def optimize_schedule(plan: DeadlinePlan, q1: float, C: int, N: int) -> ScheduleChoice:
     """Closed-form minimization of J over feasible tau.
 
@@ -207,6 +207,7 @@ def optimize_schedule(plan: DeadlinePlan, q1: float, C: int, N: int) -> Schedule
     worse tau than the losing boundary.  Gamma is recomputed from the
     deadline and floored, so the integer pair still meets the deadline.
     """
+    _check_objective_inputs(q1, C, N)
     if gamma_from_tau(1.0, plan) < 1.0:
         raise InfeasibleScheduleError(
             "deadline too tight: even tau=1 leaves gamma < 1"
@@ -272,6 +273,7 @@ def grid_search_schedule(
     Evaluates the same deadline-pinned objective as ``objective_J``; gamma in
     the result is the real-valued deadline gamma at the winning tau.
     """
+    _check_objective_inputs(q1, C, N)
     if tau_max is None:
         tau_max = math.floor(max_feasible_tau(plan))
     if tau_max < 1:

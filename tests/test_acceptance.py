@@ -27,10 +27,8 @@ from qhetfed.federation import (
     QHETFED_GAMMA1,
     Schedule,
     Topology,
+    run,
     run_centralized_sgd,
-    run_hier_local_qsgd,
-    run_qhetfed,
-    run_qhetfed_gamma1,
 )
 from qhetfed.harness import run_experiment
 from qhetfed.models import (
@@ -142,14 +140,14 @@ def test_criterion_03_degenerate_equivalence():
             keep_snapshots=True,
         )
 
-    fed = run_qhetfed(cfg(QHETFED))
+    fed = run(cfg(QHETFED))
     oracle_fed = run_centralized_sgd(cfg(CENTRALIZED_SGD), steps_per_iteration=tau + gamma)
     assert len(fed.snapshots) == rounds
     for t in range(rounds):
         diff = np.max(np.abs(fed.snapshots[t] - oracle_fed.snapshots[t]))
         assert diff <= 1e-12, f"qhetfed deviates at t={t}: {diff:.2e}"
 
-    base = run_hier_local_qsgd(cfg(HIER_LOCAL_QSGD))
+    base = run(cfg(HIER_LOCAL_QSGD))
     oracle_base = run_centralized_sgd(cfg(CENTRALIZED_SGD), steps_per_iteration=tau * gamma)
     for t in range(rounds):
         diff = np.max(np.abs(base.snapshots[t] - oracle_base.snapshots[t]))
@@ -174,8 +172,8 @@ def test_criterion_04_single_local_step_equivalence():
             keep_snapshots=True,
         )
 
-    general = run_qhetfed(cfg(QHETFED))
-    reduced = run_qhetfed_gamma1(cfg(QHETFED_GAMMA1))
+    general = run(cfg(QHETFED))
+    reduced = run(cfg(QHETFED_GAMMA1))
     for t in range(10):
         diff = np.max(np.abs(general.snapshots[t] - reduced.snapshots[t]))
         assert diff <= 1e-10, f"t={t}: {diff:.2e}"
@@ -223,14 +221,14 @@ def test_criterion_05_gap_bounds_hold():
 
     gap0 = 0.5  # F(0) - F* = 0.5 * (0 - 1)^2
 
-    fed = run_qhetfed(cfg(QHETFED))
+    fed = run(cfg(QHETFED))
     for t in range(rounds):
         bound = analysis.qhetfed_gap_bound(params(t + 1), gap0).bound
         assert fed.train_loss[t] <= bound + 1e-15, (
             f"simulated gap {fed.train_loss[t]:.3e} above bound {bound:.3e} at T={t + 1}"
         )
 
-    base = run_hier_local_qsgd(cfg(HIER_LOCAL_QSGD))
+    base = run(cfg(HIER_LOCAL_QSGD))
     for t in range(rounds):
         bound = analysis.baseline_gap_bound(params(t + 1), gap0).bound
         assert base.train_loss[t] <= bound + 1e-15, (
@@ -338,7 +336,7 @@ def test_criterion_08_quantization_direction_flip():
             train, topo, PartitionScheme(kind=NONIID1, size_range=(40, 70)),
             stream(seed, "partition"),
         )
-        record = run_qhetfed(FedRunConfig(
+        record = run(FedRunConfig(
             topology=topo,
             schedule=Schedule(tau=tau, gamma=gamma, mu=0.1, rounds=40, batch=5),
             model=model,
@@ -388,9 +386,9 @@ def test_criterion_09_heterogeneity_robustness():
             q1=QuantizerSpec(levels=4), q2=QuantizerSpec(levels=10),
             master_seed=derive_seed(seed, "run", 0), test_samples=test,
         )
-        fed = run_qhetfed(FedRunConfig(
+        fed = run(FedRunConfig(
             schedule=Schedule(tau, gamma, mu, t_fed, batch), **common))
-        base = run_hier_local_qsgd(FedRunConfig(
+        base = run(FedRunConfig(
             schedule=Schedule(tau, gamma, mu, t_base, batch),
             algorithm=HIER_LOCAL_QSGD, **common))
         return fed.test_accuracy[-1], base.test_accuracy[-1]

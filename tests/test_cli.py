@@ -180,6 +180,25 @@ def test_non_finite_numbers_are_usage_errors(capsys, command, flag, value):
     assert f"{flag}: expected a finite number, got {value!r}" in captured.err
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("plan", ["--num-devices", "0"]),
+    ("plan", ["--num-sets", "0"]),
+    ("plan", ["--q1", "-5"]),
+    ("plan", ["--num-sets", "70", "--num-devices", "60"]),
+    ("plan-link", ["--num-sets", "70"]),
+    ("plan", ["--rounds", "0"]),
+    ("bounds", ["--rounds", "0"]),
+    ("bounds", ["--q1", "-1"]),
+])
+def test_out_of_range_numbers_exit_1_with_one_error_line(capsys, command, overrides):
+    # a repeated option overrides the earlier one
+    assert main(NUMERIC_COMMANDS[command] + overrides) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_bounds_prints_frozen_values(capsys):
     code = main([
         "bounds", "--L", "1", "--delta", "1", "--sigma2", "1", "--batch", "1",

@@ -19,9 +19,6 @@ from qhetfed.federation import (
     edge_aggregate_models,
     run,
     run_centralized_sgd,
-    run_hier_local_qsgd,
-    run_qhetfed,
-    run_qhetfed_gamma1,
     steps_per_round,
 )
 from qhetfed.models import LOGISTIC, MLP, ModelSpec, QUADRATIC, gradient
@@ -79,19 +76,6 @@ def test_edge_gradient_matches_manual_quantization():
     assert np.array_equal(out, expected)
 
 
-def test_edge_gradient_input_validation():
-    with pytest.raises(ValueError):
-        edge_aggregate_gradients([], identity_spec(), [])
-    with pytest.raises(ValueError):
-        edge_aggregate_gradients(
-            [np.zeros(2), np.zeros(3)], identity_spec(), [stream(0, "x")] * 2
-        )
-    with pytest.raises(ValueError):
-        edge_aggregate_gradients(
-            [np.zeros(2), np.zeros(2)], identity_spec(), [stream(0, "x")]
-        )
-
-
 def test_edge_model_zero_deltas_return_base():
     base = np.array([1.0, -2.0, 3.0])
     deltas = [np.zeros(3), np.zeros(3)]
@@ -126,10 +110,35 @@ def test_cloud_equal_sets_take_plain_mean():
 
 def test_cloud_rejects_wrong_set_count():
     topo = Topology((2, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="1 set models for 2 sets"):
         cloud_aggregate([np.zeros(2)], np.zeros(2), topo, identity_spec(), [stream(0, "x")])
-    with pytest.raises(ValueError, match="rng streams"):
-        cloud_aggregate([np.zeros(2)] * 2, np.zeros(2), topo, identity_spec(), [stream(0, "x")])
+
+
+# each aggregation step as a function of (messages, generators), with a length-2 model beside them
+AGGREGATIONS = {
+    "edge_aggregate_gradients": lambda msgs, rngs: edge_aggregate_gradients(msgs, identity_spec(), rngs),
+    "edge_aggregate_models": lambda msgs, rngs: edge_aggregate_models(msgs, np.zeros(2), identity_spec(), rngs),
+    "cloud_aggregate": lambda msgs, rngs: cloud_aggregate(
+        msgs, np.zeros(2), Topology((1,) * max(len(msgs), 1)), identity_spec(), rngs
+    ),
+}
+
+
+# (messages, generator count, expected error); the cloud checks its set count before the messages
+AGGREGATION_FAULTS = {
+    "no_messages": ([], 0, "no messages|0 set models"),
+    # a length-1 message would broadcast against a length-2 model without the check
+    "wrong_length": ([np.array([5.0]), np.zeros(2)], 2, r"message lengths \[1, 2\]"),
+    "short_rng_list": ([np.zeros(2), np.zeros(2)], 1, "need 2 rng streams, got 1"),
+}
+
+
+@pytest.mark.parametrize("fault", AGGREGATION_FAULTS)
+@pytest.mark.parametrize("name", AGGREGATIONS)
+def test_aggregation_checks_its_messages(name, fault):
+    messages, n_rngs, match = AGGREGATION_FAULTS[fault]
+    with pytest.raises(ValueError, match=match):
+        AGGREGATIONS[name](messages, [stream(0, "x")] * n_rngs)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +222,7 @@ def test_schedule_validation():
 def test_quadratic_hand_trajectory_single_device():
     # w <- w + mu*(a - w) three times: 0 -> 0.1 -> 0.19 -> 0.271
     cfg = quadratic_config([1], [[[1.0]]], tau=2, gamma=1, mu=0.1, rounds=1)
-    rec = run_qhetfed(cfg)
+    rec = run(cfg)
     assert abs(rec.final_params[0] - 0.271) < 1e-15
 
 
@@ -221,7 +230,7 @@ def test_intra_set_rounds_descend_from_shared_state():
     # both devices' gradients are evaluated at the same broadcast point, so
     # the round moves by the mean gradient rather than per-device values
     cfg = quadratic_config([2], [[[1.0], [3.0]]], tau=1, gamma=1, mu=0.1, rounds=1)
-    rec = run_qhetfed(cfg)
+    rec = run(cfg)
     # round: w_set = 0 - 0.1*mean(-1, -3) = 0.2
     # local: deltas 0.1*(1-0.2)=0.08 and 0.1*(3-0.2)=0.28, mean 0.18
     assert abs(rec.final_params[0] - 0.38) < 1e-15
@@ -232,7 +241,7 @@ def test_hier_local_hand_value_two_devices():
         [2], [[[1.0], [3.0]]], tau=1, gamma=1, mu=0.1, rounds=1,
         algorithm=HIER_LOCAL_QSGD,
     )
-    rec = run_hier_local_qsgd(cfg)
+    rec = run(cfg)
     # each device steps from 0: deltas 0.1 and 0.3, mean 0.2
     assert abs(rec.final_params[0] - 0.2) < 1e-15
 
@@ -318,7 +327,7 @@ def test_qhetfed_matches_reference_replay():
         q1=QuantizerSpec(levels=4), q2=QuantizerSpec(levels=8),
         master_seed=123, initial_params=np.array([0.25]),
     )
-    rec = run_qhetfed(cfg)
+    rec = run(cfg)
     assert np.array_equal(rec.final_params, replay_qhetfed(cfg))
 
 
@@ -359,7 +368,7 @@ def test_hier_local_matches_reference_replay():
         master_seed=123, initial_params=np.array([0.25]),
         algorithm=HIER_LOCAL_QSGD,
     )
-    rec = run_hier_local_qsgd(cfg)
+    rec = run(cfg)
     assert np.array_equal(rec.final_params, replay_hier_local(cfg))
 
 
@@ -373,8 +382,8 @@ def test_gamma1_variant_matches_general_run():
         master_seed=11, initial_params=np.array([0.1]),
     )
     values = [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]], [[4.0, 5.0, 6.0]]]
-    general = run_qhetfed(quadratic_config([2, 1], values, **kw))
-    reduced = run_qhetfed_gamma1(
+    general = run(quadratic_config([2, 1], values, **kw))
+    reduced = run(
         quadratic_config([2, 1], values, algorithm=QHETFED_GAMMA1, **kw)
     )
     assert np.max(np.abs(general.final_params - reduced.final_params)) < 1e-12
@@ -387,8 +396,8 @@ def test_gamma1_equivalence_survives_stochastic_quantization():
         q1=QuantizerSpec(levels=4), q2=QuantizerSpec(levels=8),
     )
     values = [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]], [[4.0, 5.0, 6.0]]]
-    general = run_qhetfed(quadratic_config([2, 1], values, **kw))
-    reduced = run_qhetfed_gamma1(
+    general = run(quadratic_config([2, 1], values, **kw))
+    reduced = run(
         quadratic_config([2, 1], values, algorithm=QHETFED_GAMMA1, **kw)
     )
     assert np.max(np.abs(general.final_params - reduced.final_params)) < 1e-12
@@ -399,8 +408,8 @@ def test_single_device_identity_collapses_to_centralized():
     # and the baseline takes tau * gamma, so each gets its own oracle alignment
     values = [[[1.0, 2.0, 5.0]]]
     kw = dict(tau=2, gamma=3, mu=0.05, rounds=5, master_seed=3)
-    fed = run_qhetfed(quadratic_config([1], values, **kw))
-    base = run_hier_local_qsgd(
+    fed = run(quadratic_config([1], values, **kw))
+    base = run(
         quadratic_config([1], values, algorithm=HIER_LOCAL_QSGD, **kw)
     )
     central_fed = run_centralized_sgd(
@@ -424,7 +433,7 @@ def test_runtime_column_is_iteration_times_delay():
     cfg = quadratic_config(
         [1], [[[1.0]]], tau=3, gamma=2, mu=0.1, rounds=4, times=times,
     )
-    rec = run_qhetfed(cfg)
+    rec = run(cfg)
     delay = iteration_delay(3, 2, times)
     assert rec.runtime_s == [(t + 1) * delay for t in range(4)]
 
@@ -432,7 +441,7 @@ def test_runtime_column_is_iteration_times_delay():
         [1], [[[1.0]]], tau=3, gamma=2, mu=0.1, rounds=4, times=times,
         algorithm=HIER_LOCAL_QSGD,
     )
-    rec_b = run_hier_local_qsgd(cfg_b)
+    rec_b = run(cfg_b)
     delay_b = baseline_iteration_delay(3, 2, times)
     assert rec_b.runtime_s == [(t + 1) * delay_b for t in range(4)]
 
@@ -444,8 +453,8 @@ def test_rerun_is_bit_identical():
         initial_params=np.array([0.3]),
     )
     values = [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]]]
-    a = run_qhetfed(quadratic_config([2], values, **kw))
-    b = run_qhetfed(quadratic_config([2], values, **kw))
+    a = run(quadratic_config([2], values, **kw))
+    b = run(quadratic_config([2], values, **kw))
     assert a.param_hash == b.param_hash
     assert a.train_loss == b.train_loss
     assert a.runtime_s == b.runtime_s
@@ -457,8 +466,8 @@ def test_different_seed_changes_stochastic_run():
         tau=2, gamma=2, mu=0.05, rounds=4, batch=2,
         q1=QuantizerSpec(levels=4), initial_params=np.array([0.3]),
     )
-    a = run_qhetfed(quadratic_config([2], values, master_seed=1, **kw))
-    b = run_qhetfed(quadratic_config([2], values, master_seed=2, **kw))
+    a = run(quadratic_config([2], values, master_seed=1, **kw))
+    b = run(quadratic_config([2], values, master_seed=2, **kw))
     assert a.param_hash != b.param_hash
 
 
@@ -466,7 +475,7 @@ def test_divergence_guard_stops_run():
     cfg = quadratic_config(
         [1], [[[1.0]]], tau=2, gamma=1, mu=5.0, rounds=50, norm_guard=100.0,
     )
-    rec = run_qhetfed(cfg)
+    rec = run(cfg)
     assert rec.diverged_at is not None
     assert len(rec.train_loss) == rec.diverged_at
     assert len(rec.runtime_s) == rec.diverged_at
@@ -477,29 +486,22 @@ def test_divergence_guard_catches_nonfinite_gradients():
         [1], [[[1.0]]], tau=2, gamma=1, mu=1e200, rounds=50, norm_guard=float("inf"),
     )
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = run_qhetfed(cfg)
+        rec = run(cfg)
     assert rec.diverged_at is not None
 
 
 def test_accuracy_column_defaults_to_zero_without_test_samples():
     cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=3)
-    rec = run_qhetfed(cfg)
+    rec = run(cfg)
     assert rec.test_accuracy == [0.0, 0.0, 0.0]
 
 
 def test_runners_reject_another_algorithms_config():
-    runners = {
-        QHETFED: run_qhetfed,
-        HIER_LOCAL_QSGD: run_hier_local_qsgd,
-        QHETFED_GAMMA1: run_qhetfed_gamma1,
-        CENTRALIZED_SGD: run_centralized_sgd,
-    }
-    for algo, runner in runners.items():
-        for other in ALGORITHMS:
-            if other != algo:
-                cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=1, algorithm=other)
-                with pytest.raises(ValueError, match=f"{algo!r} run got a {other!r} config"):
-                    runner(cfg)
+    for other in ALGORITHMS:
+        if other != CENTRALIZED_SGD:
+            cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=1, algorithm=other)
+            with pytest.raises(ValueError, match=f"{CENTRALIZED_SGD!r} run got a {other!r} config"):
+                run_centralized_sgd(cfg)
 
 
 def test_dispatcher_routes_every_algorithm():
@@ -518,7 +520,7 @@ def test_snapshots_match_param_hashes():
     cfg = quadratic_config(
         [1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=3, keep_snapshots=True,
     )
-    rec = run_qhetfed(cfg)
+    rec = run(cfg)
     assert len(rec.snapshots) == 3
     for w, h in zip(rec.snapshots, rec.param_hash):
         assert hashlib.sha256(w.tobytes()).hexdigest() == h

@@ -278,16 +278,16 @@ def test_aggregate_sample_std_hand_value():
         ("a", make_record("qhetfed", [1.0])),
         ("b", make_record("qhetfed", [3.0])),
     ]
-    report = aggregate_records(recs, {})
-    point = report.curves["qhetfed"][0]
+    curves = aggregate_records(recs)
+    point = curves["qhetfed"][0]
     assert point.runs == 2
     assert point.train_loss_mean == 2.0
     assert abs(point.train_loss_std - 2.0 ** 0.5) < 1e-15
 
 
 def test_aggregate_single_run_has_zero_std():
-    report = aggregate_records([("a", make_record("qhetfed", [1.5, 1.2]))], {})
-    for point in report.curves["qhetfed"]:
+    curves = aggregate_records([("a", make_record("qhetfed", [1.5, 1.2]))])
+    for point in curves["qhetfed"]:
         assert point.train_loss_std == 0.0
         assert point.runs == 1
 
@@ -295,8 +295,8 @@ def test_aggregate_single_run_has_zero_std():
 def test_aggregate_of_identical_runs_equals_single_run():
     base = make_record("qhetfed", [2.0, 1.0], accs=[0.3, 0.6])
     twin = make_record("qhetfed", [2.0, 1.0], accs=[0.3, 0.6])
-    report = aggregate_records([("a", base), ("b", twin)], {})
-    for t, point in enumerate(report.curves["qhetfed"]):
+    curves = aggregate_records([("a", base), ("b", twin)])
+    for t, point in enumerate(curves["qhetfed"]):
         assert point.train_loss_mean == base.train_loss[t]
         assert point.train_loss_std == 0.0
         assert point.test_accuracy_mean == base.test_accuracy[t]

@@ -198,6 +198,17 @@ def test_plan_inputs_must_be_positive_and_finite(bad):
         LinkComputeParams(**{**vars(LINK), "edge_cloud_time": bad})
     with pytest.raises(ValueError, match="deadline"):
         DeadlinePlan(deadline_s=bad, rounds=10, times=PhaseTimes(1.0, 0.1, 1.0))
+    plan = _plan()
+    for schedule in (optimize_schedule, grid_search_schedule):
+        with pytest.raises(ValueError, match="num_sets"):
+            schedule(plan, 1.0, bad, 60)
+        with pytest.raises(ValueError, match="num_devices"):
+            schedule(plan, 1.0, 3, bad)
+        with pytest.raises(ValueError, match="num_sets <= num_devices"):
+            schedule(plan, 1.0, 70, 60)
+        # bad - 1 is NaN, infinite or negative: q1 may be 0 but not below
+        with pytest.raises(ValueError, match="q1"):
+            schedule(plan, bad - 1.0, 3, 60)
 
 
 def test_objective_rejects_infeasible_tau():
