@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .quantizer import _is_count
+
 PREFER_HIGH_TAU = "prefer_high_tau"
 PREFER_LOW_TAU = "prefer_low_tau"
 INDIFFERENT = "indifferent"
@@ -51,13 +53,18 @@ class TheoryParams:
     devices_per_set: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        for name in ("batch", "tau", "gamma", "T"):
+            if not _is_count(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        # a bool is not a number here, though it compares like one
         for name in ("L", "delta", "sigma2", "G2", "q1", "q2"):
-            if not 0 <= getattr(self, name) < np.inf:
+            if isinstance(getattr(self, name), bool) or not 0 <= getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be non-negative and finite")
         for name in ("mu", "tau", "gamma", "T", "batch"):
-            if not 0 < getattr(self, name) < np.inf:
+            if isinstance(getattr(self, name), bool) or not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if not self.devices_per_set or any(n < 1 for n in self.devices_per_set):
+        counts = self.devices_per_set
+        if not counts or not all(map(_is_count, counts)) or any(n < 1 for n in counts):
             raise ValueError("devices_per_set must be non-empty positive integers")
 
     @property

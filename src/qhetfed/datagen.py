@@ -76,11 +76,6 @@ class PartitionScheme:
         if lo < 1 or hi < lo:
             raise ValueError("size_range must satisfy 1 <= min <= max")
 
-    @property
-    def classes_per_device(self) -> int | None:
-        """Class budget for the skewed schemes; None means unrestricted."""
-        return _CLASSES_PER_DEVICE.get(self.kind)
-
 
 def make_synthetic_dataset(
     num_classes: int,
@@ -121,8 +116,10 @@ def split_dataset(
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError("test_fraction must be in [0, 1)")
     X, y = _models.stack_batch(dataset)
-    order = rng.permutation(len(y))
     n_test = int(round(test_fraction * len(y)))
+    if n_test == len(y):
+        raise ValueError(f"test_fraction {test_fraction} leaves none of the {len(y)} rows for training")
+    order = rng.permutation(len(y))
     test, train = order[:n_test], order[n_test:]
     return (X[train], y[train]), (X[test], y[test])
 
@@ -144,7 +141,8 @@ def partition(
     by_class = [np.flatnonzero(labels == k) for k in range(num_classes)]
     present = [k for k in range(num_classes) if len(by_class[k])]
 
-    budget = scheme.classes_per_device
+    # the mixed scheme gives some of its devices the noniid1 rule
+    budget = _CLASSES_PER_DEVICE.get(NONIID1 if scheme.kind == MIXED else scheme.kind)
     if budget is not None and budget > len(present):
         raise ValueError(
             f"scheme {scheme.kind!r} needs {budget} classes per device "

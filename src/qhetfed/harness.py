@@ -1,9 +1,11 @@
 """Config-driven experiment orchestration and metrics persistence.
 
-An experiment is described by one JSON file (see ``DEFAULTS`` for the full
-key set and default values).  ``run_experiment`` builds the dataset once,
-re-partitions it per repetition, runs every requested algorithm on the same
-repetition seed (paired comparisons), and writes:
+An experiment is described by one JSON file.  ``DEFAULTS`` is its schema:
+each key takes the type of its default (an ``int`` default makes a count, a
+``float`` one any finite number), and any other value is a ``ConfigError``.
+``run_experiment`` builds the dataset once, re-partitions it per repetition,
+runs every requested algorithm on the same repetition seed (paired
+comparisons), and writes:
 
 * one CSV per run: ``<algorithm>_s<seed>_r<rep>_<cfghash>.csv``
 * ``metrics.csv``: all runs concatenated
@@ -28,14 +30,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from . import datagen, federation
 from .datagen import PartitionScheme, split_dataset
-from .federation import ALGORITHMS, FedRunConfig, Schedule, Topology
+from .federation import ALGORITHMS, FedRunConfig, RunRecord, Schedule, Topology
 from .models import ModelSpec
 from .planner import LinkComputeParams, PhaseTimes, compute_times
 from .quantizer import IDENTITY, STOCHASTIC, QuantizerSpec, identity_spec
@@ -96,7 +98,26 @@ class ConfigError(ValueError):
     """Raised for unknown keys or invalid values, with the offending key path."""
 
 
+# least value of an integer key; every other integer key is a count of at least 1.
+# hidden_width's depends on model.kind, so parse_config checks it.
+_INT_MINIMUM = {"seed": 0, "dataset.classes": 2, "model.hidden_width": None}
+
+
+def _int_value(value, path: str, minimum: int | None) -> None:
+    # bool is an int subclass, but true is not a count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{path} must be >= {minimum}")
+
+
+def _float_value(value, path: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+
+
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
+    """``user`` merged over ``defaults``; each user value is checked against its default's type."""
     out = copy.deepcopy(defaults)
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
@@ -106,21 +127,33 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
             bad = set(value) - LINK_KEYS
             if bad:
                 raise ConfigError(f"unknown configuration key: link.{sorted(bad)[0]}")
+            for name, number in value.items():
+                if not (name == "edge_cloud_time" and number is None):
+                    _float_value(number, f"link.{name}")
             out["link"] = copy.deepcopy(value)
             continue
         if key not in defaults:
             raise ConfigError(f"unknown configuration key: {here}")
-        if isinstance(defaults[key], dict):
+        default = defaults[key]
+        if isinstance(default, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{here} must be a table of keys")
-            out[key] = _merge(defaults[key], value, here)
-        else:
-            out[key] = copy.deepcopy(value)
+            out[key] = _merge(default, value, here)
+            continue
+        if isinstance(default, float):
+            _float_value(value, here)
+        elif isinstance(default, int):
+            if here == "topology.devices_per_set" and isinstance(value, list):
+                for i, n in enumerate(value):
+                    _int_value(n, f"{here}[{i}]", 1)
+            else:
+                _int_value(value, here, _INT_MINIMUM.get(here, 1))
+        out[key] = copy.deepcopy(value)
     return out
 
 
 def resolved_config(user: dict) -> dict:
-    """Merge a user config over the defaults, rejecting unknown keys."""
+    """Merge a user config over the defaults, rejecting unknown keys and values of the wrong type."""
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     if "link" in user and "runtime" in user:
@@ -152,38 +185,6 @@ class ExperimentConfig:
     raw: dict = field(repr=False)
 
 
-def _key(cfg: dict, path: str):
-    value = cfg
-    for part in path.split("."):
-        value = value[part]
-    return value
-
-
-def _int_value(value, path: str, minimum: int) -> int:
-    # bool is an int subclass, but true is not a count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}")
-    return value
-
-
-def _int_key(cfg: dict, path: str, minimum: int) -> int:
-    """The integer at dotted ``path``; any other type, bool included, or a value below ``minimum`` is a ``ConfigError``."""
-    return _int_value(_key(cfg, path), path, minimum)
-
-
-def _float_key(cfg: dict, path: str) -> float:
-    """The finite number (int or float, not bool) at dotted ``path``, as a float."""
-    return _float_value(_key(cfg, path), path)
-
-
-def _float_value(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-    return float(value)
-
-
 @contextlib.contextmanager
 def _checked(path: str):
     """Re-raise a ``ValueError`` or ``TypeError`` from building the ``path`` block as a ``ConfigError`` naming it."""
@@ -194,12 +195,12 @@ def _checked(path: str):
 
 
 def parse_config(user: dict) -> ExperimentConfig:
+    """Resolve ``user`` over the defaults and build the value types it describes."""
     cfg = resolved_config(user)
+    # resolved_config has checked every number against its default's type;
+    # the rules left here need more than one key, or more than a type
     if not isinstance(cfg["output_dir"], str) or not cfg["output_dir"]:
         raise ConfigError(f"output_dir must be a non-empty string, got {cfg['output_dir']!r}")
-    seed = _int_key(cfg, "seed", 0)
-    repeats = _int_key(cfg, "repeats", 1)
-    metric_cadence = _int_key(cfg, "metric_cadence", 1)
     algorithms = cfg["algorithms"]
     if not isinstance(algorithms, list) or not algorithms:
         raise ConfigError("algorithms must be a non-empty list")
@@ -210,72 +211,56 @@ def parse_config(user: dict) -> ExperimentConfig:
             # one run_id per (algorithm, rep): a repeat would run and count twice
             raise ConfigError(f"algorithms: {alg!r} is listed twice")
 
-    classes = _int_key(cfg, "dataset.classes", 2)
-    input_dim = _int_key(cfg, "dataset.input_dim", 1)
-    _int_key(cfg, "dataset.per_class", 1)
-    _float_key(cfg, "dataset.separation")
-    _float_key(cfg, "dataset.noise")
-    if not 0.0 <= _float_key(cfg, "dataset.test_fraction") < 1.0:
+    ds = cfg["dataset"]
+    if not 0.0 <= ds["test_fraction"] < 1.0:
         raise ConfigError("dataset.test_fraction must be in [0, 1)")
 
-    size_range = (_int_key(cfg, "partition.size_min", 1), _int_key(cfg, "partition.size_max", 1))
+    part = cfg["partition"]
     with _checked("partition"):
-        scheme = PartitionScheme(kind=cfg["partition"]["scheme"], size_range=size_range)
+        scheme = PartitionScheme(kind=part["scheme"], size_range=(part["size_min"], part["size_max"]))
 
-    num_sets = _int_key(cfg, "topology.num_sets", 1)
-    per_set = cfg["topology"]["devices_per_set"]
+    num_sets, per_set = cfg["topology"]["num_sets"], cfg["topology"]["devices_per_set"]
     if isinstance(per_set, list):
         if len(per_set) != num_sets:
             raise ConfigError("topology.devices_per_set length must equal topology.num_sets")
-        counts = tuple(_int_value(n, f"topology.devices_per_set[{i}]", 1) for i, n in enumerate(per_set))
+        topology = Topology(devices_per_set=tuple(per_set))
     else:
-        counts = (_int_key(cfg, "topology.devices_per_set", 1),) * num_sets
-    topology = Topology(devices_per_set=counts)
+        topology = Topology(devices_per_set=(per_set,) * num_sets)
 
-    kind = cfg["model"]["kind"]
-    hidden_width = _int_key(cfg, "model.hidden_width", 1 if kind == "mlp" else 0)
+    kind, hidden_width = cfg["model"]["kind"], cfg["model"]["hidden_width"]
+    least_width = 1 if kind == "mlp" else 0
+    if hidden_width < least_width:
+        raise ConfigError(f"model.hidden_width must be >= {least_width}")
     with _checked("model"):
-        model = ModelSpec(
-            kind=kind,
-            input_dim=input_dim,
-            num_classes=classes,
-            hidden_width=hidden_width if kind == "mlp" else 0,
-        )
+        model = ModelSpec(kind=kind, input_dim=ds["input_dim"], num_classes=ds["classes"],
+                          hidden_width=hidden_width if kind == "mlp" else 0)
 
-    steps = {name: _int_key(cfg, f"schedule.{name}", 1) for name in ("tau", "gamma", "rounds", "batch")}
-    mu = _float_key(cfg, "schedule.mu")
+    # float() keeps an integer rate or delay from printing as an int downstream
     with _checked("schedule"):
-        schedule = Schedule(mu=mu, **steps)
+        schedule = Schedule(**dict(cfg["schedule"], mu=float(cfg["schedule"]["mu"])))
 
-    mode = cfg["quantizers"]["mode"]
-    levels = (_int_key(cfg, "quantizers.levels_device", 1), _int_key(cfg, "quantizers.levels_edge", 1))
-    if mode == IDENTITY:
+    quantizers = cfg["quantizers"]
+    if quantizers["mode"] == IDENTITY:
         q1, q2 = identity_spec(), identity_spec()
-    elif mode == STOCHASTIC:
-        with _checked("quantizers"):
-            q1, q2 = (QuantizerSpec(levels=s, mode=STOCHASTIC) for s in levels)
+    elif quantizers["mode"] == STOCHASTIC:
+        q1, q2 = (QuantizerSpec(levels=quantizers[key], mode=STOCHASTIC) for key in ("levels_device", "levels_edge"))
     else:
         raise ConfigError(f"quantizers.mode must be '{STOCHASTIC}' or '{IDENTITY}'")
 
     if "link" in cfg:
-        for name, value in cfg["link"].items():
-            if not (name == "edge_cloud_time" and value is None):
-                _float_value(value, f"link.{name}")
-        # the raw values go on unchanged, so a valid link table keeps its config_hash
         with _checked("link"):
             times = compute_times(LinkComputeParams(**cfg["link"]))
     else:
-        delays = [_float_key(cfg, f"runtime.{name}") for name in ("t_cp", "t_de", "t_ec")]
         with _checked("runtime"):
-            times = PhaseTimes(*delays)
+            times = PhaseTimes(**{name: float(value) for name, value in cfg["runtime"].items()})
 
     return ExperimentConfig(
-        seed=seed,
-        repeats=repeats,
+        seed=cfg["seed"],
+        repeats=cfg["repeats"],
         output_dir=cfg["output_dir"],
         algorithms=list(algorithms),
-        metric_cadence=metric_cadence,
-        dataset=cfg["dataset"],
+        metric_cadence=cfg["metric_cadence"],
+        dataset=ds,
         scheme=scheme,
         topology=topology,
         model=model,
@@ -283,7 +268,7 @@ def parse_config(user: dict) -> ExperimentConfig:
         q1=q1,
         q2=q2,
         times=times,
-        init_scale=_float_key(cfg, "model.init_scale"),
+        init_scale=float(cfg["model"]["init_scale"]),
         raw=cfg,
     )
 
@@ -337,27 +322,13 @@ def _sample_std(values: list[float]) -> float:
     return float(np.std(np.asarray(values), ddof=1))
 
 
-class RunCurves(NamedTuple):
-    """What an experiment keeps of one simulation: its metric curves and how it ended.
-
-    The tables read only these fields, so a ``RunRecord`` can stand in for it.
-    """
-
-    algorithm: str
-    master_seed: int
-    train_loss: list[float]
-    test_accuracy: list[float]
-    runtime_s: list[float]
-    diverged_at: int | None
-
-
-def aggregate_records(records: list[tuple[str, RunCurves]]) -> dict[str, list[CurvePoint]]:
+def aggregate_records(records: list[tuple[str, RunRecord]]) -> dict[str, list[CurvePoint]]:
     """Mean and sample-std loss and accuracy curves per algorithm.
 
     Each point carries the iteration index and the modeled cumulative runtime
     of that iteration, so a curve can be plotted against either.
     """
-    by_alg: dict[str, dict[int, list[RunCurves]]] = {}
+    by_alg: dict[str, dict[int, list[RunRecord]]] = {}
     for _, rec in records:
         per_t = by_alg.setdefault(rec.algorithm, {})
         for t in range(len(rec.train_loss)):
@@ -387,7 +358,7 @@ def aggregate_records(records: list[tuple[str, RunCurves]]) -> dict[str, list[Cu
 RUN_COLUMNS = ("run_id", "algorithm", "t", "train_loss", "test_accuracy", "runtime_s")
 
 
-def _run_rows(run_id: str, rec: RunCurves, cadence: int) -> list[tuple]:
+def _run_rows(run_id: str, rec: RunRecord, cadence: int) -> list[tuple]:
     rows = []
     last = len(rec.train_loss)
     for t in range(1, last + 1):
@@ -430,11 +401,11 @@ def _write_json(path: str, payload) -> None:
     _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def emit_metrics(records: list[tuple[str, RunCurves]], output_dir: str,
+def emit_metrics(records: list[tuple[str, RunRecord]], output_dir: str,
                  cadence: int = 1, config_echo: dict | None = None) -> list[str]:
     """Write the combined metrics table and the aggregate, return written paths.
 
-    ``records`` is a list of (run_id, RunCurves).  An empty list still
+    ``records`` is a list of (run_id, RunRecord).  An empty list still
     produces header-only tables.
     """
     os.makedirs(output_dir, exist_ok=True)
@@ -466,37 +437,32 @@ def emit_metrics(records: list[tuple[str, RunCurves]], output_dir: str,
 # experiment driver
 
 
-def _build_run_config(cfg: ExperimentConfig, algorithm: str, rep: int,
-                      shards, test_samples) -> FedRunConfig:
+def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np.ndarray],
+             task: tuple[int, str]) -> tuple[tuple[int, str], RunRecord]:
+    rep, algorithm = task
     schedule = cfg.schedule
     if algorithm == federation.QHETFED_GAMMA1 and schedule.gamma != 1:
-        schedule = Schedule(schedule.tau, 1, schedule.mu, schedule.rounds, schedule.batch)
-    return FedRunConfig(
+        schedule = replace(schedule, gamma=1)
+    rec = federation.run(FedRunConfig(
         topology=cfg.topology,
         schedule=schedule,
         model=cfg.model,
-        shards=shards,
+        shards=partitions[rep],
         q1=cfg.q1,
         q2=cfg.q2,
         algorithm=algorithm,
         master_seed=derive_seed(cfg.seed, "run", rep),
-        test_samples=test_samples,
+        test_samples=test,
         times=cfg.times,
         init_scale=cfg.init_scale,
-    )
-
-
-def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np.ndarray],
-             task: tuple[int, str]) -> tuple[tuple[int, str], RunCurves]:
-    rep, algorithm = task
-    rec = federation.run(_build_run_config(cfg, algorithm, rep, partitions[rep], test))
-    return task, RunCurves(rec.algorithm, rec.master_seed, rec.train_loss,
-                           rec.test_accuracy, rec.runtime_s, rec.diverged_at)
+    ))
+    # the config holds every shard, which the parent already has
+    return task, replace(rec, config=None)
 
 
 # A worker's copy of the parent's (cfg, partitions, test), set by the pool
 # initializer.  The pool forks, so the shards reach the workers by
-# inheritance; only (rep, algorithm) tasks and RunCurves results are pickled.
+# inheritance; only (rep, algorithm) tasks and RunRecord results are pickled.
 _worker_inputs: tuple = ()
 
 
@@ -538,7 +504,7 @@ def _init_worker(*inputs) -> None:
     _single_blas_thread()
 
 
-def _run_in_worker(task: tuple[int, str]) -> tuple[tuple[int, str], RunCurves]:
+def _run_in_worker(task: tuple[int, str]) -> tuple[tuple[int, str], RunRecord]:
     return _run_one(*_worker_inputs, task)
 
 
@@ -555,7 +521,7 @@ def _worker_count(runs: int) -> int:
 
 @contextlib.contextmanager
 def _run_mapper(inputs: tuple, workers: int):
-    """Yield a map from tasks to ``(task, RunCurves)`` results, in the order the runs finish.
+    """Yield a map from tasks to ``(task, RunRecord)`` results, in the order the runs finish.
 
     More than one worker runs the tasks in a fork pool; one worker, or a
     platform without fork, maps the same function in this process.  A run
@@ -580,21 +546,23 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     draws from streams keyed by (seed, rep, algorithm), so the files do not
     depend on that count or on the order in which runs finish.  Each per-run
     CSV is written as soon as its run returns, so a run that raises leaves
-    the finished runs' files behind.
+    the finished runs' files behind.  Data the config rules out (no training
+    row, too few classes for the scheme) is a ``ConfigError`` before any file.
     """
     if isinstance(cfg, dict):
         cfg = parse_config(cfg)
     ds = cfg.dataset
-    # parse_config has checked every value's type and range
-    dataset = datagen.make_synthetic_dataset(
-        ds["classes"], ds["per_class"], ds["input_dim"], stream(cfg.seed, "dataset"),
-        separation=ds["separation"], noise=ds["noise"],
-    )
-    train, test = split_dataset(dataset, ds["test_fraction"], stream(cfg.seed, "split"))
-    partitions = [
-        datagen.partition(train, cfg.topology, cfg.scheme, stream(cfg.seed, "partition", rep))
-        for rep in range(cfg.repeats)
-    ]
+    with _checked("dataset"):
+        dataset = datagen.make_synthetic_dataset(
+            ds["classes"], ds["per_class"], ds["input_dim"], stream(cfg.seed, "dataset"),
+            separation=ds["separation"], noise=ds["noise"],
+        )
+        train, test = split_dataset(dataset, ds["test_fraction"], stream(cfg.seed, "split"))
+    with _checked("partition"):
+        partitions = [
+            datagen.partition(train, cfg.topology, cfg.scheme, stream(cfg.seed, "partition", rep))
+            for rep in range(cfg.repeats)
+        ]
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     chash = config_hash(cfg)
@@ -603,11 +571,11 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     by_length = sorted(tasks, key=lambda task: -federation.steps_per_round(task[1], cfg.schedule))
     run_ids = {(rep, alg): f"{alg}_s{cfg.seed}_r{rep:02d}" for rep, alg in tasks}
     run_paths = {task: os.path.join(cfg.output_dir, f"{run_id}_{chash}.csv") for task, run_id in run_ids.items()}
-    finished: dict[tuple[int, str], RunCurves] = {}
+    finished: dict[tuple[int, str], RunRecord] = {}
     with _run_mapper((cfg, partitions, test), _worker_count(len(tasks))) as run_map:
-        for task, curves in run_map(by_length):
-            _write_table(run_paths[task], RUN_COLUMNS, _run_rows(run_ids[task], curves, cfg.metric_cadence))
-            finished[task] = curves
+        for task, rec in run_map(by_length):
+            _write_table(run_paths[task], RUN_COLUMNS, _run_rows(run_ids[task], rec, cfg.metric_cadence))
+            finished[task] = rec
 
     # every table below is in (rep, algorithm) order, whatever order the runs finished in
     records = [(run_ids[task], finished[task]) for task in tasks]

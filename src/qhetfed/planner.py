@@ -17,6 +17,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .quantizer import _is_count
+
 
 class InfeasibleScheduleError(ValueError):
     """No (tau, gamma) with tau, gamma >= 1 fits inside the deadline."""
@@ -32,7 +34,8 @@ class PhaseTimes:
 
     def __post_init__(self) -> None:
         for name in ("t_cp", "t_de", "t_ec"):
-            if not 0 < getattr(self, name) < math.inf:
+            # a bool is not a delay, though it compares like one
+            if isinstance(getattr(self, name), bool) or not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
 
@@ -60,7 +63,7 @@ class LinkComputeParams:
             value = getattr(self, f.name)
             if f.name == "edge_cloud_time" and value is None:
                 continue
-            if not 0 < value < math.inf:
+            if isinstance(value, bool) or not 0 < value < math.inf:
                 raise ValueError(f"{f.name} must be positive and finite")
 
 
@@ -80,9 +83,9 @@ class DeadlinePlan:
     times: PhaseTimes
 
     def __post_init__(self) -> None:
-        if self.rounds < 1:
+        if not _is_count(self.rounds) or self.rounds < 1:
             raise ValueError("rounds must be a positive integer")
-        if not self.rounds * self.times.t_ec < self.deadline_s < math.inf:
+        if isinstance(self.deadline_s, bool) or not self.rounds * self.times.t_ec < self.deadline_s < math.inf:
             raise ValueError(
                 "deadline must be finite and leave time for computation: "
                 "need rounds * t_ec < deadline_s < inf"

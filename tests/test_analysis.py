@@ -164,3 +164,10 @@ def test_theory_params_validation():
     with pytest.raises(ValueError):
         TheoryParams(L=1, delta=1, sigma2=1, batch=1, G2=1, q1=0, q2=0,
                      mu=0.1, tau=1, gamma=1, T=1, devices_per_set=())
+    # counts take integers only, and no number takes a bool
+    base = dict(L=1, delta=1, sigma2=1, batch=1, G2=1, q1=0, q2=0,
+                mu=0.1, tau=1, gamma=1, T=1, devices_per_set=(2,))
+    for name, bad in [("devices_per_set", (2.5,)), ("devices_per_set", (2, True)), ("tau", 2.5),
+                      ("gamma", True), ("batch", 1.0), ("T", 3.0), ("mu", True), ("L", True)]:
+        with pytest.raises(ValueError, match=name):
+            TheoryParams(**{**base, name: bad})

@@ -160,6 +160,10 @@ def test_split_dataset():
     assert np.array_equal(test[1], test2[1]) and np.array_equal(test[0], test2[0])
     with pytest.raises(ValueError):
         split_dataset(ds, 1.0, stream(0, "x"))
+    # 0.99 of 100 rows rounds to 99 test rows; of 2 rows, to 2
+    assert len(split_dataset(ds, 0.99, stream(0, "x"))[0][1]) == 1
+    with pytest.raises(ValueError, match="test_fraction 0.9 leaves none of the 2 rows for training"):
+        split_dataset(make_synthetic_dataset(2, 1, 3, stream(2, "ds")), 0.9, stream(0, "x"))
 
 
 def test_iid_partition_sizes_and_diversity():
@@ -209,6 +213,16 @@ def test_mixed_partition_needs_three_sets():
     ds = make_synthetic_dataset(3, 100, 4, stream(7, "ds"))
     with pytest.raises(ValueError):
         partition(ds, Topology((2, 2)), PartitionScheme(kind="mixed"), stream(7, "mix"))
+
+
+@pytest.mark.parametrize("kind", ["noniid1", "mixed"])
+def test_class_skewed_schemes_need_two_classes(kind):
+    # mixed gives some devices the noniid1 rule, so it needs noniid1's two classes
+    X, y = make_synthetic_dataset(2, 20, 4, stream(7, "ds"))
+    one_class = (X[y == 0], y[y == 0])
+    with pytest.raises(ValueError, match=f"scheme '{kind}' needs 2 classes per device but the dataset has only 1"):
+        partition(one_class, Topology((2, 2, 2)), PartitionScheme(kind=kind), stream(7, "part"))
+    assert len(partition(one_class, Topology((2, 2, 2)), PartitionScheme(kind="noniid2"), stream(7, "part"))) == 6
 
 
 def test_global_loss_is_size_weighted():

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
 from qhetfed import federation, harness
@@ -11,7 +12,6 @@ from qhetfed.harness import (
     AGG_COLUMNS,
     ConfigError,
     RUN_COLUMNS,
-    RunCurves,
     aggregate_records,
     config_hash,
     emit_metrics,
@@ -66,13 +66,17 @@ TINY_TABLE_DIGESTS = {
 
 def make_record(algorithm, losses, accs=None, delay=2.0):
     n = len(losses)
-    return RunCurves(
+    return federation.RunRecord(
         algorithm=algorithm,
         master_seed=0,
         train_loss=list(losses),
         test_accuracy=list(accs) if accs is not None else [0.0] * n,
         runtime_s=[(t + 1) * delay for t in range(n)],
+        param_hash=["0" * 64] * n,
+        final_params=np.zeros(1),
         diverged_at=None,
+        snapshots=None,
+        config=None,
     )
 
 
@@ -248,6 +252,41 @@ def test_nested_numbers_are_checked_not_cast(user, key):
 def test_out_of_range_nested_values_are_config_errors(user, key):
     with pytest.raises(ConfigError, match=key):
         parse_config(user)
+
+
+@pytest.mark.parametrize(
+    "user, message",
+    [
+        ({"quantizers": {"levels_edge": 2.5}}, "quantizers.levels_edge must be an integer, got 2.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"dataset": {"classes": 1}}, "dataset.classes must be >= 2"),
+        ({"partition": {"size_max": 0}}, "partition.size_max must be >= 1"),
+        ({"model": {"hidden_width": -1}}, "model.hidden_width must be >= 0"),
+        ({"model": {"kind": "mlp", "hidden_width": -1}}, "model.hidden_width must be >= 1"),
+        ({"dataset": {"noise": float("inf")}}, "dataset.noise must be a finite number, got inf"),
+        ({"schedule": {"mu": "0.1"}}, "schedule.mu must be a finite number, got '0.1'"),
+        ({"schedule": {"mu": 0}}, "schedule: mu must be a finite positive number, got 0.0"),
+        ({"topology": {"num_sets": 2, "devices_per_set": [3.0, 3]}},
+         "topology.devices_per_set[0] must be an integer, got 3.0"),
+        ({"topology": {"num_sets": 2, "devices_per_set": [3, 0]}}, "topology.devices_per_set[1] must be >= 1"),
+        ({"link": dict(LINK_BLOCK, edge_cloud_time="x")}, "link.edge_cloud_time must be a finite number, got 'x'"),
+        ({"link": dict(LINK_BLOCK, noise_w=float("nan"))}, "link.noise_w must be a finite number, got nan"),
+    ],
+    ids=lambda v: json.dumps(v)[:60] if isinstance(v, dict) else "",
+)
+def test_one_fault_config_error_messages(user, message):
+    with pytest.raises(ConfigError) as exc:
+        parse_config(user)
+    assert str(exc.value) == message
+
+
+def test_resolving_a_config_checks_each_value_by_its_default():
+    with pytest.raises(ConfigError, match=r"^schedule\.tau must be an integer, got 2\.7$"):
+        resolved_config({"schedule": {"tau": 2.7}})
+    # integer delays are numbers, taken as floats
+    times = parse_config({"runtime": {"t_cp": 30, "t_de": 1, "t_ec": 2}}).times
+    assert [type(t) for t in (times.t_cp, times.t_de, times.t_ec)] == [float] * 3
 
 
 def test_number_keys_accept_ints_and_valid_configs_keep_their_hash():

@@ -185,6 +185,17 @@ def test_plan_validation():
         PhaseTimes(0.0, 0.1, 0.1)
     with pytest.raises(ValueError):
         DeadlinePlan(deadline_s=1.0, rounds=10, times=PhaseTimes(1.0, 0.1, 1.0))
+    # values are checked, not cast: a count takes an integer, and no number a bool
+    times = PhaseTimes(1.0, 0.1, 1.0)
+    for rounds in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="rounds"):
+            DeadlinePlan(deadline_s=100.0, rounds=rounds, times=times)
+    with pytest.raises(ValueError, match="deadline"):
+        DeadlinePlan(deadline_s=True, rounds=1, times=PhaseTimes(0.1, 0.1, 0.1))
+    with pytest.raises(ValueError, match="t_cp"):
+        PhaseTimes(True, 0.1, 1.0)
+    with pytest.raises(ValueError, match="power_w"):
+        LinkComputeParams(**{**vars(LINK), "power_w": True})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
