@@ -119,6 +119,10 @@ def split_dataset(
     n_test = int(round(test_fraction * len(y)))
     if n_test == len(y):
         raise ValueError(f"test_fraction {test_fraction} leaves none of the {len(y)} rows for training")
+    # 0.0 means no test set; a positive fraction that rounds to no row would report
+    # an accuracy of 0.0 as if it were measured
+    if n_test == 0 and test_fraction > 0:
+        raise ValueError(f"test_fraction {test_fraction} leaves none of the {len(y)} rows for testing")
     order = rng.permutation(len(y))
     test, train = order[:n_test], order[n_test:]
     return (X[train], y[train]), (X[test], y[test])

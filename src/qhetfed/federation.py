@@ -45,7 +45,7 @@ from .datagen import DeviceShard, global_loss
 from .models import ModelSpec
 from .planner import PhaseTimes, baseline_iteration_delay, iteration_delay
 from .quantizer import NonFiniteInputError, QuantizerSpec, _is_count, identity_spec, quantize
-from .streams import stream
+from .streams import prefetched, stream
 
 QHETFED = "qhetfed"
 HIER_LOCAL_QSGD = "hier_local_qsgd"
@@ -135,6 +135,13 @@ class FedRunConfig:
             )
         if self.initial_params is not None and len(self.initial_params) != self.model.dim:
             raise ValueError("initial_params length does not match the model dimension")
+        if self.test_samples is not None:
+            X, y = self.test_samples
+            if np.ndim(X) != 2 or np.shape(X)[1] != self.model.input_dim or len(X) != len(y):
+                raise ValueError(
+                    f"test_samples must be rows of width {self.model.input_dim} with one label each, "
+                    f"got X of shape {np.shape(X)} and {len(y)} labels"
+                )
         self._grid = _shard_grid(self.shards, self.topology)
 
 
@@ -304,30 +311,43 @@ def _phases(algorithm: str, schedule: Schedule) -> list[tuple[str, int, int]]:
     }[algorithm]
 
 
+def _stream_index(l: int, devices: np.ndarray, t: int, steps: np.ndarray) -> np.ndarray:
+    """Stream indices ``(l, n, t, k)`` for every device n in ``devices`` and every k in ``steps``."""
+    n, k = np.meshgrid(devices, steps, indexing="ij")
+    return np.stack(np.broadcast_arrays(l, n.ravel(), t, k.ravel()), axis=1)
+
+
 def _set_model(config: FedRunConfig, phases, w: np.ndarray, l: int, t: int) -> np.ndarray:
     """Model of set l after running ``phases`` of global iteration t from the cloud model ``w``."""
     mu, gamma, seed = config.schedule.mu, config.schedule.gamma, config.master_seed
     devices = config._grid[l]
-    # one shared array per set: the broadcast value every device holds
-    w_set = w.copy()
-    for kind, k, key in phases:
-        rngs = [stream(seed, "q1", l, n, t, key) for n in range(len(devices))]
-        if kind == GRAD:
-            grads = [
-                _models.gradient(config.model, w_set, _batch_view(s, config, l, n, t, k))
-                for n, s in enumerate(devices)
-            ]
-            w_set = w_set - mu * edge_aggregate_gradients(grads, config.q1, rngs)
-        else:
-            deltas = []
-            for n, s in enumerate(devices):
-                w_dev = w_set
-                for j in range(k, k + gamma):
-                    step = _models.gradient(config.model, w_dev, _batch_view(s, config, l, n, t, j))
-                    step *= mu
-                    w_dev = w_dev - step
-                deltas.append(w_dev - w_set)
-            w_set = edge_aggregate_models(deltas, w_set, config.q1, rngs)
+    # seed the batch streams of the devices that sample and the q1 streams of every
+    # upload in one pass each; every draw still comes from its own stream() call
+    sampled = np.flatnonzero([s.size > config.schedule.batch for s in devices])
+    steps = np.arange(steps_per_round(config.algorithm, config.schedule))
+    uploads = np.array([key for _, _, key in phases])
+    with prefetched(seed, "batch", _stream_index(l, sampled, t, steps)), \
+            prefetched(seed, "q1", _stream_index(l, np.arange(len(devices)), t, uploads)):
+        # one shared array per set: the broadcast value every device holds
+        w_set = w.copy()
+        for kind, k, key in phases:
+            rngs = [stream(seed, "q1", l, n, t, key) for n in range(len(devices))]
+            if kind == GRAD:
+                grads = [
+                    _models.gradient(config.model, w_set, _batch_view(s, config, l, n, t, k))
+                    for n, s in enumerate(devices)
+                ]
+                w_set = w_set - mu * edge_aggregate_gradients(grads, config.q1, rngs)
+            else:
+                deltas = []
+                for n, s in enumerate(devices):
+                    w_dev = w_set
+                    for j in range(k, k + gamma):
+                        step = _models.gradient(config.model, w_dev, _batch_view(s, config, l, n, t, j))
+                        step *= mu
+                        w_dev = w_dev - step
+                    deltas.append(w_dev - w_set)
+                w_set = edge_aggregate_models(deltas, w_set, config.q1, rngs)
     return w_set
 
 

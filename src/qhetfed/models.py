@@ -202,7 +202,9 @@ def finite_diff_gradient(spec: ModelSpec, w: np.ndarray, batch, h) -> np.ndarray
 def predict(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
     if spec.kind == QUADRATIC:
         raise ValueError("quadratic kind has no class predictions")
-    logits, _ = _forward_logits(spec, w, np.asarray(X, dtype=float))
+    X = np.asarray(X, dtype=float)
+    _check_width(spec, X)
+    logits, _ = _forward_logits(spec, w, X)
     return logits.argmax(axis=1)
 
 

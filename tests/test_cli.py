@@ -309,12 +309,14 @@ def test_run_rejects_bad_config_shape(tmp_path, capsys, monkeypatch, update, key
          "partition: the mixed scheme is defined for exactly 3 device sets"),
         ({"dataset": dict(TINY["dataset"], classes=2, per_class=1, test_fraction=0.9)},
          "dataset: test_fraction 0.9 leaves none of the 2 rows for training"),
+        ({"dataset": dict(TINY["dataset"], classes=3, per_class=20, test_fraction=0.005)},
+         "dataset: test_fraction 0.005 leaves none of the 60 rows for testing"),
         ({"dataset": dict(TINY["dataset"], classes=2, per_class=1, test_fraction=0.5),
           "partition": {"scheme": "mixed", "size_min": 5, "size_max": 10},
           "topology": {"num_sets": 3, "devices_per_set": 2}},
          "partition: scheme 'mixed' needs 2 classes per device but the dataset has only 1"),
     ],
-    ids=["mixed-two-sets", "no-training-row", "mixed-one-class"],
+    ids=["mixed-two-sets", "no-training-row", "no-test-row", "mixed-one-class"],
 )
 def test_data_the_config_rules_out_is_a_config_error(tmp_path, capsys, update, message):
     cfg = write_config(tmp_path, dict(TINY, **update))

@@ -164,6 +164,10 @@ def test_split_dataset():
     assert len(split_dataset(ds, 0.99, stream(0, "x"))[0][1]) == 1
     with pytest.raises(ValueError, match="test_fraction 0.9 leaves none of the 2 rows for training"):
         split_dataset(make_synthetic_dataset(2, 1, 3, stream(2, "ds")), 0.9, stream(0, "x"))
+    # a positive fraction that rounds to no test row is refused; 0.0 means no test set
+    with pytest.raises(ValueError, match="test_fraction 0.004 leaves none of the 100 rows for testing"):
+        split_dataset(ds, 0.004, stream(0, "x"))
+    assert len(split_dataset(ds, 0.0, stream(0, "x"))[1][1]) == 0
 
 
 def test_iid_partition_sizes_and_diversity():

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -24,7 +25,7 @@ from qhetfed.federation import (
 from qhetfed.models import LOGISTIC, MLP, ModelSpec, QUADRATIC, gradient
 from qhetfed.planner import PhaseTimes, baseline_iteration_delay, iteration_delay
 from qhetfed.quantizer import QuantizerSpec, identity_spec, quantize
-from qhetfed.streams import stream
+from qhetfed.streams import _PREFETCHED, stream
 
 
 def scalar_shard(set_index, device_index, values):
@@ -190,6 +191,16 @@ def test_config_rejects_duplicate_and_missing_shards():
 def test_config_rejects_initial_params_of_wrong_length():
     with pytest.raises(ValueError):
         quadratic_config([1], [[[1.0]]], 1, 1, 0.1, 1, initial_params=np.zeros(3))
+
+
+def test_config_rejects_test_samples_that_do_not_fit_the_model():
+    cfg = synthetic_config(QHETFED, LOGISTIC)
+    X, y = make_synthetic_dataset(3, 2, 4, stream(5, "test"))
+    assert dataclasses.replace(cfg, test_samples=(X, y)).test_samples is not None
+    # before this check, a narrow test set failed in numpy's matmul after the first round
+    for bad in [(X[:, :3], y), (X, y[:-1]), (X[0], y[:1])]:
+        with pytest.raises(ValueError, match="test_samples must be rows of width 4"):
+            dataclasses.replace(cfg, test_samples=bad)
 
 
 def test_topology_validation():
@@ -488,6 +499,20 @@ def test_divergence_guard_catches_nonfinite_gradients():
     with np.errstate(over="ignore", invalid="ignore"):
         rec = run(cfg)
     assert rec.diverged_at is not None
+    assert not _PREFETCHED
+
+
+def test_runs_leave_no_prefetched_stream_states():
+    # tau 5 diverges in a gradient round, before the q1 and batch streams of
+    # its later rounds are drawn; a finished run draws every one
+    diverging = quadratic_config(
+        [1], [[[1.0, 2.0, 3.0]]], tau=5, gamma=1, mu=1e200, rounds=50, norm_guard=float("inf"), batch=1,
+    )
+    for cfg in (diverging, synthetic_config(HIER_LOCAL_QSGD, LOGISTIC)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = run(cfg)
+        assert not _PREFETCHED
+    assert rec.diverged_at is None and len(rec.train_loss) == 4
 
 
 def test_accuracy_column_defaults_to_zero_without_test_samples():

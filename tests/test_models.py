@@ -75,6 +75,8 @@ def test_predict_and_accuracy():
     assert np.array_equal(predict(spec, w, X), y)
     assert accuracy(spec, w, (X, y)) == 1.0
     assert accuracy(spec, w, (X, np.array([0, 1]))) == 0.0
+    with pytest.raises(ValueError, match="feature width 2 does not match model input_dim 1"):
+        predict(spec, w, np.zeros((1, 2)))
 
 
 def test_quadratic_has_no_classifier_surface():

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qhetfed.streams import derive_seed, stream
+from qhetfed.streams import _PREFETCHED, _KeyedSeedSequence, _entropy_words, derive_seed, prefetched, seed_states, stream
 
 
 def test_same_label_same_sequence():
@@ -126,3 +126,65 @@ def test_derive_seed_pinned_values():
     ]
     for args, expected in table:
         assert derive_seed(*args) == expected, args
+
+
+# The bulk path: seed_states hashes the labels (purpose, *row) of an index
+# array at once, and a stream built inside ``prefetched`` takes its state.
+def _random_labels(rng, count):
+    seeds = (0, 7, 2**32 - 1, 2**32, 2**63 - 1, 2**70)
+    # strings hash to 2 words; an integer first part gives the 1-word layout
+    purposes = ("batch", "q1", "", 5, 2**32 - 1, 2**40)
+    for _ in range(count):
+        rows = rng.integers(0, 2**32, size=(3, rng.integers(0, 6)), dtype=np.uint64)
+        rows[0] = 0
+        rows[1] = 2**32 - 1
+        yield seeds[rng.integers(len(seeds))], purposes[rng.integers(len(purposes))], rows
+
+
+def test_seed_states_match_the_per_key_hash():
+    layouts = set()
+    for seed, purpose, rows in _random_labels(np.random.default_rng(3), 240):
+        states = seed_states(seed, purpose, rows)
+        for row, state in zip(rows.tolist(), states):
+            words = _entropy_words(seed, (purpose, *row))
+            layouts.add(len(words))
+            assert np.array_equal(state, _KeyedSeedSequence(words).generate_state(4, np.uint64))
+            assert np.array_equal(state, np.random.SeedSequence(words).generate_state(4, np.uint64))
+    # 1-3 seed words, 1-2 purpose words and 0-5 indices: 2 to 10 entropy words
+    assert layouts == set(range(2, 11))
+
+
+def test_prefetched_streams_equal_per_key_streams():
+    for seed, purpose, rows in _random_labels(np.random.default_rng(4), 120):
+        with prefetched(seed, purpose, rows):
+            got = [stream(seed, purpose, *row) for row in rows.tolist()]
+        for row, g in zip(rows.tolist(), got):
+            ref = stream(seed, purpose, *row)
+            assert g.bit_generator.state == ref.bit_generator.state
+            assert np.array_equal(g.integers(0, 1000, size=9), ref.integers(0, 1000, size=9))
+    assert not _PREFETCHED
+
+
+def test_seed_states_reject_what_one_word_cannot_hold():
+    for bad in ([[-1, 0]], np.array([[0, -3]], dtype=np.int64), [[0, 2**32]]):
+        with pytest.raises(ValueError):
+            seed_states(0, "batch", bad)
+    for bad in ([[0.0, 1.0]], [[1, 2.5]], [0, 1]):
+        with pytest.raises(TypeError):
+            seed_states(0, "batch", bad)
+    with pytest.raises(ValueError):
+        seed_states(-1, "batch", [[0]])
+    assert not _PREFETCHED
+
+
+def test_prefetched_drops_unused_states_on_exit():
+    rows = np.array([[0, 1], [2, 3]])
+    with prefetched(5, "q1", rows):
+        assert len(_PREFETCHED) == 2
+        stream(5, "q1", 0, 1)
+        assert list(_PREFETCHED) == [(5, "q1", 2, 3)]
+    assert not _PREFETCHED
+    with pytest.raises(RuntimeError):
+        with prefetched(5, "q1", rows):
+            raise RuntimeError("a phase failed")
+    assert not _PREFETCHED
