@@ -18,6 +18,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 
 from . import analysis, harness, planner
@@ -32,6 +33,12 @@ def _f(x: float) -> str:
 # one plan option per planner.LinkComputeParams field; link mode requires those without a default
 _LINK_FIELDS = dataclasses.fields(planner.LinkComputeParams)
 _LINK_ARGS = tuple(f.name for f in _LINK_FIELDS if f.default is dataclasses.MISSING)
+
+
+# argparse takes "-1e6" or "-inf" after an option for another option unless it
+# matches its negative-number pattern.  The plan and bounds parsers widen that
+# pattern to every float literal, so "--x -1e6" and "--x=-1e6" both reach ``_finite``.
+_FLOAT_VALUE = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
 
 
 def _finite(text: str) -> float:
@@ -227,6 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--devices-per-set", required=True,
                           help="comma-separated device counts, e.g. 20,20,20")
     p_bounds.add_argument("--gap0", type=_finite, default=1.0)
+
+    p_plan._negative_number_matcher = p_bounds._negative_number_matcher = _FLOAT_VALUE
 
     p_qt = sub.add_parser("quantizer-table", help="empirical variance factor per level count")
     p_qt.add_argument("--levels", default="1,2,4,8,16")

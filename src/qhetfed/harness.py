@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import functools
 import hashlib
 import json
 import math
@@ -519,24 +518,38 @@ def _worker_count(runs: int) -> int:
     return max(1, min(runs, _usable_cpus()))
 
 
-@contextlib.contextmanager
-def _run_mapper(inputs: tuple, workers: int):
-    """Yield a map from tasks to ``(task, RunRecord)`` results, in the order the runs finish.
+def _run_mapper(inputs: tuple, workers: int, tasks: list[tuple[int, str]]):
+    """Yield ``(task, RunRecord)`` for every task, in the order the runs finish.
 
     More than one worker runs the tasks in a fork pool; one worker, or a
-    platform without fork, maps the same function in this process.  A run
-    that raises stops the map with its own exception type.
+    platform without fork, runs them in this process.  A run that raises
+    stops the iteration with its own exception type.  A worker that dies
+    without raising (killed, ``os._exit``) breaks the pool: the finished runs
+    are yielded, then a ``ChildProcessError`` names every unfinished one.
     """
-    if workers > 1:
-        # imported here rather than with the package: it adds about 1 MB to
-        # every process that loads it, and single simulations never need it
-        import multiprocessing
+    if workers == 1 or not hasattr(os, "fork"):
+        yield from (_run_one(*inputs, task) for task in tasks)
+        return
+    # imported here rather than with the package: they add about 1 MB to
+    # every process that loads them, and single simulations never need them
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(workers, _init_worker, inputs) as pool:
-                yield functools.partial(pool.imap_unordered, _run_in_worker)
-            return
-    yield functools.partial(map, functools.partial(_run_one, *inputs))
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _init_worker, inputs)
+    lost = []
+    try:
+        futures = {pool.submit(_run_in_worker, task): task for task in tasks}
+        for future in as_completed(futures):
+            if isinstance(future.exception(), BrokenExecutor):
+                lost.append(futures[future])
+            else:
+                yield future.result()
+    finally:
+        # after a run raised, the runs not started yet are dropped and the running ones waited for
+        pool.shutdown(cancel_futures=True)
+    if lost:
+        names = ", ".join(f"{algorithm} rep {rep}" for rep, algorithm in sorted(lost))
+        raise ChildProcessError(f"a worker process died before these runs finished: {names}")
 
 
 def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
@@ -545,9 +558,11 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     The runs go to ``min(runs, usable CPUs)`` worker processes.  Every run
     draws from streams keyed by (seed, rep, algorithm), so the files do not
     depend on that count or on the order in which runs finish.  Each per-run
-    CSV is written as soon as its run returns, so a run that raises leaves
-    the finished runs' files behind.  Data the config rules out (no training
-    row, too few classes for the scheme) is a ``ConfigError`` before any file.
+    CSV is written as soon as its run returns, so a run that raises, or a
+    worker that dies (a ``ChildProcessError`` naming the unfinished runs),
+    leaves the finished runs' files behind.  Data the config rules out (no
+    training row, too few classes for the scheme) is a ``ConfigError`` before
+    any file.
     """
     if isinstance(cfg, dict):
         cfg = parse_config(cfg)
@@ -572,8 +587,8 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     run_ids = {(rep, alg): f"{alg}_s{cfg.seed}_r{rep:02d}" for rep, alg in tasks}
     run_paths = {task: os.path.join(cfg.output_dir, f"{run_id}_{chash}.csv") for task, run_id in run_ids.items()}
     finished: dict[tuple[int, str], RunRecord] = {}
-    with _run_mapper((cfg, partitions, test), _worker_count(len(tasks))) as run_map:
-        for task, rec in run_map(by_length):
+    with contextlib.closing(_run_mapper((cfg, partitions, test), _worker_count(len(tasks)), by_length)) as runs:
+        for task, rec in runs:
             _write_table(run_paths[task], RUN_COLUMNS, _run_rows(run_ids[task], rec, cfg.metric_cadence))
             finished[task] = rec
 

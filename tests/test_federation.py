@@ -25,7 +25,7 @@ from qhetfed.federation import (
 from qhetfed.models import LOGISTIC, MLP, ModelSpec, QUADRATIC, gradient
 from qhetfed.planner import PhaseTimes, baseline_iteration_delay, iteration_delay
 from qhetfed.quantizer import QuantizerSpec, identity_spec, quantize
-from qhetfed.streams import _PREFETCHED, stream
+from qhetfed.streams import stream
 
 
 def scalar_shard(set_index, device_index, values):
@@ -499,20 +499,6 @@ def test_divergence_guard_catches_nonfinite_gradients():
     with np.errstate(over="ignore", invalid="ignore"):
         rec = run(cfg)
     assert rec.diverged_at is not None
-    assert not _PREFETCHED
-
-
-def test_runs_leave_no_prefetched_stream_states():
-    # tau 5 diverges in a gradient round, before the q1 and batch streams of
-    # its later rounds are drawn; a finished run draws every one
-    diverging = quadratic_config(
-        [1], [[[1.0, 2.0, 3.0]]], tau=5, gamma=1, mu=1e200, rounds=50, norm_guard=float("inf"), batch=1,
-    )
-    for cfg in (diverging, synthetic_config(HIER_LOCAL_QSGD, LOGISTIC)):
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec = run(cfg)
-        assert not _PREFETCHED
-    assert rec.diverged_at is None and len(rec.train_loss) == 4
 
 
 def test_accuracy_column_defaults_to_zero_without_test_samples():

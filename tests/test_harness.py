@@ -1,13 +1,15 @@
+import contextlib
 import hashlib
 import json
 import multiprocessing
 import os
+import signal
 import time
 
 import numpy as np
 import pytest
 
-from qhetfed import federation, harness
+from qhetfed import cli, federation, harness
 from qhetfed.harness import (
     AGG_COLUMNS,
     ConfigError,
@@ -560,3 +562,56 @@ def test_failing_run_raises_its_own_type_and_keeps_finished_runs(tmp_path, monke
     assert kept == [name for name in per_run if not name.startswith("hier_local_qsgd_s7_r01")]
     for name in kept:
         assert (out / name).read_bytes() == (reference / name).read_bytes()
+
+
+@contextlib.contextmanager
+def _hard_timeout(seconds):
+    """Fail a block that runs longer than ``seconds``, so a hang fails the test instead of the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_fork
+@pytest.mark.parametrize("entry", ["run_experiment", "cli"])
+def test_dead_worker_fails_the_experiment_and_names_the_unfinished_runs(tmp_path, monkeypatch, capsys, entry):
+    out = tmp_path / "out"
+    real_run = federation.run
+
+    def run(config):
+        # the last run submitted dies without raising, as an OOM kill does, once another run's file exists
+        if config.algorithm == "hier_local_qsgd" and config.master_seed == derive_seed(7, "run", 1):
+            deadline = time.monotonic() + 30.0
+            while not list(out.glob("*_s7_r*.csv")) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os._exit(9)
+        return real_run(config)
+
+    monkeypatch.setattr(federation, "run", run)
+    monkeypatch.setattr(harness, "_worker_count", lambda runs: min(2, runs))
+    user = dict(TINY, output_dir=str(out))
+    with _hard_timeout(60):
+        if entry == "cli":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(user), encoding="utf-8")
+            assert cli.main(["run", "--config", str(config)]) == 1
+            message = capsys.readouterr().err
+            assert message.startswith("error: ") and message.count("\n") == 1
+        else:
+            with pytest.raises(ChildProcessError) as exc:
+                run_experiment(user)
+            message = str(exc.value)
+    tasks = {(rep, alg) for rep in range(2) for alg in ("qhetfed", "hier_local_qsgd")}
+    named = {(rep, alg) for rep, alg in tasks if f"{alg} rep {rep}" in message}
+    kept = {(rep, alg) for rep, alg in tasks if list(out.glob(f"{alg}_s7_r{rep:02d}_*.csv"))}
+    # every run either finished and kept its file or is named as unfinished
+    assert (1, "hier_local_qsgd") in named and kept
+    assert named | kept == tasks and not named & kept
+    assert not (out / "runs.json").exists()
