@@ -29,7 +29,9 @@ step) through :mod:`qhetfed.streams`, never by call order.  The batch step
 index is global within an iteration, and the oracle consumes k = 0..steps-1.
 Variants that perform the same conceptual draw therefore read the same
 stream, which is what makes the equivalence tests exact: qhetfed_gamma1's
-round tau reads the streams of qhetfed's local phase.
+round tau reads the streams of qhetfed's local phase.  A batch stream hands
+over only raw words: numpy's Lemire rule turns a set-round's words into the
+indices ``integers`` would draw, and numpy redraws each rejected key itself.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .datagen import DeviceShard, global_loss
 from .models import ModelSpec
 from .planner import PhaseTimes, baseline_iteration_delay, iteration_delay
 from .quantizer import NonFiniteInputError, QuantizerSpec, _is_count, identity_spec, quantize
-from .streams import seed_states, stream
+from .streams import integers_from_words, seed_states, stream
 
 QHETFED = "qhetfed"
 HIER_LOCAL_QSGD = "hier_local_qsgd"
@@ -253,18 +255,31 @@ def _initial_params(config: FedRunConfig) -> np.ndarray:
     return _models.init_params(config.model)
 
 
-def _batch_view(shard: DeviceShard, config: FedRunConfig, l: int, n: int, t: int, k: int, state: np.ndarray):
-    """Mini-batch arrays for step k of global iteration t on device (l, n).
+def _batch_rows(config: FedRunConfig, l: int, t: int) -> dict[int, np.ndarray]:
+    """(steps, B) batch indices of each device n of set l in iteration t; none for a full-batch device.
 
-    A batch size at or above the shard size means exact full-batch descent
-    (no randomness); otherwise indices are drawn uniformly with replacement
-    from the batch stream of that key, seeded from its ``seed_states`` entry.
+    Row k is ``integers``' draw from the batch stream of key (l, n, t, k), found from its raw words.
     """
-    B = config.schedule.batch
-    if B >= shard.size:
+    B, seed = config.schedule.batch, config.master_seed
+    steps = steps_per_round(config.algorithm, config.schedule)
+    devices = config._grid[l]
+    sampled = [n for n, s in enumerate(devices) if B < s.size]
+    if not sampled:
+        return {}
+    states = seed_states(seed, "batch", l, np.array(sampled)[:, None], t, np.arange(steps))
+    words = np.array([
+        stream(seed, "batch", l, n, t, k, state=states[i, k]).bit_generator.random_raw((B + 1) // 2)
+        for i, n in enumerate(sampled) for k in range(steps)
+    ]).reshape(len(sampled), steps, -1)
+    sizes = np.array([devices[n].size for n in sampled])[:, None]
+    return dict(zip(sampled, integers_from_words(words, sizes, B, states)))
+
+
+def _batch(shard: DeviceShard, rows: np.ndarray | None, k) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) of batch step k, or stacked over the steps of a slice k, with one ``take``; no rows: the shard."""
+    if rows is None:
         return shard.features, shard.labels
-    idx = stream(config.master_seed, "batch", l, n, t, k, state=state).integers(0, shard.size, size=B)
-    return shard.features.take(idx, axis=0), shard.labels.take(idx)
+    return shard.features.take(rows[k], axis=0), shard.labels.take(rows[k])
 
 
 def _metrics_appender(config: FedRunConfig, per_iteration_delay: float):
@@ -316,27 +331,23 @@ def _set_model(config: FedRunConfig, phases, w: np.ndarray, l: int, t: int) -> n
     """Model of set l after running ``phases`` of global iteration t from the cloud model ``w``."""
     mu, gamma, seed = config.schedule.mu, config.schedule.gamma, config.master_seed
     devices = config._grid[l]
-    # seed the batch streams of every device and the q1 streams of every upload in
-    # one pass each; every draw still comes from its own stream() call
-    dev = np.arange(len(devices))[:, None]
-    batch = seed_states(seed, "batch", l, dev, t, np.arange(steps_per_round(config.algorithm, config.schedule)))
-    q1 = seed_states(seed, "q1", l, dev, t, np.array([key for _, _, key in phases]))
+    rows = _batch_rows(config, l, t)
+    # seed the q1 streams of every upload in one pass; every draw still comes from its own stream() call
+    q1 = seed_states(seed, "q1", l, np.arange(len(devices))[:, None], t, np.array([key for _, _, key in phases]))
     # one shared array per set: the broadcast value every device holds
     w_set = w.copy()
     for i, (kind, k, key) in enumerate(phases):
         rngs = [stream(seed, "q1", l, n, t, key, state=q1[n, i]) for n in range(len(devices))]
         if kind == GRAD:
-            grads = [
-                _models.gradient(config.model, w_set, _batch_view(s, config, l, n, t, k, batch[n, k]))
-                for n, s in enumerate(devices)
-            ]
+            grads = [_models.gradient(config.model, w_set, _batch(s, rows.get(n), k)) for n, s in enumerate(devices)]
             w_set = w_set - mu * edge_aggregate_gradients(grads, config.q1, rngs)
         else:
             deltas = []
             for n, s in enumerate(devices):
                 w_dev = w_set
-                for j in range(k, k + gamma):
-                    step = _models.gradient(config.model, w_dev, _batch_view(s, config, l, n, t, j, batch[n, j]))
+                X, y = _batch(s, rows.get(n), slice(k, k + gamma))
+                for j in range(gamma):
+                    step = _models.gradient(config.model, w_dev, (X[j], y[j]) if n in rows else (X, y))
                     step *= mu
                     w_dev = w_dev - step
                 deltas.append(w_dev - w_set)

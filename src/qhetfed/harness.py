@@ -523,9 +523,11 @@ def _run_mapper(inputs: tuple, workers: int, tasks: list[tuple[int, str]]):
 
     More than one worker runs the tasks in a fork pool; one worker, or a
     platform without fork, runs them in this process.  A run that raises
-    stops the iteration with its own exception type.  A worker that dies
-    without raising (killed, ``os._exit``) breaks the pool: the finished runs
-    are yielded, then a ``ChildProcessError`` names every unfinished one.
+    stops the iteration with its own exception type; in the pool, the runs
+    not started yet are cancelled first and the running ones drained, so
+    their results are still yielded.  A worker that dies without raising
+    (killed, ``os._exit``) breaks the pool: the finished runs are yielded,
+    then a ``ChildProcessError`` names every unfinished one.
     """
     if workers == 1 or not hasattr(os, "fork"):
         yield from (_run_one(*inputs, task) for task in tasks)
@@ -533,20 +535,29 @@ def _run_mapper(inputs: tuple, workers: int, tasks: list[tuple[int, str]]):
     # imported here rather than with the package: they add about 1 MB to
     # every process that loads them, and single simulations never need them
     import multiprocessing
-    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _init_worker, inputs)
-    lost = []
+    lost, error = [], None
     try:
         futures = {pool.submit(_run_in_worker, task): task for task in tasks}
-        for future in as_completed(futures):
-            if isinstance(future.exception(), BrokenExecutor):
-                lost.append(futures[future])
-            else:
-                yield future.result()
+        pending = set(futures)
+        while pending:
+            done, pending = wait(pending, return_when=FIRST_COMPLETED)
+            for future in done:
+                exc = future.exception()
+                if exc is None:
+                    yield future.result()
+                elif isinstance(exc, BrokenExecutor):
+                    lost.append(futures[future])
+                else:
+                    error = error or exc
+                    # cancel() fails only for the runs already running: those are drained
+                    pending = {f for f in pending if not f.cancel()}
     finally:
-        # after a run raised, the runs not started yet are dropped and the running ones waited for
         pool.shutdown(cancel_futures=True)
+    if error is not None:
+        raise error
     if lost:
         names = ", ".join(f"{algorithm} rep {rep}" for rep, algorithm in sorted(lost))
         raise ChildProcessError(f"a worker process died before these runs finished: {names}")

@@ -21,6 +21,10 @@ index arrays that broadcast like numpy operands.  ``stream(seed, purpose,
 (neither re-hashed nor checked against the label): one ``stream`` call per
 key, with the same draws as the per-key path.  Such a generator cannot
 ``spawn``; nothing in qhetfed spawns.
+
+Batch indices: ``integers_from_words`` runs numpy's bounded-integer rule
+(Lemire, arXiv:1805.10941) over the first raw words of many such streams at
+once, and leaves each row it would reject to numpy's own ``integers``.
 """
 
 from __future__ import annotations
@@ -165,6 +169,29 @@ def stream(master_seed: int, *label: int | str, state: np.ndarray | None = None)
     if state is not None:
         return np.random.Generator(np.random.PCG64(_PrecomputedSeed(state)))
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy_words(master_seed, label))))
+
+
+def integers_from_words(words: np.ndarray, sizes, count: int, states: np.ndarray) -> np.ndarray:
+    """Rows of ``integers(0, size, size=count)`` of the fresh streams of ``states``, from their raw words.
+
+    ``words[i]`` is ``random_raw((count + 1) // 2)`` of the stream of ``states[i]``, and ``sizes``
+    broadcasts to ``words.shape[:-1]``.  For a size in [2, 2**32) numpy maps each 32-bit half h,
+    low half first, to ``m >> 32`` with ``m = h * size``, and rejects h when ``m mod 2**32 <
+    (2**32 - size) % size``.  Rows with a rejection or another size are drawn by ``integers`` itself.
+    """
+    sizes = np.broadcast_to(np.asarray(sizes, dtype=np.uint64), words.shape[:-1])
+    lemire = (sizes >= 2) & (sizes <= _MASK32)
+    size = np.where(lemire, sizes, 2)[..., None]
+    halves = np.empty((*words.shape[:-1], 2 * words.shape[-1]), dtype=np.uint64)
+    halves[..., 0::2] = words & _MASK32
+    halves[..., 1::2] = words >> 32
+    m = halves[..., :count] * size
+    redraw = ~lemire | ((m & _MASK32) < (2**32 - size) % size).any(axis=-1)
+    out = (m >> 32).astype(np.int64)
+    for i in zip(*np.nonzero(redraw)):
+        generator = np.random.Generator(np.random.PCG64(_PrecomputedSeed(states[i])))
+        out[i] = generator.integers(0, int(sizes[i]), size=count)
+    return out
 
 
 def derive_seed(master_seed: int, *label: int | str) -> int:

@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qhetfed import models
+from qhetfed import federation, models
 from qhetfed.datagen import NONIID1, DeviceShard, PartitionScheme, make_synthetic_dataset, partition
 from qhetfed.federation import (
     ALGORITHMS,
@@ -15,6 +15,8 @@ from qhetfed.federation import (
     QHETFED_GAMMA1,
     Schedule,
     Topology,
+    _batch,
+    _batch_rows,
     cloud_aggregate,
     edge_aggregate_gradients,
     edge_aggregate_models,
@@ -580,6 +582,58 @@ def test_trajectory_matches_pinned_digest(algorithm, kind):
     assert len(rec.param_hash) == 4 and rec.diverged_at is None
     digest = hashlib.sha256("\n".join(rec.param_hash).encode()).hexdigest()
     assert digest == PINNED_DIGESTS[algorithm, kind]
+
+
+def ragged_config(sizes, batch):
+    """Set 1 holds one device per entry of ``sizes``; feature column 1 is each row's index."""
+    shards = [DeviceShard(0, 0, (np.zeros((4, 2)), np.zeros(4, dtype=int)))]
+    for n, size in enumerate(sizes):
+        rows = np.arange(size)
+        shards.append(DeviceShard(1, n, (np.column_stack([np.full(size, n), rows]), rows % 3)))
+    return FedRunConfig(
+        topology=Topology((1, len(sizes))),
+        schedule=Schedule(tau=2, gamma=3, mu=0.1, rounds=1, batch=batch),
+        model=ModelSpec(kind=LOGISTIC, input_dim=2, num_classes=3),
+        shards=shards,
+        master_seed=23,
+    )
+
+
+@pytest.mark.parametrize("batch", [1, 7, 40])
+def test_batch_rows_are_numpys_rows_for_each_key(batch):
+    cfg = ragged_config([1, 3, 7, 8, 40, 41, 55, 100], batch)
+    steps = steps_per_round(QHETFED, cfg.schedule)
+    rows = _batch_rows(cfg, 1, 3)
+    sampled = [n for n, shard in enumerate(cfg._grid[1]) if shard.size > batch]
+    assert sorted(rows) == sampled
+    for n in sampled:
+        size = cfg._grid[1][n].size
+        want = [stream(23, "batch", 1, n, 3, k).integers(0, size, size=batch) for k in range(steps)]
+        assert np.array_equal(rows[n], want)
+
+
+def test_batch_gathers_one_step_or_a_slice_of_steps():
+    cfg = ragged_config([3, 41], 7)
+    small, large = cfg._grid[1]
+    rows = _batch_rows(cfg, 1, 0)
+    X, y = _batch(small, None, slice(2, 5))
+    assert X is small.features and y is small.labels
+    X, y = _batch(large, rows[1], slice(2, 5))
+    assert X.shape == (3, 7, 2)
+    for j, k in enumerate((2, 3, 4)):
+        # feature column 1 holds each row's index
+        assert np.array_equal(X[j, :, 1], rows[1][k]) and np.array_equal(y[j], large.labels[rows[1][k]])
+        X1, y1 = _batch(large, rows[1], k)
+        assert np.array_equal(X1, X[j]) and np.array_equal(y1, y[j])
+
+
+def test_full_batch_set_draws_nothing(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a full-batch set drew a batch stream")
+
+    monkeypatch.setattr(federation, "stream", no_draw)
+    monkeypatch.setattr(federation, "seed_states", no_draw)
+    assert _batch_rows(ragged_config([2, 5, 9], 9), 1, 0) == {}
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

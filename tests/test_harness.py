@@ -564,6 +564,38 @@ def test_failing_run_raises_its_own_type_and_keeps_finished_runs(tmp_path, monke
         assert (out / name).read_bytes() == (reference / name).read_bytes()
 
 
+@needs_fork
+def test_failing_run_drains_the_running_ones_and_keeps_their_files(tmp_path, monkeypatch):
+    reference = tmp_path / "reference"
+    run_experiment(dict(TINY, output_dir=str(reference)))
+
+    # the two qhetfed runs start first, one per worker: r00 raises once r01 is
+    # running, and r01 is still running when the parent sees the failure
+    out, started = tmp_path / "out", tmp_path / "r01-started"
+    real_run = federation.run
+
+    def run(config):
+        if config.algorithm == "qhetfed" and config.master_seed == derive_seed(7, "run", 1):
+            started.touch()
+            time.sleep(1.0)
+        elif config.algorithm == "qhetfed":
+            deadline = time.monotonic() + 30.0
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise RunFailed("qhetfed r00 failed")
+        return real_run(config)
+
+    monkeypatch.setattr(federation, "run", run)
+    monkeypatch.setattr(harness, "_worker_count", lambda runs: min(2, runs))
+    with _hard_timeout(60), pytest.raises(RunFailed, match="r00 failed"):
+        run_experiment(dict(TINY, output_dir=str(out)))
+    kept = sorted(os.listdir(out))
+    assert any(name.startswith("qhetfed_s7_r01_") for name in kept)
+    assert not any(name.startswith("qhetfed_s7_r00_") for name in kept)
+    for name in kept:
+        assert (out / name).read_bytes() == (reference / name).read_bytes()
+
+
 @contextlib.contextmanager
 def _hard_timeout(seconds):
     """Fail a block that runs longer than ``seconds``, so a hang fails the test instead of the suite."""

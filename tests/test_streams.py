@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qhetfed.streams import _entropy_words, derive_seed, seed_states, stream
+from qhetfed.streams import _entropy_words, derive_seed, integers_from_words, seed_states, stream
 
 
 def test_same_label_same_sequence():
@@ -183,3 +183,32 @@ def test_seed_states_reject_what_one_word_cannot_hold():
             seed_states(0, "batch", 1, bad)
     with pytest.raises(ValueError):
         seed_states(-1, "batch", 0)
+
+
+def _first_words(states, count):
+    """The raw words ``integers_from_words`` reads: the first (count + 1) // 2 of each fresh stream."""
+    return np.array([stream(0, state=state).bit_generator.random_raw((count + 1) // 2) for state in states])
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_integers_from_words_redraw_the_rows_numpy_rejects(count):
+    # sizes just above 2**31 reject about half of all 32-bit halves, those just below almost none
+    n = 600
+    sizes = 2**31 + np.random.default_rng(6).integers(-(2**24), 2**24, size=n)
+    states = seed_states(9, "batch", np.arange(n))
+    words = _first_words(states, count)
+    want = np.array([stream(9, "batch", i, state=states[i]).integers(0, sizes[i], size=count) for i in range(n)])
+    assert np.array_equal(integers_from_words(words, sizes, count, states), want)
+    # without the redraw, Lemire's rule on the words alone misses a large share of the rows
+    halves = words.astype("<u8").view("<u4")[:, :count].astype(np.uint64)
+    plain = (halves * sizes.astype(np.uint64)[:, None]) >> 32
+    assert 0.15 < np.mean((plain != want).any(axis=1)) < 0.85
+
+
+def test_integers_from_words_leave_sizes_outside_32_bits_to_numpy():
+    sizes = np.array([1, 2, 3, 55, 2**32 - 1, 2**32, 2**32 + 7, 2**40])
+    states = seed_states(2, "batch", np.arange(len(sizes)))
+    for count in (1, 6, 9):
+        got = integers_from_words(_first_words(states, count), sizes, count, states)
+        want = [stream(0, state=state).integers(0, size, size=count) for state, size in zip(states, sizes)]
+        assert got.dtype == np.int64 and np.array_equal(got, want)
