@@ -19,10 +19,13 @@ single-worker oracle the degenerate topologies are checked against.
 
 ``run(config)`` is the one entry point: it runs the algorithm that
 ``config.algorithm`` names.  ``run_centralized_sgd`` stays callable on its own
-for its ``steps_per_iteration`` alignment.  The three aggregation steps (edge
-gradients, edge models, cloud) are one quantized average, QSGD-style
-(Alistarh et al., arXiv:1610.02132), over one checked loop: at least one
-message, every message of the model's length, one generator per message.
+for its ``steps_per_iteration`` alignment.  Every algorithm, the oracle
+included, is one ``advance(w, t)`` step inside one loop that records each
+iterate and stops before the first diverged one.  The three aggregation
+steps (edge gradients, edge models, cloud) are one quantized average,
+QSGD-style (Alistarh et al., arXiv:1610.02132), over one checked loop: at
+least one message, every message of the model's length, one generator per
+message.
 
 Every random draw is keyed by (master seed, purpose, set, device, iteration,
 step) through :mod:`qhetfed.streams`, never by call order.  The batch step
@@ -172,10 +175,10 @@ def _shard_grid(shards: list[DeviceShard], topology: Topology) -> list[list[Devi
 class RunRecord:
     """Per-global-iteration metrics plus the configuration that produced them.
 
-    All lists have one entry per completed global iteration.  A run that trips
-    the divergence guard stops early and stores the offending iteration index
-    in ``diverged_at``; otherwise the lists have exactly ``schedule.rounds``
-    entries.
+    All lists have one entry per recorded global iteration, and ``final_params``
+    is the last recorded iterate.  A run that trips the divergence guard stops
+    before the offending iteration and stores its index in ``diverged_at``;
+    otherwise the lists have exactly ``schedule.rounds`` entries.
     """
 
     algorithm: str
@@ -188,10 +191,6 @@ class RunRecord:
     diverged_at: int | None
     snapshots: list[np.ndarray] | None
     config: FedRunConfig
-
-
-def _param_hash(w: np.ndarray) -> str:
-    return hashlib.sha256(w.tobytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -245,16 +244,6 @@ def cloud_aggregate(set_models, global_prev: np.ndarray, topology: Topology, q2_
 # engine
 
 
-def _initial_params(config: FedRunConfig) -> np.ndarray:
-    if config.initial_params is not None:
-        return np.array(config.initial_params, dtype=float)
-    if config.model.kind == _models.MLP:
-        return _models.init_params(
-            config.model, stream(config.master_seed, "init"), scale=config.init_scale
-        )
-    return _models.init_params(config.model)
-
-
 def _batch_rows(config: FedRunConfig, l: int, t: int) -> dict[int, np.ndarray]:
     """(steps, B) batch indices of each device n of set l in iteration t; none for a full-batch device.
 
@@ -280,41 +269,6 @@ def _batch(shard: DeviceShard, rows: np.ndarray | None, k) -> tuple[np.ndarray, 
     if rows is None:
         return shard.features, shard.labels
     return shard.features.take(rows[k], axis=0), shard.labels.take(rows[k])
-
-
-def _metrics_appender(config: FedRunConfig, per_iteration_delay: float):
-    record = RunRecord(
-        algorithm=config.algorithm,
-        master_seed=config.master_seed,
-        train_loss=[],
-        test_accuracy=[],
-        runtime_s=[],
-        param_hash=[],
-        final_params=np.zeros(config.model.dim),
-        diverged_at=None,
-        snapshots=[] if config.keep_snapshots else None,
-        config=config,
-    )
-
-    # an (X, y) pair is truthy even with no rows, so count its labels
-    has_test = config.test_samples is not None and len(config.test_samples[1]) > 0
-
-    def append(w: np.ndarray, t: int) -> None:
-        record.train_loss.append(global_loss(config.shards, config.model, w))
-        if has_test:
-            record.test_accuracy.append(_models.accuracy(config.model, w, config.test_samples))
-        else:
-            record.test_accuracy.append(0.0)
-        record.runtime_s.append((t + 1) * per_iteration_delay)
-        record.param_hash.append(_param_hash(w))
-        if record.snapshots is not None:
-            record.snapshots.append(w.copy())
-
-    return record, append
-
-
-def _diverged(w: np.ndarray, guard: float) -> bool:
-    return not np.all(np.isfinite(w)) or float(np.linalg.norm(w)) > guard
 
 
 def _phases(algorithm: str, schedule: Schedule) -> list[tuple[str, int, int]]:
@@ -355,33 +309,55 @@ def _set_model(config: FedRunConfig, phases, w: np.ndarray, l: int, t: int) -> n
     return w_set
 
 
-def _run_hierarchical(config: FedRunConfig) -> RunRecord:
-    """Global iterations of ``config.algorithm``: every set runs its phases, then the cloud aggregates."""
-    sched = config.schedule
-    topo = config.topology
-    phases = _phases(config.algorithm, sched)
-    delay = (baseline_iteration_delay if config.algorithm == HIER_LOCAL_QSGD else iteration_delay)(
-        sched.tau, sched.gamma, config.times
-    )
-    record, append = _metrics_appender(config, delay)
-    w = _initial_params(config)
+def _train(config: FedRunConfig, delay: float, advance) -> RunRecord:
+    """The loop every algorithm shares: ``w = advance(w, t)`` for t < rounds, each iterate recorded.
 
-    for t in range(sched.rounds):
+    It stops before the first diverged iterate (a non-finite quantizer input or
+    entry, or a norm above ``norm_guard``), whose index goes to ``diverged_at``;
+    ``final_params`` is the last recorded iterate, or the start point.
+    """
+    record = RunRecord(algorithm=config.algorithm, master_seed=config.master_seed, train_loss=[],
+                       test_accuracy=[], runtime_s=[], param_hash=[], final_params=None, diverged_at=None,
+                       snapshots=[] if config.keep_snapshots else None, config=config)
+    if config.initial_params is not None:
+        w = np.array(config.initial_params, dtype=float)
+    elif config.model.kind == _models.MLP:
+        w = _models.init_params(config.model, stream(config.master_seed, "init"), scale=config.init_scale)
+    else:
+        w = _models.init_params(config.model)
+    # an (X, y) pair is truthy even with no rows, so count its labels
+    has_test = config.test_samples is not None and len(config.test_samples[1]) > 0
+    for t in range(config.schedule.rounds):
         try:
-            set_models = [_set_model(config, phases, w, l, t) for l in range(topo.num_sets)]
-            rngs = [stream(config.master_seed, "q2", l, t) for l in range(topo.num_sets)]
-            w_next = cloud_aggregate(set_models, w, topo, config.q2, rngs)
+            w_next = advance(w, t)
         except NonFiniteInputError:
-            record.diverged_at = t
-            break
-        if _diverged(w_next, config.norm_guard):
+            w_next = None
+        if w_next is None or not np.all(np.isfinite(w_next)) or float(np.linalg.norm(w_next)) > config.norm_guard:
             record.diverged_at = t
             break
         w = w_next
-        append(w, t)
-
+        record.train_loss.append(global_loss(config.shards, config.model, w))
+        record.test_accuracy.append(_models.accuracy(config.model, w, config.test_samples) if has_test else 0.0)
+        record.runtime_s.append((t + 1) * delay)
+        record.param_hash.append(hashlib.sha256(w.tobytes()).hexdigest())
+        if record.snapshots is not None:
+            record.snapshots.append(w.copy())
     record.final_params = w
     return record
+
+
+def _run_hierarchical(config: FedRunConfig) -> RunRecord:
+    """Global iterations of ``config.algorithm``: every set runs its phases, then the cloud aggregates."""
+    sched, topo = config.schedule, config.topology
+    phases = _phases(config.algorithm, sched)
+    delay_of = baseline_iteration_delay if config.algorithm == HIER_LOCAL_QSGD else iteration_delay
+
+    def advance(w: np.ndarray, t: int) -> np.ndarray:
+        set_models = [_set_model(config, phases, w, l, t) for l in range(topo.num_sets)]
+        rngs = [stream(config.master_seed, "q2", l, t) for l in range(topo.num_sets)]
+        return cloud_aggregate(set_models, w, topo, config.q2, rngs)
+
+    return _train(config, delay_of(sched.tau, sched.gamma, config.times), advance)
 
 
 def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> RunRecord:
@@ -393,18 +369,14 @@ def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> R
     """
     if config.algorithm != CENTRALIZED_SGD:
         raise ValueError(f"a {CENTRALIZED_SGD!r} run got a {config.algorithm!r} config")
-    if steps_per_iteration < 1:
-        raise ValueError("steps_per_iteration must be positive")
-    sched = config.schedule
+    if not _is_count(steps_per_iteration) or steps_per_iteration < 1:
+        raise ValueError(f"steps_per_iteration must be a positive integer, got {steps_per_iteration!r}")
+    sched, seed = config.schedule, config.master_seed
     pooled_X = np.concatenate([s.features for row in config._grid for s in row])
     pooled_y = np.concatenate([s.labels for row in config._grid for s in row])
     pooled_size = len(pooled_y)
-    delay = steps_per_iteration * config.times.t_cp
-    record, append = _metrics_appender(config, delay)
-    w = _initial_params(config)
-    seed = config.master_seed
 
-    for t in range(sched.rounds):
+    def advance(w: np.ndarray, t: int) -> np.ndarray:
         for k in range(steps_per_iteration):
             if sched.batch >= pooled_size:
                 X, y = pooled_X, pooled_y
@@ -412,13 +384,9 @@ def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> R
                 idx = stream(seed, "batch", 0, 0, t, k).integers(0, pooled_size, size=sched.batch)
                 X, y = pooled_X[idx], pooled_y[idx]
             w = w - sched.mu * _models.gradient(config.model, w, (X, y))
-        if _diverged(w, config.norm_guard):
-            record.diverged_at = t
-            break
-        append(w, t)
+        return w
 
-    record.final_params = w
-    return record
+    return _train(config, steps_per_iteration * config.times.t_cp, advance)
 
 
 def run(config: FedRunConfig) -> RunRecord:

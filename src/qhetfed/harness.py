@@ -459,9 +459,10 @@ def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np
     return task, replace(rec, config=None)
 
 
-# A worker's copy of the parent's (cfg, partitions, test), set by the pool
-# initializer.  The pool forks, so the shards reach the workers by
-# inheritance; only (rep, algorithm) tasks and RunRecord results are pickled.
+# A worker's copy of the pool's stop event and the parent's (cfg, partitions,
+# test), set by the pool initializer.  The pool forks, so the event and the
+# shards reach the workers by inheritance; only (rep, algorithm) tasks and
+# RunRecord results are pickled.
 _worker_inputs: tuple = ()
 
 
@@ -503,8 +504,17 @@ def _init_worker(*inputs) -> None:
     _single_blas_thread()
 
 
-def _run_in_worker(task: tuple[int, str]) -> tuple[tuple[int, str], RunRecord]:
-    return _run_one(*_worker_inputs, task)
+def _run_in_worker(task: tuple[int, str]) -> tuple[tuple[int, str], RunRecord] | None:
+    """Run ``task``; once any run of the pool has raised, return None without simulating."""
+    stop, *inputs = _worker_inputs
+    if stop.is_set():
+        return None
+    try:
+        return _run_one(*inputs, task)
+    except BaseException:
+        # the parent cannot cancel the runs already in the pool's call queue, so the workers skip them
+        stop.set()
+        raise
 
 
 def _usable_cpus() -> int:
@@ -523,11 +533,11 @@ def _run_mapper(inputs: tuple, workers: int, tasks: list[tuple[int, str]]):
 
     More than one worker runs the tasks in a fork pool; one worker, or a
     platform without fork, runs them in this process.  A run that raises
-    stops the iteration with its own exception type; in the pool, the runs
-    not started yet are cancelled first and the running ones drained, so
-    their results are still yielded.  A worker that dies without raising
-    (killed, ``os._exit``) breaks the pool: the finished runs are yielded,
-    then a ``ChildProcessError`` names every unfinished one.
+    stops the iteration with its own exception type; in the pool, it first
+    sets a shared event, so no run starts after it, and the running ones are
+    drained, so their results are still yielded.  A worker that dies without
+    raising (killed, ``os._exit``) breaks the pool: the finished runs are
+    yielded, then a ``ChildProcessError`` names every unfinished one.
     """
     if workers == 1 or not hasattr(os, "fork"):
         yield from (_run_one(*inputs, task) for task in tasks)
@@ -535,25 +545,21 @@ def _run_mapper(inputs: tuple, workers: int, tasks: list[tuple[int, str]]):
     # imported here rather than with the package: they add about 1 MB to
     # every process that loads them, and single simulations never need them
     import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _init_worker, inputs)
+    context = multiprocessing.get_context("fork")
+    pool = ProcessPoolExecutor(workers, context, _init_worker, (context.Event(), *inputs))
     lost, error = [], None
     try:
         futures = {pool.submit(_run_in_worker, task): task for task in tasks}
-        pending = set(futures)
-        while pending:
-            done, pending = wait(pending, return_when=FIRST_COMPLETED)
-            for future in done:
-                exc = future.exception()
-                if exc is None:
-                    yield future.result()
-                elif isinstance(exc, BrokenExecutor):
-                    lost.append(futures[future])
-                else:
-                    error = error or exc
-                    # cancel() fails only for the runs already running: those are drained
-                    pending = {f for f in pending if not f.cancel()}
+        for future in as_completed(futures):
+            exc = future.exception()
+            if isinstance(exc, BrokenExecutor):
+                lost.append(futures[future])
+            elif exc is not None:
+                error = error or exc
+            elif future.result() is not None:
+                yield future.result()
     finally:
         pool.shutdown(cancel_futures=True)
     if error is not None:

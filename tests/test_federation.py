@@ -484,14 +484,26 @@ def test_different_seed_changes_stochastic_run():
     assert a.param_hash != b.param_hash
 
 
-def test_divergence_guard_stops_run():
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_divergence_guard_stops_run(algorithm):
     cfg = quadratic_config(
         [1], [[[1.0]]], tau=2, gamma=1, mu=5.0, rounds=50, norm_guard=100.0,
+        algorithm=algorithm, keep_snapshots=True,
     )
     rec = run(cfg)
-    assert rec.diverged_at is not None
-    assert len(rec.train_loss) == rec.diverged_at
-    assert len(rec.runtime_s) == rec.diverged_at
+    assert rec.diverged_at is not None and rec.diverged_at >= 1
+    for values in (rec.train_loss, rec.test_accuracy, rec.runtime_s, rec.param_hash, rec.snapshots):
+        assert len(values) == rec.diverged_at
+    # the diverged iterate is never handed out: the run ends on its last recorded one
+    assert np.array_equal(rec.final_params, rec.snapshots[-1])
+    assert np.linalg.norm(rec.final_params) <= cfg.norm_guard
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.5, 2.0, True, "2"])
+def test_oracle_rejects_a_step_count_that_is_not_a_positive_integer(steps):
+    cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=1, algorithm=CENTRALIZED_SGD)
+    with pytest.raises(ValueError, match="steps_per_iteration must be a positive integer"):
+        run_centralized_sgd(cfg, steps_per_iteration=steps)
 
 
 def test_divergence_guard_catches_nonfinite_gradients():

@@ -570,11 +570,14 @@ def test_failing_run_drains_the_running_ones_and_keeps_their_files(tmp_path, mon
     run_experiment(dict(TINY, output_dir=str(reference)))
 
     # the two qhetfed runs start first, one per worker: r00 raises once r01 is
-    # running, and r01 is still running when the parent sees the failure
-    out, started = tmp_path / "out", tmp_path / "r01-started"
+    # running, and r01 is still running when the parent sees the failure; the
+    # hier_local_qsgd runs are queued by then, and none of them may start
+    out, started, log = tmp_path / "out", tmp_path / "r01-started", tmp_path / "started.txt"
     real_run = federation.run
 
     def run(config):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{config.algorithm}\n")
         if config.algorithm == "qhetfed" and config.master_seed == derive_seed(7, "run", 1):
             started.touch()
             time.sleep(1.0)
@@ -589,9 +592,9 @@ def test_failing_run_drains_the_running_ones_and_keeps_their_files(tmp_path, mon
     monkeypatch.setattr(harness, "_worker_count", lambda runs: min(2, runs))
     with _hard_timeout(60), pytest.raises(RunFailed, match="r00 failed"):
         run_experiment(dict(TINY, output_dir=str(out)))
+    assert sorted(log.read_text(encoding="utf-8").split()) == ["qhetfed", "qhetfed"]
     kept = sorted(os.listdir(out))
-    assert any(name.startswith("qhetfed_s7_r01_") for name in kept)
-    assert not any(name.startswith("qhetfed_s7_r00_") for name in kept)
+    assert [name[:15] for name in kept] == ["qhetfed_s7_r01_"]
     for name in kept:
         assert (out / name).read_bytes() == (reference / name).read_bytes()
 
