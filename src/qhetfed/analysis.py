@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .quantizer import _is_count
+from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
+from .planner import check_objective_inputs
 
 PREFER_HIGH_TAU = "prefer_high_tau"
 PREFER_LOW_TAU = "prefer_low_tau"
@@ -54,18 +53,14 @@ class TheoryParams:
 
     def __post_init__(self) -> None:
         for name in ("batch", "tau", "gamma", "T"):
-            if not _is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        # a bool is not a number here, though it compares like one
+            check_count(getattr(self, name), name)
         for name in ("L", "delta", "sigma2", "G2", "q1", "q2"):
-            if isinstance(getattr(self, name), bool) or not 0 <= getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be non-negative and finite")
-        for name in ("mu", "tau", "gamma", "T", "batch"):
-            if isinstance(getattr(self, name), bool) or not 0 < getattr(self, name) < np.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        counts = self.devices_per_set
-        if not counts or not all(map(_is_count, counts)) or any(n < 1 for n in counts):
-            raise ValueError("devices_per_set must be non-empty positive integers")
+            check_number(getattr(self, name), name, NON_NEGATIVE)
+        check_number(self.mu, "mu", POSITIVE)
+        if not self.devices_per_set:
+            raise ValueError("devices_per_set must not be empty")
+        for i, n in enumerate(self.devices_per_set):
+            check_count(n, f"devices_per_set[{i}]")
 
     @property
     def C(self) -> int:
@@ -242,9 +237,9 @@ def error_gap_decomposition(p: TheoryParams) -> GapDecomposition:
     )
 
 
-def convergence_rate_bound(p: TheoryParams, T: int, gap0: float) -> float:
-    """Bound on the average squared gradient norm over T global iterations."""
-    L, mu, tau, gamma = p.L, p.mu, p.tau, p.gamma
+def convergence_rate_bound(p: TheoryParams, gap0: float) -> float:
+    """Bound on the average squared gradient norm over ``p.T`` global iterations."""
+    L, mu, tau, gamma, T = p.L, p.mu, p.tau, p.gamma, p.T
     noise = p.sigma2 / p.batch
     return (
         2.0 * gap0 / (mu * (tau + gamma) * T)
@@ -279,10 +274,10 @@ def tau_preference(q1: float, N: int, C: int) -> str:
     """Which way to trade tau against gamma at a fixed tau + gamma budget.
 
     Cheap, accurate uplinks (small q1) favor many synchronized rounds; noisy
-    uplinks favor local steps.  The threshold is q1 = N/C - 1.
+    uplinks favor local steps.  The threshold is q1 = N/C - 1, where the planner's
+    weight (C/N)(1 + q1) crosses 1, so the inputs are checked as the planner's.
     """
-    if N < 1 or C < 1:
-        raise ValueError("N and C must be positive")
+    check_objective_inputs(q1, C, N)
     threshold = N / C - 1.0
     if q1 < threshold:
         return PREFER_HIGH_TAU

@@ -168,7 +168,7 @@ def _cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     print(f"delta_local: {_f(dec.d_local)}")
     print(f"delta_het: {_f(dec.d_het)}")
     print(f"delta_total: {_f(dec.delta_total)}")
-    print(f"rate_bound: {_f(analysis.convergence_rate_bound(p, p.T, args.gap0))}")
+    print(f"rate_bound: {_f(analysis.convergence_rate_bound(p, args.gap0))}")
     print(f"tau_preference: {analysis.tau_preference(p.q1, p.N, p.C)}")
     return 0
 
@@ -178,16 +178,16 @@ def _cmd_quantizer_table(args: argparse.Namespace, parser: argparse.ArgumentPars
         levels = [int(x) for x in args.levels.split(",")]
     except ValueError:
         parser.error("--levels expects a comma-separated integer list")
-    if any(s < 1 for s in levels):
-        parser.error("levels must be >= 1")
-    print("levels,variance_factor,theory_cap")
+    # every row is computed before any is printed, so a value the library rejects prints only its error
+    rows = ["levels,variance_factor,theory_cap"]
     d = args.dim
     for s in levels:
         spec = QuantizerSpec(levels=s)
         rng = stream(args.seed, "quantizer-table", s)
         q_hat = estimate_variance_factor(spec, d, args.trials, rng)
         cap = min(d / s**2, d**0.5 / s)
-        print(f"{s},{_f(q_hat)},{_f(cap)}")
+        rows.append(f"{s},{_f(q_hat)},{_f(cap)}")
+    print("\n".join(rows))
     return 0
 
 

@@ -27,6 +27,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import models as _models
+from .checks import check_count
 from .models import ModelSpec
 
 IID = "iid"
@@ -73,8 +74,8 @@ class PartitionScheme:
         if self.kind not in SCHEMES:
             raise ValueError(f"unknown partition scheme {self.kind!r}")
         lo, hi = self.size_range
-        if lo < 1 or hi < lo:
-            raise ValueError("size_range must satisfy 1 <= min <= max")
+        check_count(lo, "size_range[0]")
+        check_count(hi, "size_range[1]", lo)
 
 
 def make_synthetic_dataset(
@@ -92,10 +93,9 @@ def make_synthetic_dataset(
     sample is its class mean plus ``noise``-scaled standard normal jitter, so
     ``separation / noise`` controls how hard the task is.
     """
-    if num_classes < 2:
-        raise ValueError("need at least 2 classes")
-    if per_class < 1:
-        raise ValueError("per_class must be positive")
+    check_count(num_classes, "num_classes", 2)
+    check_count(per_class, "per_class")
+    check_count(input_dim, "input_dim")
     directions = rng.standard_normal((num_classes, input_dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = separation * directions
@@ -242,8 +242,7 @@ def training_trajectory_probes(
     These make reasonable heterogeneity probes: they sit in the region of
     parameter space an actual run passes through.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    check_count(count, "count")
     X, y = _models.stack_batch(samples)
     w = _models.init_params(spec, rng)
     probes = [w.copy()]

@@ -40,16 +40,16 @@ indices ``integers`` would draw, and numpy redraws each rejected key itself.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import models as _models
+from .checks import POSITIVE, check_count, check_number
 from .datagen import DeviceShard, global_loss
 from .models import ModelSpec
 from .planner import PhaseTimes, baseline_iteration_delay, iteration_delay
-from .quantizer import NonFiniteInputError, QuantizerSpec, _is_count, identity_spec, quantize
+from .quantizer import NonFiniteInputError, QuantizerSpec, identity_spec, quantize
 from .streams import integers_from_words, seed_states, stream
 
 QHETFED = "qhetfed"
@@ -72,10 +72,8 @@ class Topology:
     def __post_init__(self) -> None:
         if not self.devices_per_set:
             raise ValueError("need at least one device set")
-        if not all(map(_is_count, self.devices_per_set)):
-            raise ValueError(f"device counts must be integers, got {self.devices_per_set!r}")
-        if any(n < 1 for n in self.devices_per_set):
-            raise ValueError("every set needs at least one device")
+        for i, n in enumerate(self.devices_per_set):
+            check_count(n, f"devices_per_set[{i}]")
         object.__setattr__(self, "devices_per_set", tuple(int(n) for n in self.devices_per_set))
 
     @property
@@ -98,18 +96,9 @@ class Schedule:
     batch: int
 
     def __post_init__(self) -> None:
-        if not all(map(_is_count, (self.tau, self.gamma, self.rounds, self.batch))):
-            raise ValueError("tau, gamma, rounds and batch must be integers")
-        if self.tau < 1 or self.gamma < 1:
-            raise ValueError("tau and gamma must be >= 1")
-        is_number = isinstance(self.mu, (int, float, np.integer, np.floating)) and not isinstance(self.mu, bool)
-        # written as what is valid: a NaN fails every comparison
-        if not is_number or not 0 < self.mu < math.inf:
-            raise ValueError(f"mu must be a finite positive number, got {self.mu!r}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
+        for name in ("tau", "gamma", "rounds", "batch"):
+            check_count(getattr(self, name), name)
+        check_number(self.mu, "mu", POSITIVE)
 
 
 @dataclass
@@ -369,8 +358,7 @@ def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> R
     """
     if config.algorithm != CENTRALIZED_SGD:
         raise ValueError(f"a {CENTRALIZED_SGD!r} run got a {config.algorithm!r} config")
-    if not _is_count(steps_per_iteration) or steps_per_iteration < 1:
-        raise ValueError(f"steps_per_iteration must be a positive integer, got {steps_per_iteration!r}")
+    check_count(steps_per_iteration, "steps_per_iteration")
     sched, seed = config.schedule, config.master_seed
     pooled_X = np.concatenate([s.features for row in config._grid for s in row])
     pooled_y = np.concatenate([s.labels for row in config._grid for s in row])

@@ -27,7 +27,6 @@ import contextlib
 import copy
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -35,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import datagen, federation
+from .checks import check_count, check_number
 from .datagen import PartitionScheme, split_dataset
 from .federation import ALGORITHMS, FedRunConfig, RunRecord, Schedule, Topology
 from .models import ModelSpec
@@ -102,21 +102,8 @@ class ConfigError(ValueError):
 _INT_MINIMUM = {"seed": 0, "dataset.classes": 2, "model.hidden_width": None}
 
 
-def _int_value(value, path: str, minimum: int | None) -> None:
-    # bool is an int subclass, but true is not a count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path} must be >= {minimum}")
-
-
-def _float_value(value, path: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ConfigError(f"{path} must be a finite number, got {value!r}")
-
-
 def _merge(defaults: dict, user: dict, path: str = "") -> dict:
-    """``user`` merged over ``defaults``; each user value is checked against its default's type."""
+    """``user`` merged over ``defaults``; each user value is checked by its default's type, named by its dotted key."""
     out = copy.deepcopy(defaults)
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
@@ -128,7 +115,7 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
                 raise ConfigError(f"unknown configuration key: link.{sorted(bad)[0]}")
             for name, number in value.items():
                 if not (name == "edge_cloud_time" and number is None):
-                    _float_value(number, f"link.{name}")
+                    check_number(number, f"link.{name}")
             out["link"] = copy.deepcopy(value)
             continue
         if key not in defaults:
@@ -140,13 +127,13 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
             out[key] = _merge(default, value, here)
             continue
         if isinstance(default, float):
-            _float_value(value, here)
+            check_number(value, here)
         elif isinstance(default, int):
             if here == "topology.devices_per_set" and isinstance(value, list):
                 for i, n in enumerate(value):
-                    _int_value(n, f"{here}[{i}]", 1)
+                    check_count(n, f"{here}[{i}]")
             else:
-                _int_value(value, here, _INT_MINIMUM.get(here, 1))
+                check_count(value, here, _INT_MINIMUM.get(here, 1))
         out[key] = copy.deepcopy(value)
     return out
 
@@ -157,7 +144,13 @@ def resolved_config(user: dict) -> dict:
         raise ConfigError("config root must be a JSON object")
     if "link" in user and "runtime" in user:
         raise ConfigError("give either a runtime or a link table, not both")
-    merged = _merge(DEFAULTS, user)
+    try:
+        merged = _merge(DEFAULTS, user)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # a count or number rule's message, which names the dotted key
+        raise ConfigError(str(exc)) from exc
     if "link" in merged:
         merged.pop("runtime", None)
     return merged
@@ -285,7 +278,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
     # output_dir is excluded: the hash fingerprints the experiment, not
     # where its results land, so re-runs into fresh directories compare equal
     fingerprint = {k: v for k, v in cfg.raw.items() if k != "output_dir"}
-    canon = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
+    canon = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"), default=np.generic.item)
     return hashlib.sha256(canon.encode()).hexdigest()[:8]
 
 
@@ -397,7 +390,8 @@ def _write_table(path: str, columns: tuple, rows: list[tuple]) -> None:
 
 
 def _write_json(path: str, payload) -> None:
-    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    # a config passed as a dict may hold numpy scalars, which the value rules accept: each is written as its value
+    _write_atomic(path, json.dumps(payload, sort_keys=True, indent=2, default=np.generic.item) + "\n")
 
 
 def emit_metrics(records: list[tuple[str, RunRecord]], output_dir: str,

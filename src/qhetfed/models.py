@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_count
+
 LOGISTIC = "logistic"
 MLP = "mlp"
 QUADRATIC = "quadratic"
@@ -45,12 +47,9 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be positive")
-        if self.kind in (LOGISTIC, MLP) and self.num_classes < 2:
-            raise ValueError(f"{self.kind} needs at least 2 classes")
-        if self.kind == MLP and self.hidden_width < 1:
-            raise ValueError("mlp needs hidden_width >= 1")
+        check_count(self.input_dim, "input_dim")
+        check_count(self.num_classes, "num_classes", 1 if self.kind == QUADRATIC else 2)
+        check_count(self.hidden_width, "hidden_width", 1 if self.kind == MLP else 0)
 
     @property
     def dim(self) -> int:

@@ -15,9 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import numpy as np
-
-from .quantizer import _is_count
+from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
 
 
 class InfeasibleScheduleError(ValueError):
@@ -34,9 +32,7 @@ class PhaseTimes:
 
     def __post_init__(self) -> None:
         for name in ("t_cp", "t_de", "t_ec"):
-            # a bool is not a delay, though it compares like one
-            if isinstance(getattr(self, name), bool) or not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            check_number(getattr(self, name), name, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -60,11 +56,8 @@ class LinkComputeParams:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "edge_cloud_time" and value is None:
-                continue
-            if isinstance(value, bool) or not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be positive and finite")
+            if not (f.name == "edge_cloud_time" and self.edge_cloud_time is None):
+                check_number(getattr(self, f.name), f.name, POSITIVE)
 
 
 def compute_times(lp: LinkComputeParams) -> PhaseTimes:
@@ -83,13 +76,10 @@ class DeadlinePlan:
     times: PhaseTimes
 
     def __post_init__(self) -> None:
-        if not _is_count(self.rounds) or self.rounds < 1:
-            raise ValueError("rounds must be a positive integer")
-        if isinstance(self.deadline_s, bool) or not self.rounds * self.times.t_ec < self.deadline_s < math.inf:
-            raise ValueError(
-                "deadline must be finite and leave time for computation: "
-                "need rounds * t_ec < deadline_s < inf"
-            )
+        check_count(self.rounds, "rounds")
+        check_number(self.deadline_s, "deadline_s")
+        if not self.rounds * self.times.t_ec < self.deadline_s:
+            raise ValueError("deadline_s must leave time for computation: need rounds * t_ec < deadline_s")
 
 
 def iteration_delay(tau: float, gamma: float, times: PhaseTimes) -> float:
@@ -185,13 +175,13 @@ class ScheduleChoice:
     candidates: tuple[float, ...]
 
 
-def _check_objective_inputs(q1: float, C: int, N: int) -> None:
+def check_objective_inputs(q1: float, C: int, N: int) -> None:
     """The objective's inputs: 1 <= C <= N sets and devices, and a finite q1 >= 0."""
-    # written as what is valid: a NaN fails every comparison
-    if not 1 <= C <= N < math.inf:
+    check_count(C, "num_sets")
+    check_count(N, "num_devices")
+    if C > N:
         raise ValueError(f"need 1 <= num_sets <= num_devices, got {C} sets and {N} devices")
-    if not 0 <= q1 < math.inf:
-        raise ValueError(f"q1 must be finite and >= 0, got {q1!r}")
+    check_number(q1, "q1", NON_NEGATIVE)
 
 
 def optimize_schedule(plan: DeadlinePlan, q1: float, C: int, N: int) -> ScheduleChoice:
@@ -210,7 +200,7 @@ def optimize_schedule(plan: DeadlinePlan, q1: float, C: int, N: int) -> Schedule
     worse tau than the losing boundary.  Gamma is recomputed from the
     deadline and floored, so the integer pair still meets the deadline.
     """
-    _check_objective_inputs(q1, C, N)
+    check_objective_inputs(q1, C, N)
     if gamma_from_tau(1.0, plan) < 1.0:
         raise InfeasibleScheduleError(
             "deadline too tight: even tau=1 leaves gamma < 1"
@@ -276,7 +266,7 @@ def grid_search_schedule(
     Evaluates the same deadline-pinned objective as ``objective_J``; gamma in
     the result is the real-valued deadline gamma at the winning tau.
     """
-    _check_objective_inputs(q1, C, N)
+    check_objective_inputs(q1, C, N)
     if tau_max is None:
         tau_max = math.floor(max_feasible_tau(plan))
     if tau_max < 1:

@@ -19,13 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_count
+
 STOCHASTIC = "stochastic"
 IDENTITY = "identity"
-
-
-def _is_count(n) -> bool:
-    """A Python or numpy integer; a bool or a float is not a count."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 class NonFiniteInputError(ValueError):
@@ -50,8 +47,7 @@ class QuantizerSpec:
     def __post_init__(self) -> None:
         if self.mode not in (STOCHASTIC, IDENTITY):
             raise ValueError(f"unknown quantizer mode {self.mode!r}")
-        if not _is_count(self.levels) or self.levels < 1:
-            raise ValueError(f"levels must be a positive integer, got {self.levels!r}")
+        check_count(self.levels, "levels")
 
 
 def identity_spec() -> QuantizerSpec:
@@ -117,14 +113,10 @@ def estimate_variance_factor(
     and to fall roughly like 1/s^2 at fixed dimension.
     """
     spec = levels if isinstance(levels, QuantizerSpec) else QuantizerSpec(levels=levels)
+    for name, count in (("d", d), ("trials", trials), ("probes", probes)):
+        check_count(count, name)
     if spec.mode == IDENTITY:
         return 0.0
-    if trials < 1:
-        raise ValueError("trials must be a positive integer")
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if probes < 1:
-        raise ValueError("probes must be a positive integer")
     reps = max(1, trials // probes)
     worst = 0.0
     for _ in range(probes):

@@ -11,8 +11,9 @@ Draw contract: ``stream(seed, *label)`` is numpy's own
 integer parts are kept as they are and each string part becomes the first 8
 bytes of its sha256 digest, read as a little-endian integer.  The seed and
 the non-string parts must be non-negative integers (Python or numpy); a
-float is a ``TypeError``, never truncated.  ``_entropy_words`` hands numpy
-that entropy as its 32-bit words, with the words of string parts cached.
+float or a bool is a ``TypeError``, never truncated or read as 0 or 1.
+``_entropy_words`` hands numpy that entropy as its 32-bit words, with the
+words of string parts cached.
 
 Bulk path: ``seed_states(seed, purpose, *index)`` runs numpy's pool hash
 (``mix_entropy``) and ``generate_state(4, np.uint64)`` once over integer
@@ -32,10 +33,11 @@ from __future__ import annotations
 import hashlib
 import math
 from functools import lru_cache
-from operator import index as _index
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
+
+from .checks import is_count
 
 _MASK32 = 0xFFFFFFFF
 
@@ -98,21 +100,18 @@ def _string_words(part: str) -> tuple[int, ...]:
 
 
 def _entropy_words(master_seed: int, label: tuple) -> np.ndarray:
-    # operator.index accepts Python and numpy integers and rejects floats, so
-    # stream(0, "batch", 2.7) raises instead of aliasing stream(0, "batch", 2)
-    seed = _index(master_seed)
-    if seed < 0:
-        raise ValueError("master_seed must be non-negative")
     words: list[int] = []
-    _split_words(seed, words)
-    for part in label:
-        if isinstance(part, str):
+    for i, part in enumerate((master_seed, *label)):
+        if i > 0 and isinstance(part, str):  # a label part may be a string, the seed never
             words.extend(_string_words(part))
-            continue
-        value = _index(part)
-        if value < 0:
-            raise ValueError(f"stream label parts must be non-negative, got {part}")
-        _split_words(value, words)
+        # a float or a bool is a TypeError, so stream(0, "batch", 2.7) and
+        # stream(0, "batch", True) never alias stream(0, "batch", 2) or (..., 1)
+        elif not is_count(part):
+            raise TypeError(f"stream seeds and label parts must be integers, got {part!r}")
+        elif part < 0:
+            raise ValueError(f"stream seeds and label parts must be non-negative, got {part}")
+        else:
+            _split_words(int(part), words)
     return np.array(words, dtype=np.uint32)
 
 

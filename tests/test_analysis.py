@@ -82,7 +82,7 @@ def test_decomposition_matches_floor_difference():
 
 def test_rate_bound_hand_value():
     # 2/15 + 5e-5*1.76 + 6.667e-4 + 1
-    assert abs(convergence_rate_bound(REF, 100, 1.0) - 1.13408797) < 1e-6
+    assert abs(convergence_rate_bound(REF, 1.0) - 1.13408797) < 1e-6
 
 
 def test_geometric_bound_degenerate_contraction():
@@ -146,6 +146,10 @@ def test_tau_preference_threshold():
 @pytest.mark.parametrize("name,bad", [
     ("G2", np.nan), ("q1", np.inf), ("sigma2", np.nan),
     ("mu", np.nan), ("mu", np.inf), ("T", np.inf),
+    # every count rejects what is not an integer, every number what is not a finite number
+    *[(name, bad) for name in ("batch", "tau", "gamma", "T") for bad in (2.5, 2.0, True, "2")],
+    *[("devices_per_set", (2, bad)) for bad in (2.5, 2.0, True, "2")],
+    *[(name, bad) for name in ("L", "delta", "sigma2", "G2", "q1", "q2", "mu") for bad in (True, "1", np.nan, np.inf)],
 ])
 def test_theory_params_reject_non_finite(name, bad):
     base = dict(L=1, delta=1, sigma2=1, batch=1, G2=1, q1=0, q2=0,

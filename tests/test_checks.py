@@ -1,0 +1,123 @@
+import math
+import re
+
+import numpy as np
+import pytest
+
+from qhetfed.analysis import tau_preference
+from qhetfed.checks import NON_NEGATIVE, POSITIVE, check_count, check_number, is_count
+from qhetfed.datagen import DeviceShard, PartitionScheme, make_synthetic_dataset, training_trajectory_probes
+from qhetfed.federation import CENTRALIZED_SGD, FedRunConfig, Schedule, Topology, run_centralized_sgd
+from qhetfed.harness import ConfigError, resolved_config
+from qhetfed.models import ModelSpec
+from qhetfed.planner import DeadlinePlan, LinkComputeParams, PhaseTimes, grid_search_schedule, optimize_schedule
+from qhetfed.quantizer import QuantizerSpec, estimate_variance_factor
+from qhetfed.streams import stream
+
+NOT_COUNTS = (2.5, 2.0, True, "2")
+NOT_NUMBERS = (True, "1", math.nan, math.inf)
+
+SCHEDULE = dict(tau=2, gamma=1, mu=0.1, rounds=3, batch=2)
+TIMES = dict(t_cp=1.0, t_de=0.1, t_ec=1.0)
+LINK = dict(bandwidth_hz=1e6, power_w=0.5, noise_w=1e-10, channel_gain=1e-8, cycles_per_bit=20.0,
+            cpu_hz=1e9, bits_per_local_iter=1e8, model_bits=1e6, edge_cloud_time=2.0, edge_cloud_ratio=10.0)
+PLAN = DeadlinePlan(deadline_s=15600.0, rounds=100, times=PhaseTimes(2.0, 0.2, 1.8))
+LOGISTIC = ModelSpec("logistic", 2, 2)
+SAMPLES = (np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+
+
+def _oracle(steps):
+    shards = [DeviceShard(0, 0, (np.ones((2, 1)), np.zeros(2, dtype=int)))]
+    config = FedRunConfig(Topology((1,)), Schedule(**SCHEDULE), ModelSpec("quadratic", 1), shards,
+                          algorithm=CENTRALIZED_SGD)
+    return run_centralized_sgd(config, steps)
+
+
+# entry -> (call with the value under test, the name its message gives that value)
+COUNT_FIELDS = {
+    "Topology.devices_per_set": (lambda v: Topology((3, v)), "devices_per_set"),
+    **{f"Schedule.{name}": ((lambda v, name=name: Schedule(**{**SCHEDULE, name: v})), name)
+       for name in ("tau", "gamma", "rounds", "batch")},
+    "run_centralized_sgd.steps_per_iteration": (_oracle, "steps_per_iteration"),
+    "QuantizerSpec.levels": (lambda v: QuantizerSpec(levels=v), "levels"),
+    "estimate_variance_factor.levels": (lambda v: estimate_variance_factor(v, 8, 64, stream(0, "v")), "levels"),
+    "estimate_variance_factor.d": (lambda v: estimate_variance_factor(2, v, 64, stream(0, "v")), "d"),
+    "estimate_variance_factor.trials": (lambda v: estimate_variance_factor(2, 8, v, stream(0, "v")), "trials"),
+    "estimate_variance_factor.probes": (
+        lambda v: estimate_variance_factor(2, 8, 64, stream(0, "v"), probes=v), "probes"),
+    "ModelSpec.input_dim": (lambda v: ModelSpec("logistic", v, 10), "input_dim"),
+    "ModelSpec.num_classes": (lambda v: ModelSpec("logistic", 20, v), "num_classes"),
+    "ModelSpec.hidden_width": (lambda v: ModelSpec("mlp", 20, 10, v), "hidden_width"),
+    "PartitionScheme.size_range.min": (lambda v: PartitionScheme("iid", (v, 3)), "size_range"),
+    "PartitionScheme.size_range.max": (lambda v: PartitionScheme("iid", (1, v)), "size_range"),
+    "make_synthetic_dataset.num_classes": (lambda v: make_synthetic_dataset(v, 3, 2, stream(0, "d")), "num_classes"),
+    "make_synthetic_dataset.per_class": (lambda v: make_synthetic_dataset(2, v, 2, stream(0, "d")), "per_class"),
+    "make_synthetic_dataset.input_dim": (lambda v: make_synthetic_dataset(2, 3, v, stream(0, "d")), "input_dim"),
+    "training_trajectory_probes.count": (lambda v: training_trajectory_probes(LOGISTIC, SAMPLES, count=v), "count"),
+    "DeadlinePlan.rounds": (lambda v: DeadlinePlan(15600.0, v, PhaseTimes(**TIMES)), "rounds"),
+    "optimize_schedule.C": (lambda v: optimize_schedule(PLAN, 1.0, v, 60), "num_sets"),
+    "optimize_schedule.N": (lambda v: optimize_schedule(PLAN, 1.0, 3, v), "num_devices"),
+    "grid_search_schedule.C": (lambda v: grid_search_schedule(PLAN, 1.0, v, 60), "num_sets"),
+    "grid_search_schedule.N": (lambda v: grid_search_schedule(PLAN, 1.0, 3, v), "num_devices"),
+    "tau_preference.N": (lambda v: tau_preference(1.0, v, 3), "num_devices"),
+    "tau_preference.C": (lambda v: tau_preference(1.0, 60, v), "num_sets"),
+    "resolved_config.seed": (lambda v: resolved_config({"seed": v}), "seed"),
+    "resolved_config.schedule.tau": (lambda v: resolved_config({"schedule": {"tau": v}}), "schedule.tau"),
+    "resolved_config.topology.devices_per_set": (
+        lambda v: resolved_config({"topology": {"num_sets": 2, "devices_per_set": [3, v]}}),
+        "topology.devices_per_set"),
+}
+
+NUMBER_FIELDS = {
+    "Schedule.mu": (lambda v: Schedule(**{**SCHEDULE, "mu": v}), "mu"),
+    **{f"PhaseTimes.{name}": ((lambda v, name=name: PhaseTimes(**{**TIMES, name: v})), name) for name in TIMES},
+    **{f"LinkComputeParams.{name}": ((lambda v, name=name: LinkComputeParams(**{**LINK, name: v})), name)
+       for name in LINK},
+    "DeadlinePlan.deadline_s": (lambda v: DeadlinePlan(v, 100, PhaseTimes(**TIMES)), "deadline_s"),
+    "optimize_schedule.q1": (lambda v: optimize_schedule(PLAN, v, 3, 60), "q1"),
+    "grid_search_schedule.q1": (lambda v: grid_search_schedule(PLAN, v, 3, 60), "q1"),
+    "tau_preference.q1": (lambda v: tau_preference(v, 60, 3), "q1"),
+    "resolved_config.schedule.mu": (lambda v: resolved_config({"schedule": {"mu": v}}), "schedule.mu"),
+    "resolved_config.dataset.noise": (lambda v: resolved_config({"dataset": {"noise": v}}), "dataset.noise"),
+    "resolved_config.link.power_w": (lambda v: resolved_config({"link": {**LINK, "power_w": v}}), "link.power_w"),
+}
+
+CASES = [pytest.param(entry, bad, id=f"{entry}={bad!r}") for entry in COUNT_FIELDS for bad in NOT_COUNTS]
+CASES += [pytest.param(entry, bad, id=f"{entry}={bad!r}") for entry in NUMBER_FIELDS for bad in NOT_NUMBERS]
+
+
+@pytest.mark.parametrize("entry,bad", CASES)
+def test_every_count_and_number_is_checked_by_its_rule_and_never_cast(entry, bad):
+    # TheoryParams has its own table in test_analysis
+    if entry in COUNT_FIELDS:
+        (call, field), wording = COUNT_FIELDS[entry], "an integer"
+    else:
+        (call, field), wording = NUMBER_FIELDS[entry], "a finite (positive |non-negative )?number"
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    # the message names the field (or one entry of it) in the shared wording
+    assert re.fullmatch(rf"{re.escape(field)}(\[\d\])? must be {wording}, got {re.escape(repr(bad))}", str(exc.value))
+
+
+def test_the_count_rule():
+    assert all(map(is_count, (0, -3, np.int64(2), np.uint8(1), 10**30)))
+    assert not any(map(is_count, (True, np.True_, 2.0, np.float64(2.0), "2", None)))
+    check_count(0, "seed", 0)
+    check_count(-5, "width", None)
+    with pytest.raises(ValueError, match="^seed must be >= 0$"):
+        check_count(-1, "seed", 0)
+
+
+def test_the_number_rule():
+    for value in (0, -1.5, np.float32(0.5), np.int64(3), 10**300, 1e308):
+        check_number(value, "x")
+    check_number(0.0, "x", NON_NEGATIVE)
+    for value, sign in ((0.0, POSITIVE), (-1e-300, NON_NEGATIVE), (np.float64(-2.0), POSITIVE)):
+        with pytest.raises(ValueError, match=f"^x must be a finite {sign} number, got "):
+            check_number(value, "x", sign)
+    # an int too large for a float is no number: it used to escape the config checks as an OverflowError
+    for value in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match="^x must be a finite number, got "):
+            check_number(value, "x")
+    with pytest.raises(ConfigError, match="^schedule.mu must be a finite number, got 1000"):
+        resolved_config({"schedule": {"mu": 10**400}})

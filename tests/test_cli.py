@@ -156,6 +156,7 @@ NUMERIC_COMMANDS = {
         "--tau", "12", "--gamma", "3", "--rounds", "100",
         "--devices-per-set", "20,20,20",
     ],
+    "quantizer-table": ["quantizer-table", "--levels", "1,4", "--dim", "16", "--trials", "64"],
 }
 
 
@@ -190,6 +191,10 @@ def test_non_finite_numbers_are_usage_errors(capsys, command, flag, value):
     ("plan", ["--rounds", "0"]),
     ("bounds", ["--rounds", "0"]),
     ("bounds", ["--q1", "-1"]),
+    # the quantizer's own count rule decides, before any row is printed
+    ("quantizer-table", ["--levels", "4,0"]),
+    ("quantizer-table", ["--dim", "0"]),
+    ("quantizer-table", ["--trials", "0"]),
 ])
 def test_out_of_range_numbers_exit_1_with_one_error_line(capsys, command, overrides):
     # a repeated option overrides the earlier one

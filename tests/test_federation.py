@@ -502,7 +502,7 @@ def test_divergence_guard_stops_run(algorithm):
 @pytest.mark.parametrize("steps", [0, -1, 2.5, 2.0, True, "2"])
 def test_oracle_rejects_a_step_count_that_is_not_a_positive_integer(steps):
     cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=1, algorithm=CENTRALIZED_SGD)
-    with pytest.raises(ValueError, match="steps_per_iteration must be a positive integer"):
+    with pytest.raises(ValueError, match="steps_per_iteration must be (an integer|>= 1)"):
         run_centralized_sgd(cfg, steps_per_iteration=steps)
 
 

@@ -310,6 +310,16 @@ def test_config_hash_ignores_output_dir():
     assert config_hash(a) != config_hash(c)
 
 
+def test_numpy_scalars_in_a_dict_config_are_written_as_their_values(tmp_path):
+    # the count and number rules take numpy scalars, as the library's value types do
+    schedule = TINY["schedule"]
+    numpy_cfg = parse_config({**TINY, "seed": np.int64(7), "schedule": {**schedule, "mu": np.float32(0.5)}})
+    plain_cfg = parse_config({**TINY, "seed": 7, "schedule": {**schedule, "mu": 0.5}})
+    assert config_hash(numpy_cfg) == config_hash(plain_cfg)
+    harness._write_json(str(tmp_path / "config.json"), numpy_cfg.raw)
+    assert json.loads((tmp_path / "config.json").read_text(encoding="utf-8")) == plain_cfg.raw
+
+
 # ---------------------------------------------------------------------------
 # metric tables
 

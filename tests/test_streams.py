@@ -55,6 +55,14 @@ def test_non_integer_key_part_rejected():
         stream(0, "q1", np.float64(2.0))
     with pytest.raises(TypeError):
         derive_seed(0, "run", 1.0)
+    # a bool is not an integer key either, though Python reads True as 1
+    for seed, label in [(0, ("q2", True)), (True, ("q2",)), (np.True_, ("x", 1)), (0, ("batch", np.False_))]:
+        with pytest.raises(TypeError):
+            stream(seed, *label)
+        with pytest.raises(TypeError):
+            derive_seed(seed, *label)
+    with pytest.raises(TypeError):
+        seed_states(True, "q2", 1)
     assert np.array_equal(stream(np.uint64(3), "x", np.int32(4)).random(4), stream(3, "x", 4).random(4))
 
 
