@@ -27,7 +27,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import models as _models
-from .checks import check_count
+from .checks import POSITIVE, check_count, check_number
 from .models import ModelSpec
 
 IID = "iid"
@@ -96,6 +96,8 @@ def make_synthetic_dataset(
     check_count(num_classes, "num_classes", 2)
     check_count(per_class, "per_class")
     check_count(input_dim, "input_dim")
+    check_number(separation, "separation")
+    check_number(noise, "noise")
     directions = rng.standard_normal((num_classes, input_dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = separation * directions
@@ -113,6 +115,7 @@ def split_dataset(
     dataset: tuple[np.ndarray, np.ndarray], test_fraction: float, rng: np.random.Generator
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Shuffle and split into ``(train, test)``, each an ``(X, y)`` pair."""
+    check_number(test_fraction, "test_fraction")
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError("test_fraction must be in [0, 1)")
     X, y = _models.stack_batch(dataset)
@@ -243,6 +246,8 @@ def training_trajectory_probes(
     parameter space an actual run passes through.
     """
     check_count(count, "count")
+    check_count(steps_between, "steps_between")
+    check_number(lr, "lr", POSITIVE)
     X, y = _models.stack_batch(samples)
     w = _models.init_params(spec, rng)
     probes = [w.copy()]

@@ -121,6 +121,11 @@ class FedRunConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        check_count(self.master_seed, "master_seed", 0)
+        check_number(self.init_scale, "init_scale")
+        # +inf turns the divergence guard off; a NaN would too, without a word
+        if self.norm_guard != np.inf:
+            check_number(self.norm_guard, "norm_guard", POSITIVE)
         if self.algorithm == QHETFED_GAMMA1 and self.schedule.gamma != 1:
             raise ValueError("qhetfed_gamma1 requires schedule.gamma == 1")
         if len(self.shards) != self.topology.num_devices:
@@ -292,7 +297,8 @@ def _set_model(config: FedRunConfig, phases, w: np.ndarray, l: int, t: int) -> n
                 for j in range(gamma):
                     step = _models.gradient(config.model, w_dev, (X[j], y[j]) if n in rows else (X, y))
                     step *= mu
-                    w_dev = w_dev - step
+                    # gradient returns an owned vector, so the update overwrites it: no new iterate per step
+                    w_dev = np.subtract(w_dev, step, out=step)
                 deltas.append(w_dev - w_set)
             w_set = edge_aggregate_models(deltas, w_set, config.q1, rngs)
     return w_set

@@ -19,16 +19,21 @@ builds datasets, splits and shards.
 ``gradient`` is the simulator's hot kernel.  It computes in place and writes
 each block into one fresh output vector, yet returns the same bytes as the
 formula written one numpy operation per term (kept in the tests as the
-oracle): the same gemm and reduction calls in the same order.
+oracle): the same gemm and reduction calls in the same order.  At the
+simulator's batch sizes each numpy call's fixed cost outweighs its
+arithmetic, so the kernel keeps only one thing between calls: the one-hot
+flat index base ``arange(0, n*K, K)`` of each batch shape, in a bounded
+cache of read-only arrays.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import check_count
+from .checks import POSITIVE, check_count, check_number
 
 LOGISTIC = "logistic"
 MLP = "mlp"
@@ -146,36 +151,49 @@ def gradient(spec: ModelSpec, w: np.ndarray, batch) -> np.ndarray:
     X, y = stack_batch(batch)
     _check_width(spec, X)
     n = X.shape[0]
-    if spec.kind == QUADRATIC:
+    kind, D, K = spec.kind, spec.input_dim, spec.num_classes
+    if kind == QUADRATIC:
         return w - X.mean(axis=0)
-    # logistic regression is the mlp's softmax output layer applied to X itself
-    out = np.empty(spec.dim)
-    if spec.kind == LOGISTIC:
-        W, b = _logistic_unpack(spec, w)
+    # logistic regression is the mlp's softmax output layer applied to X itself;
+    # its blocks are sliced here, not through spec.dim and _logistic_unpack,
+    # whose fixed cost is a measurable share of a small batch
+    if kind == LOGISTIC:
+        out = np.empty(K * (D + 1))
+        W, b = w[: K * D].reshape(K, D), w[K * D :]
         inputs, head = X, out
     else:
+        out = np.empty(spec.dim)
         W1, b1, W, b = _mlp_unpack(spec, w)
         inputs = np.dot(X, W1.T)
         inputs += b1
         np.tanh(inputs, out=inputs)
         head = out[W1.size + b1.size :]
-    # resid = (softmax(logits) - onehot(y)) / n, all in the logits array
+    # resid = (softmax(logits) - onehot(y)) / n, all in the logits array;
+    # the reductions take axis and keepdims positionally (axis, dtype, out, keepdims)
     resid = np.dot(inputs, W.T)
     resid += b
-    resid -= np.maximum.reduce(resid, axis=1, keepdims=True)
+    resid -= np.maximum.reduce(resid, 1, None, None, True)
     np.exp(resid, out=resid)
-    resid /= np.add.reduce(resid, axis=1, keepdims=True)
-    resid.ravel()[np.arange(0, resid.size, b.size) + y] -= 1.0
+    resid /= np.add.reduce(resid, 1, None, None, True)
+    resid.ravel()[_onehot_base(n, K) + y] -= 1.0
     resid /= n
     np.dot(resid.T, inputs, out=head[: W.size].reshape(W.shape))
-    np.add.reduce(resid, axis=0, out=head[W.size :])
-    if spec.kind == MLP:
+    np.add.reduce(resid, 0, None, head[W.size :])
+    if kind == MLP:
         back = np.dot(resid, W)
         inputs *= inputs
         back *= np.subtract(1.0, inputs, out=inputs)
         np.dot(back.T, X, out=out[: W1.size].reshape(W1.shape))
-        np.add.reduce(back, axis=0, out=out[W1.size : W1.size + b1.size])
+        np.add.reduce(back, 0, None, out[W1.size : W1.size + b1.size])
     return out
+
+
+@functools.lru_cache(maxsize=64)
+def _onehot_base(n: int, K: int) -> np.ndarray:
+    """Flat index of each row's first logit in an (n, K) array; read-only, as every caller shares it."""
+    base = np.arange(0, n * K, K)
+    base.flags.writeable = False
+    return base
 
 
 def finite_diff_gradient(spec: ModelSpec, w: np.ndarray, batch, h) -> np.ndarray:
@@ -184,9 +202,10 @@ def finite_diff_gradient(spec: ModelSpec, w: np.ndarray, batch, h) -> np.ndarray
     ``h`` may be a scalar or a per-coordinate array (e.g. scaled by |w_i|).
     """
     w = np.asarray(w, dtype=float)
+    # every step by the number rule: a NaN compares false with 0, so a sign test alone would pass it
+    for step in (h,) if np.ndim(h) == 0 else np.ravel(h):
+        check_number(step, "h", POSITIVE)
     steps = np.broadcast_to(np.asarray(h, dtype=float), w.shape)
-    if np.any(steps <= 0):
-        raise ValueError("h must be positive")
     X, y = stack_batch(batch)
     out = np.empty_like(w)
     for i in range(w.size):

@@ -269,6 +269,8 @@ def grid_search_schedule(
     check_objective_inputs(q1, C, N)
     if tau_max is None:
         tau_max = math.floor(max_feasible_tau(plan))
+    # no minimum: a tau_max below 1 is an infeasible search, reported as such below
+    check_count(tau_max, "tau_max", None)
     if tau_max < 1:
         raise InfeasibleScheduleError("no integer tau with gamma >= 1 fits the deadline")
     best_tau = None

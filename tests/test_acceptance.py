@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from qhetfed import analysis, planner
 from qhetfed.datagen import (
@@ -316,6 +317,7 @@ def test_criterion_07_planner_correctness():
     assert 100 * delay <= 15600.0 + 1e-9
 
 
+@pytest.mark.slow
 def test_criterion_08_quantization_direction_flip():
     # fixed step budget tau + gamma = 20: with a moderate device quantizer
     # (variance factor near 5, well below the flip threshold N / C - 1 = 19)
@@ -361,6 +363,7 @@ def test_criterion_08_quantization_direction_flip():
     assert time.monotonic() - started < 900.0
 
 
+@pytest.mark.slow
 def test_criterion_09_heterogeneity_robustness():
     # matched wall-clock budget: each algorithm gets as many global
     # iterations as fit the same modeled time under its own delay formula

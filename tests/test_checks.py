@@ -6,10 +6,11 @@ import pytest
 
 from qhetfed.analysis import tau_preference
 from qhetfed.checks import NON_NEGATIVE, POSITIVE, check_count, check_number, is_count
-from qhetfed.datagen import DeviceShard, PartitionScheme, make_synthetic_dataset, training_trajectory_probes
+from qhetfed.datagen import (DeviceShard, PartitionScheme, make_synthetic_dataset, split_dataset,
+                             training_trajectory_probes)
 from qhetfed.federation import CENTRALIZED_SGD, FedRunConfig, Schedule, Topology, run_centralized_sgd
 from qhetfed.harness import ConfigError, resolved_config
-from qhetfed.models import ModelSpec
+from qhetfed.models import ModelSpec, finite_diff_gradient
 from qhetfed.planner import DeadlinePlan, LinkComputeParams, PhaseTimes, grid_search_schedule, optimize_schedule
 from qhetfed.quantizer import QuantizerSpec, estimate_variance_factor
 from qhetfed.streams import stream
@@ -26,11 +27,13 @@ LOGISTIC = ModelSpec("logistic", 2, 2)
 SAMPLES = (np.zeros((4, 2)), np.array([0, 1, 0, 1]))
 
 
-def _oracle(steps):
+def _config(**fields):
     shards = [DeviceShard(0, 0, (np.ones((2, 1)), np.zeros(2, dtype=int)))]
-    config = FedRunConfig(Topology((1,)), Schedule(**SCHEDULE), ModelSpec("quadratic", 1), shards,
-                          algorithm=CENTRALIZED_SGD)
-    return run_centralized_sgd(config, steps)
+    return FedRunConfig(Topology((1,)), Schedule(**SCHEDULE), ModelSpec("quadratic", 1), shards, **fields)
+
+
+def _oracle(steps):
+    return run_centralized_sgd(_config(algorithm=CENTRALIZED_SGD), steps)
 
 
 # entry -> (call with the value under test, the name its message gives that value)
@@ -54,11 +57,15 @@ COUNT_FIELDS = {
     "make_synthetic_dataset.per_class": (lambda v: make_synthetic_dataset(2, v, 2, stream(0, "d")), "per_class"),
     "make_synthetic_dataset.input_dim": (lambda v: make_synthetic_dataset(2, 3, v, stream(0, "d")), "input_dim"),
     "training_trajectory_probes.count": (lambda v: training_trajectory_probes(LOGISTIC, SAMPLES, count=v), "count"),
+    "training_trajectory_probes.steps_between": (
+        lambda v: training_trajectory_probes(LOGISTIC, SAMPLES, steps_between=v), "steps_between"),
+    "FedRunConfig.master_seed": (lambda v: _config(master_seed=v), "master_seed"),
     "DeadlinePlan.rounds": (lambda v: DeadlinePlan(15600.0, v, PhaseTimes(**TIMES)), "rounds"),
     "optimize_schedule.C": (lambda v: optimize_schedule(PLAN, 1.0, v, 60), "num_sets"),
     "optimize_schedule.N": (lambda v: optimize_schedule(PLAN, 1.0, 3, v), "num_devices"),
     "grid_search_schedule.C": (lambda v: grid_search_schedule(PLAN, 1.0, v, 60), "num_sets"),
     "grid_search_schedule.N": (lambda v: grid_search_schedule(PLAN, 1.0, 3, v), "num_devices"),
+    "grid_search_schedule.tau_max": (lambda v: grid_search_schedule(PLAN, 1.0, 3, 60, tau_max=v), "tau_max"),
     "tau_preference.N": (lambda v: tau_preference(1.0, v, 3), "num_devices"),
     "tau_preference.C": (lambda v: tau_preference(1.0, 60, v), "num_sets"),
     "resolved_config.seed": (lambda v: resolved_config({"seed": v}), "seed"),
@@ -77,6 +84,13 @@ NUMBER_FIELDS = {
     "optimize_schedule.q1": (lambda v: optimize_schedule(PLAN, v, 3, 60), "q1"),
     "grid_search_schedule.q1": (lambda v: grid_search_schedule(PLAN, v, 3, 60), "q1"),
     "tau_preference.q1": (lambda v: tau_preference(v, 60, 3), "q1"),
+    "FedRunConfig.init_scale": (lambda v: _config(init_scale=v), "init_scale"),
+    "split_dataset.test_fraction": (lambda v: split_dataset(SAMPLES, v, stream(0, "s")), "test_fraction"),
+    "make_synthetic_dataset.separation": (
+        lambda v: make_synthetic_dataset(2, 3, 2, stream(0, "d"), separation=v), "separation"),
+    "make_synthetic_dataset.noise": (lambda v: make_synthetic_dataset(2, 3, 2, stream(0, "d"), noise=v), "noise"),
+    "training_trajectory_probes.lr": (lambda v: training_trajectory_probes(LOGISTIC, SAMPLES, lr=v), "lr"),
+    "finite_diff_gradient.h": (lambda v: finite_diff_gradient(ModelSpec("quadratic", 2), np.zeros(2), SAMPLES, v), "h"),
     "resolved_config.schedule.mu": (lambda v: resolved_config({"schedule": {"mu": v}}), "schedule.mu"),
     "resolved_config.dataset.noise": (lambda v: resolved_config({"dataset": {"noise": v}}), "dataset.noise"),
     "resolved_config.link.power_w": (lambda v: resolved_config({"link": {**LINK, "power_w": v}}), "link.power_w"),
@@ -97,6 +111,31 @@ def test_every_count_and_number_is_checked_by_its_rule_and_never_cast(entry, bad
         call(bad)
     # the message names the field (or one entry of it) in the shared wording
     assert re.fullmatch(rf"{re.escape(field)}(\[\d\])? must be {wording}, got {re.escape(repr(bad))}", str(exc.value))
+
+
+# values the tables above cannot state: a count's minimum, a guard that allows +inf, a False fraction
+BOUNDARY_CASES = {
+    "FedRunConfig.master_seed=-1": (lambda: _config(master_seed=-1), "master_seed must be >= 0"),
+    "FedRunConfig.norm_guard=nan": (lambda: _config(norm_guard=math.nan),
+                                    "norm_guard must be a finite positive number, got nan"),
+    "FedRunConfig.norm_guard=True": (lambda: _config(norm_guard=True),
+                                     "norm_guard must be a finite positive number, got True"),
+    "FedRunConfig.norm_guard=0.0": (lambda: _config(norm_guard=0.0),
+                                    "norm_guard must be a finite positive number, got 0.0"),
+    "split_dataset.test_fraction=False": (lambda: split_dataset(SAMPLES, False, stream(0, "s")),
+                                          "test_fraction must be a finite number, got False"),
+    "finite_diff_gradient.h=[1e-6, nan]": (
+        lambda: finite_diff_gradient(ModelSpec("quadratic", 2), np.zeros(2), SAMPLES, [1e-6, math.nan]),
+        f"h must be a finite positive number, got {np.float64(math.nan)!r}"),
+}
+
+
+@pytest.mark.parametrize("case", BOUNDARY_CASES)
+def test_boundary_values_are_checked_by_their_rule(case):
+    call, message = BOUNDARY_CASES[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_the_count_rule():

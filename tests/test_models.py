@@ -211,3 +211,19 @@ def test_gradient_returns_fresh_owned_vector(kind, hidden):
     assert not np.shares_memory(g, w) and not np.shares_memory(g, X)
     g *= 2.0
     assert np.array_equal(w, w_before) and np.array_equal(X, X_before)
+
+
+@pytest.mark.parametrize("kind,hidden", [("logistic", 0), ("mlp", 6)])
+def test_gradient_reuses_its_onehot_index_cache_across_batch_sizes(kind, hidden):
+    # revisiting a batch size reads the cached index base of that shape, never another's
+    spec = ModelSpec(kind=kind, input_dim=7, num_classes=4, hidden_width=hidden)
+    rng = stream(14, "onehot-cache", kind)
+    w = rng.standard_normal(spec.dim)
+    for B in (5, 40, 5, 1, 40):
+        X = rng.normal(size=(B, 7))
+        y = rng.integers(0, 4, size=B)
+        assert gradient(spec, w, (X, y)).tobytes() == _reference_gradient(spec, w, (X, y)).tobytes(), B
+    base = models._onehot_base(5, 4)
+    assert np.array_equal(base, np.arange(0, 20, 4))
+    with pytest.raises(ValueError, match="read-only"):
+        base[0] = 1
