@@ -251,25 +251,6 @@ def convergence_rate_bound(p: TheoryParams, gap0: float) -> float:
     )
 
 
-def single_set_gap_bound(p: TheoryParams, gap0: float) -> GapBound:
-    """Specialized bound for one device set with an exact edge-to-cloud link.
-
-    Only valid at C = 1 and q2 = 0; written out independently so the general
-    calculator can be cross-checked against it.
-    """
-    if p.C != 1 or p.q2 != 0.0:
-        raise ValueError("specialized bound requires C == 1 and q2 == 0")
-    L, mu, tau, gamma = p.L, p.mu, p.tau, p.gamma
-    noise = p.sigma2 / p.batch
-    e = (L * mu**2 / 2.0) * noise * (
-        (L * mu / p.N) * (1.0 + p.q1) * tau * ((tau - 1) / 2.0 + gamma)
-        + L * mu * gamma * (gamma - 1) / 2.0
-        + (1.0 / p.N) * (tau + gamma) * (1.0 + p.q1)
-    ) + mu * (tau + gamma) * p.G2 / 2.0
-    c = 1.0 - mu * (tau + gamma) * p.delta
-    return GapBound(c=c, e=e, bound=_geometric_bound(c, e, gap0, p.T), contractive=abs(c) < 1.0)
-
-
 def tau_preference(q1: float, N: int, C: int) -> str:
     """Which way to trade tau against gamma at a fixed tau + gamma budget.
 

@@ -1,4 +1,4 @@
-"""Synthetic classification data, device partitioning schemes, and heterogeneity.
+"""Synthetic classification data and device partitioning schemes.
 
 Data lives in stacked arrays: a dataset, each half of a split and each
 device shard is an ``(X, y)`` pair of a float feature matrix and an int label
@@ -12,12 +12,6 @@ The partition schemes control how class-skewed each device's shard is:
 * ``mixed``   -- requires exactly 3 device sets: set 0 is iid, set 1 is
   noniid1, and in set 2 the first half of the devices are iid while the rest
   follow noniid1.
-
-Heterogeneity is summarized by the largest squared deviation of a device's
-full-shard gradient from the global gradient over a set of probe parameter
-points.  Since a supremum over all of parameter space cannot be computed, the
-estimate is a lower bound; probe points taken along a short training
-trajectory cover the region a run actually visits.
 """
 
 from __future__ import annotations
@@ -27,7 +21,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import models as _models
-from .checks import POSITIVE, check_count, check_number
+from .checks import check_count, check_number
 from .models import ModelSpec
 
 IID = "iid"
@@ -55,14 +49,42 @@ class DeviceShard:
     labels: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, samples: tuple[np.ndarray, np.ndarray]) -> None:
-        # stack_batch rejects an empty shard
-        self.features, self.labels = _models.stack_batch(samples)
+        check_count(self.set_index, "set_index", 0)
+        check_count(self.device_index, "device_index", 0)
+        # _stack_samples rejects an empty shard
+        self.features, self.labels = _stack_samples(samples)
         if len(self.labels) != len(self.features):
             raise ValueError(f"{len(self.features)} feature rows but {len(self.labels)} labels")
 
     @property
     def size(self) -> int:
         return len(self.labels)
+
+
+def _integer_labels(labels, name: str) -> np.ndarray:
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {labels.dtype} labels")
+    return labels
+
+
+def _stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
+    """``models.stack_batch`` for data entering the package: labels must be integers, never cast."""
+    return _models.stack_batch((samples[0], _integer_labels(samples[1], "labels")))
+
+
+def check_samples(samples, name: str, num_classes: int | None) -> None:
+    """Features must be finite and, unless ``num_classes`` is None, labels integers in 0..num_classes-1."""
+    X = np.asarray(samples[0], dtype=float)
+    finite = np.isfinite(X)
+    if not finite.all():
+        raise ValueError(f"{name} features must be finite numbers, got {float(X[~finite][0])!r}")
+    if num_classes is None or len(samples[1]) == 0:
+        return
+    y = _integer_labels(samples[1], f"{name} labels")
+    lo, hi = y.min(), y.max()
+    if lo < 0 or hi >= num_classes:
+        raise ValueError(f"{name} labels must be in 0..{num_classes - 1}, got {int(lo if lo < 0 else hi)}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +140,7 @@ def split_dataset(
     check_number(test_fraction, "test_fraction")
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError("test_fraction must be in [0, 1)")
-    X, y = _models.stack_batch(dataset)
+    X, y = _stack_samples(dataset)
     n_test = int(round(test_fraction * len(y)))
     if n_test == len(y):
         raise ValueError(f"test_fraction {test_fraction} leaves none of the {len(y)} rows for training")
@@ -143,7 +165,7 @@ def partition(
     pool is smaller than the drawn shard size, sampling falls back to
     with-replacement.
     """
-    X, labels = _models.stack_batch(dataset)
+    X, labels = _stack_samples(dataset)
     num_classes = int(labels.max()) + 1
     by_class = [np.flatnonzero(labels == k) for k in range(num_classes)]
     present = [k for k in range(num_classes) if len(by_class[k])]
@@ -187,10 +209,6 @@ def _device_rule(scheme: PartitionScheme, set_index: int, device_index: int, n_d
     return IID if device_index < (n_dev + 1) // 2 else NONIID1
 
 
-# ---------------------------------------------------------------------------
-# global loss and heterogeneity
-
-
 def global_loss(shards: list[DeviceShard], spec: ModelSpec, w: np.ndarray) -> float:
     """Size-weighted average of per-shard losses.
 
@@ -203,56 +221,3 @@ def global_loss(shards: list[DeviceShard], spec: ModelSpec, w: np.ndarray) -> fl
     for s in shards:
         acc += s.size * _models.loss(spec, w, (s.features, s.labels))
     return acc / total
-
-
-def global_gradient(shards: list[DeviceShard], spec: ModelSpec, w: np.ndarray) -> np.ndarray:
-    total = sum(s.size for s in shards)
-    acc = np.zeros(spec.dim)
-    for s in shards:
-        acc += s.size * _models.gradient(spec, w, (s.features, s.labels))
-    return acc / total
-
-
-def estimate_heterogeneity(
-    shards: list[DeviceShard], spec: ModelSpec, probes: list[np.ndarray]
-) -> float:
-    """Max over devices and probe points of ||grad_global - grad_device||^2."""
-    if not shards:
-        raise ValueError("no shards")
-    if not probes:
-        raise ValueError("need at least one probe point")
-    worst = 0.0
-    for w in probes:
-        g_global = global_gradient(shards, spec, w)
-        for s in shards:
-            g_local = _models.gradient(spec, w, (s.features, s.labels))
-            diff = g_global - g_local
-            worst = max(worst, float(diff @ diff))
-    return worst
-
-
-def training_trajectory_probes(
-    spec: ModelSpec,
-    samples: tuple[np.ndarray, np.ndarray],
-    rng: np.random.Generator | None = None,
-    *,
-    count: int = 5,
-    lr: float = 0.2,
-    steps_between: int = 10,
-) -> list[np.ndarray]:
-    """Parameter snapshots along a short full-batch descent, starting at init.
-
-    These make reasonable heterogeneity probes: they sit in the region of
-    parameter space an actual run passes through.
-    """
-    check_count(count, "count")
-    check_count(steps_between, "steps_between")
-    check_number(lr, "lr", POSITIVE)
-    X, y = _models.stack_batch(samples)
-    w = _models.init_params(spec, rng)
-    probes = [w.copy()]
-    while len(probes) < count:
-        for _ in range(steps_between):
-            w = w - lr * _models.gradient(spec, w, (X, y))
-        probes.append(w.copy())
-    return probes

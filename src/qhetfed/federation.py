@@ -46,7 +46,7 @@ import numpy as np
 
 from . import models as _models
 from .checks import POSITIVE, check_count, check_number
-from .datagen import DeviceShard, global_loss
+from .datagen import DeviceShard, check_samples, global_loss
 from .models import ModelSpec
 from .planner import PhaseTimes, baseline_iteration_delay, iteration_delay
 from .quantizer import NonFiniteInputError, QuantizerSpec, identity_spec, quantize
@@ -134,6 +134,10 @@ class FedRunConfig:
             )
         if self.initial_params is not None and len(self.initial_params) != self.model.dim:
             raise ValueError("initial_params length does not match the model dimension")
+        # the gradient kernel checks no data, so it is checked here, once per run
+        num_classes = None if self.model.kind == _models.QUADRATIC else self.model.num_classes
+        for s in self.shards:
+            check_samples((s.features, s.labels), f"shard ({s.set_index}, {s.device_index})", num_classes)
         if self.test_samples is not None:
             X, y = self.test_samples
             if np.ndim(X) != 2 or np.shape(X)[1] != self.model.input_dim or len(X) != len(y):
@@ -141,6 +145,7 @@ class FedRunConfig:
                     f"test_samples must be rows of width {self.model.input_dim} with one label each, "
                     f"got X of shape {np.shape(X)} and {len(y)} labels"
                 )
+            check_samples(self.test_samples, "test_samples", num_classes)
         self._grid = _shard_grid(self.shards, self.topology)
 
 

@@ -13,8 +13,9 @@ can treat a model as a single array.  Layouts:
   and curvature constants (L = 1, and the quadratic growth constant is 1).
 
 Batches are ``(X, y)`` pairs of a float feature matrix and an int label
-vector (labels in ``0..K-1``, unchecked), the form in which ``datagen``
-builds datasets, splits and shards.
+vector with labels in ``0..K-1``, the form in which ``datagen`` builds
+datasets, splits and shards.  The functions here do not check the labels:
+``FedRunConfig`` checks every shard's and the test set's once, at construction.
 
 ``gradient`` is the simulator's hot kernel.  It computes in place and writes
 each block into one fresh output vector, yet returns the same bytes as the

@@ -138,16 +138,6 @@ def objective_J(tau: float, plan: DeadlinePlan, q1: float, C: int, N: int) -> fl
     return raw_objective(tau, max(gamma, 1.0), q1, C, N)
 
 
-def objective_derivative(tau: float, plan: DeadlinePlan, q1: float, C: int, N: int) -> float:
-    """dJ/dtau along the deadline-pinned gamma (quotient-rule form)."""
-    r, P = _ratios(plan)
-    K = (C / N) * (1.0 + q1)
-    M = K - 1.0 - r
-    A = P - r * tau  # tau + gamma(tau)
-    inner = (P - 1.0) * P - 2.0 * (1.0 + r) * P * tau + r * (1.0 + r) * tau * tau
-    return M + (K - 1.0) * inner / (A * A)
-
-
 def quadratic_coefficients(plan: DeadlinePlan, q1: float, C: int, N: int) -> tuple[float, float, float]:
     """Coefficients (a0, b0, c0) of the stationarity equation a0*tau^2 + b0*tau + c0 = 0."""
     r, P = _ratios(plan)

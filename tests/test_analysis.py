@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qhetfed.analysis import (
+    GapBound,
     INDIFFERENT,
     PREFER_HIGH_TAU,
     PREFER_LOW_TAU,
@@ -13,7 +14,6 @@ from qhetfed.analysis import (
     convergence_rate_bound,
     error_gap_decomposition,
     qhetfed_gap_bound,
-    single_set_gap_bound,
     tau_preference,
 )
 
@@ -114,12 +114,31 @@ def test_error_floor_grows_with_quantizer_variance():
     assert qhetfed_gap_bound(worse, 1.0).e > qhetfed_gap_bound(REF, 1.0).e
 
 
+def _single_set_gap_bound(p: TheoryParams, gap0: float) -> GapBound:
+    """Specialized bound for one device set with an exact edge-to-cloud link.
+
+    Only valid at C = 1 and q2 = 0; written out independently so the general
+    calculator can be cross-checked against it.
+    """
+    if p.C != 1 or p.q2 != 0.0:
+        raise ValueError("specialized bound requires C == 1 and q2 == 0")
+    L, mu, tau, gamma = p.L, p.mu, p.tau, p.gamma
+    noise = p.sigma2 / p.batch
+    e = (L * mu**2 / 2.0) * noise * (
+        (L * mu / p.N) * (1.0 + p.q1) * tau * ((tau - 1) / 2.0 + gamma)
+        + L * mu * gamma * (gamma - 1) / 2.0
+        + (1.0 / p.N) * (tau + gamma) * (1.0 + p.q1)
+    ) + mu * (tau + gamma) * p.G2 / 2.0
+    c = 1.0 - mu * (tau + gamma) * p.delta
+    return GapBound(c=c, e=e, bound=_geometric_bound(c, e, gap0, p.T), contractive=abs(c) < 1.0)
+
+
 def test_single_set_bound_matches_general_form_at_c1_q2_zero():
     p = TheoryParams(
         L=1.0, delta=0.5, sigma2=2.0, batch=4, G2=0.3, q1=3.0, q2=0.0,
         mu=0.02, tau=5, gamma=2, T=40, devices_per_set=(10,),
     )
-    special = single_set_gap_bound(p, 1.0)
+    special = _single_set_gap_bound(p, 1.0)
     general = qhetfed_gap_bound(p, 1.0)
     assert abs(special.e - general.e) < 1e-15
     assert abs(special.bound - general.bound) < 1e-12
@@ -127,13 +146,13 @@ def test_single_set_bound_matches_general_form_at_c1_q2_zero():
 
 def test_single_set_bound_rejects_multi_set_input():
     with pytest.raises(ValueError):
-        single_set_gap_bound(REF, 1.0)
+        _single_set_gap_bound(REF, 1.0)
     p = TheoryParams(
         L=1.0, delta=1.0, sigma2=1.0, batch=1, G2=0.0, q1=1.0, q2=0.5,
         mu=0.01, tau=2, gamma=2, T=10, devices_per_set=(5,),
     )
     with pytest.raises(ValueError):
-        single_set_gap_bound(p, 1.0)
+        _single_set_gap_bound(p, 1.0)
 
 
 def test_tau_preference_threshold():

@@ -6,8 +6,7 @@ import pytest
 
 from qhetfed.analysis import tau_preference
 from qhetfed.checks import NON_NEGATIVE, POSITIVE, check_count, check_number, is_count
-from qhetfed.datagen import (DeviceShard, PartitionScheme, make_synthetic_dataset, split_dataset,
-                             training_trajectory_probes)
+from qhetfed.datagen import DeviceShard, PartitionScheme, make_synthetic_dataset, partition, split_dataset
 from qhetfed.federation import CENTRALIZED_SGD, FedRunConfig, Schedule, Topology, run_centralized_sgd
 from qhetfed.harness import ConfigError, resolved_config
 from qhetfed.models import ModelSpec, finite_diff_gradient
@@ -32,6 +31,11 @@ def _config(**fields):
     return FedRunConfig(Topology((1,)), Schedule(**SCHEDULE), ModelSpec("quadratic", 1), shards, **fields)
 
 
+def _classifier_config(labels=(0, 1), feature=0.0, test=(np.zeros((1, 2)), np.array([1]))):
+    shard = DeviceShard(0, 0, (np.array([[feature, 0.0], [0.0, 0.0]]), np.array(labels)))
+    return FedRunConfig(Topology((1,)), Schedule(**SCHEDULE), LOGISTIC, [shard], test_samples=test)
+
+
 def _oracle(steps):
     return run_centralized_sgd(_config(algorithm=CENTRALIZED_SGD), steps)
 
@@ -39,6 +43,8 @@ def _oracle(steps):
 # entry -> (call with the value under test, the name its message gives that value)
 COUNT_FIELDS = {
     "Topology.devices_per_set": (lambda v: Topology((3, v)), "devices_per_set"),
+    "DeviceShard.set_index": (lambda v: DeviceShard(v, 0, SAMPLES), "set_index"),
+    "DeviceShard.device_index": (lambda v: DeviceShard(0, v, SAMPLES), "device_index"),
     **{f"Schedule.{name}": ((lambda v, name=name: Schedule(**{**SCHEDULE, name: v})), name)
        for name in ("tau", "gamma", "rounds", "batch")},
     "run_centralized_sgd.steps_per_iteration": (_oracle, "steps_per_iteration"),
@@ -56,9 +62,6 @@ COUNT_FIELDS = {
     "make_synthetic_dataset.num_classes": (lambda v: make_synthetic_dataset(v, 3, 2, stream(0, "d")), "num_classes"),
     "make_synthetic_dataset.per_class": (lambda v: make_synthetic_dataset(2, v, 2, stream(0, "d")), "per_class"),
     "make_synthetic_dataset.input_dim": (lambda v: make_synthetic_dataset(2, 3, v, stream(0, "d")), "input_dim"),
-    "training_trajectory_probes.count": (lambda v: training_trajectory_probes(LOGISTIC, SAMPLES, count=v), "count"),
-    "training_trajectory_probes.steps_between": (
-        lambda v: training_trajectory_probes(LOGISTIC, SAMPLES, steps_between=v), "steps_between"),
     "FedRunConfig.master_seed": (lambda v: _config(master_seed=v), "master_seed"),
     "DeadlinePlan.rounds": (lambda v: DeadlinePlan(15600.0, v, PhaseTimes(**TIMES)), "rounds"),
     "optimize_schedule.C": (lambda v: optimize_schedule(PLAN, 1.0, v, 60), "num_sets"),
@@ -89,7 +92,6 @@ NUMBER_FIELDS = {
     "make_synthetic_dataset.separation": (
         lambda v: make_synthetic_dataset(2, 3, 2, stream(0, "d"), separation=v), "separation"),
     "make_synthetic_dataset.noise": (lambda v: make_synthetic_dataset(2, 3, 2, stream(0, "d"), noise=v), "noise"),
-    "training_trajectory_probes.lr": (lambda v: training_trajectory_probes(LOGISTIC, SAMPLES, lr=v), "lr"),
     "finite_diff_gradient.h": (lambda v: finite_diff_gradient(ModelSpec("quadratic", 2), np.zeros(2), SAMPLES, v), "h"),
     "resolved_config.schedule.mu": (lambda v: resolved_config({"schedule": {"mu": v}}), "schedule.mu"),
     "resolved_config.dataset.noise": (lambda v: resolved_config({"dataset": {"noise": v}}), "dataset.noise"),
@@ -113,8 +115,31 @@ def test_every_count_and_number_is_checked_by_its_rule_and_never_cast(entry, bad
     assert re.fullmatch(rf"{re.escape(field)}(\[\d\])? must be {wording}, got {re.escape(repr(bad))}", str(exc.value))
 
 
-# values the tables above cannot state: a count's minimum, a guard that allows +inf, a False fraction
+# values the tables above cannot state: a count's minimum, a guard that allows +inf, a False
+# count or fraction, and the data a run trains and tests on
 BOUNDARY_CASES = {
+    "DeviceShard.set_index=-1": (lambda: DeviceShard(-1, 0, SAMPLES), "set_index must be >= 0"),
+    "DeviceShard.device_index=False": (lambda: DeviceShard(0, False, SAMPLES),
+                                       "device_index must be an integer, got False"),
+    "DeviceShard.labels=[1.7, 0.2]": (lambda: DeviceShard(0, 0, (np.zeros((2, 2)), [1.7, 0.2])),
+                                      "labels must be integers, got float64 labels"),
+    "split_dataset.labels=float": (lambda: split_dataset((np.zeros((4, 2)), np.zeros(4)), 0.5, stream(0, "s")),
+                                   "labels must be integers, got float64 labels"),
+    "partition.labels=float": (
+        lambda: partition((np.zeros((4, 2)), np.zeros(4)), Topology((1,)), PartitionScheme(), stream(0, "p")),
+        "labels must be integers, got float64 labels"),
+    "FedRunConfig.shard_label=K": (lambda: _classifier_config(labels=(0, 2)),
+                                   "shard (0, 0) labels must be in 0..1, got 2"),
+    "FedRunConfig.shard_label=-1": (lambda: _classifier_config(labels=(-1, 1)),
+                                    "shard (0, 0) labels must be in 0..1, got -1"),
+    "FedRunConfig.shard_feature=nan": (lambda: _classifier_config(feature=math.nan),
+                                       "shard (0, 0) features must be finite numbers, got nan"),
+    "FedRunConfig.test_feature=nan": (lambda: _classifier_config(test=(np.full((1, 2), math.nan), np.array([1]))),
+                                      "test_samples features must be finite numbers, got nan"),
+    "FedRunConfig.test_label=K": (lambda: _classifier_config(test=(np.zeros((1, 2)), np.array([2]))),
+                                  "test_samples labels must be in 0..1, got 2"),
+    "FedRunConfig.test_label=float": (lambda: _classifier_config(test=(np.zeros((1, 2)), np.array([1.0]))),
+                                      "test_samples labels must be integers, got float64 labels"),
     "FedRunConfig.master_seed=-1": (lambda: _config(master_seed=-1), "master_seed must be >= 0"),
     "FedRunConfig.norm_guard=nan": (lambda: _config(norm_guard=math.nan),
                                     "norm_guard must be a finite positive number, got nan"),

@@ -6,14 +6,11 @@ import pytest
 from qhetfed.datagen import (
     DeviceShard,
     PartitionScheme,
-    estimate_heterogeneity,
-    global_gradient,
     _device_rule,
     global_loss,
     make_synthetic_dataset,
     partition,
     split_dataset,
-    training_trajectory_probes,
 )
 from qhetfed.federation import Topology
 from qhetfed.models import ModelSpec
@@ -236,28 +233,6 @@ def test_global_loss_is_size_weighted():
     w = np.array([0.0])
     # losses are 0 and 2, sizes 1 and 3: weighted mean 1.5
     assert abs(global_loss([small, big], spec, w) - 1.5) < 1e-12
-    g = global_gradient([small, big], spec, w)
-    assert np.allclose(g, [(1 * 0.0 + 3 * -2.0) / 4])
-
-
-def test_heterogeneity_zero_for_identical_shards():
-    spec = ModelSpec(kind="quadratic", input_dim=2)
-    samples = (np.array([[1.0, 2.0]]), np.array([0]))
-    shards = [DeviceShard(0, 0, samples), DeviceShard(0, 1, samples)]
-    probes = [np.zeros(2), np.ones(2)]
-    assert estimate_heterogeneity(shards, spec, probes) < 1e-24
-
-
-def test_heterogeneity_orders_partition_schemes():
-    ds = make_synthetic_dataset(4, 200, 6, stream(8, "ds"), separation=7.0)
-    topo = Topology((3, 3))
-    spec = ModelSpec(kind="logistic", input_dim=6, num_classes=4)
-    probes = training_trajectory_probes(spec, ds, stream(8, "probe"))
-    iid = partition(ds, topo, PartitionScheme(kind="iid", size_range=(40, 60)), stream(8, "a"))
-    skewed = partition(ds, topo, PartitionScheme(kind="noniid2", size_range=(40, 60)), stream(8, "b"))
-    g_iid = estimate_heterogeneity(iid, spec, probes)
-    g_skewed = estimate_heterogeneity(skewed, spec, probes)
-    assert g_skewed > g_iid
 
 
 def test_shard_validation():

@@ -15,7 +15,6 @@ from qhetfed.planner import (
     iteration_delay,
     max_feasible_tau,
     objective_J,
-    objective_derivative,
     optimize_schedule,
     quadratic_coefficients,
     raw_objective,
@@ -93,13 +92,18 @@ def test_objective_two_forms_agree():
         assert abs(objective_J(tau, plan, 11.9, 3, 60) - raw_objective(tau, g, 11.9, 3, 60)) < 1e-9
 
 
-def test_objective_derivative_matches_numerical():
+def _central_difference(tau, plan, q1, C, N, h=1e-5):
+    return (objective_J(tau + h, plan, q1, C, N) - objective_J(tau - h, plan, q1, C, N)) / (2 * h)
+
+
+def test_quadratic_coefficients_are_the_scaled_derivative():
+    # the planner solves a0*tau^2 + b0*tau + c0 = 0, which is dJ/dtau times (tau + gamma(tau))^2
     plan = _plan()
-    h = 1e-5
+    a0, b0, c0 = quadratic_coefficients(plan, 11.9, 3, 60)
     for tau in (2.0, 10.0, 35.0, 60.0):
-        num = (objective_J(tau + h, plan, 11.9, 3, 60) - objective_J(tau - h, plan, 11.9, 3, 60)) / (2 * h)
-        ana = objective_derivative(tau, plan, 11.9, 3, 60)
-        assert abs(num - ana) < 1e-5 * max(1.0, abs(ana))
+        scaled = (tau + gamma_from_tau(tau, plan)) ** 2 * _central_difference(tau, plan, 11.9, 3, 60)
+        quadratic = a0 * tau * tau + b0 * tau + c0
+        assert abs(quadratic - scaled) < 1e-6 * max(1.0, abs(quadratic))
 
 
 def test_quadratic_roots_are_stationary_points():
@@ -108,9 +112,11 @@ def test_quadratic_roots_are_stationary_points():
     a0, b0, c0 = quadratic_coefficients(plan, q1, C, N)
     disc = b0 * b0 - 4 * a0 * c0
     assert disc > 0
-    for root in ((-b0 - math.sqrt(disc)) / (2 * a0), (-b0 + math.sqrt(disc)) / (2 * a0)):
-        if 1.0 <= root <= max_feasible_tau(plan):
-            assert abs(objective_derivative(root, plan, q1, C, N)) < 1e-8
+    roots = [(-b0 - math.sqrt(disc)) / (2 * a0), (-b0 + math.sqrt(disc)) / (2 * a0)]
+    feasible = [root for root in roots if 1.0 <= root <= max_feasible_tau(plan)]
+    assert feasible
+    for root in feasible:
+        assert abs(_central_difference(root, plan, q1, C, N)) < 1e-6
 
 
 def test_optimizer_takes_the_boundary_when_roots_fall_outside():
