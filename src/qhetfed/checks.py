@@ -2,7 +2,8 @@
 
 A count is a Python or numpy integer of at least a given minimum; a number is
 a finite Python or numpy int or float.  A bool is neither, and a float is never
-a count: values are checked, never cast.  Each rule raises ``ValueError`` naming the value.
+a count: values are checked, never cast.  An array of numbers must hold finite
+entries only (``check_finite``).  Each rule raises ``ValueError`` naming the value.
 """
 
 from __future__ import annotations
@@ -39,3 +40,10 @@ def check_number(value, name: str, sign: str = "") -> None:
         ok = value > 0 if sign == POSITIVE else value >= 0
     if not ok:
         raise ValueError(f"{name} must be a finite {sign + ' ' if sign else ''}number, got {value!r}")
+
+
+def check_finite(values: np.ndarray, name: str) -> None:
+    """Every entry of the float array ``values`` must be finite; the message gives the first that is not."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ValueError(f"{name} must be finite numbers, got {float(values[~finite][0])!r}")

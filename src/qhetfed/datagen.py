@@ -2,7 +2,7 @@
 
 Data lives in stacked arrays: a dataset, each half of a split and each
 device shard is an ``(X, y)`` pair of a float feature matrix and an int label
-vector, the batch form of ``models``.
+vector, the batch form of ``models``, checked on entry by ``check_samples``.
 
 The partition schemes control how class-skewed each device's shard is:
 
@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from . import models as _models
-from .checks import check_count, check_number
+from .checks import check_count, check_finite, check_number
 from .models import ModelSpec
 
 IID = "iid"
@@ -51,40 +51,37 @@ class DeviceShard:
     def __post_init__(self, samples: tuple[np.ndarray, np.ndarray]) -> None:
         check_count(self.set_index, "set_index", 0)
         check_count(self.device_index, "device_index", 0)
-        # _stack_samples rejects an empty shard
-        self.features, self.labels = _stack_samples(samples)
-        if len(self.labels) != len(self.features):
-            raise ValueError(f"{len(self.features)} feature rows but {len(self.labels)} labels")
+        self.features, self.labels = check_samples(samples)
 
     @property
     def size(self) -> int:
         return len(self.labels)
 
 
-def _integer_labels(labels, name: str) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got {labels.dtype} labels")
-    return labels
+def check_samples(samples, name: str = "", model: ModelSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The one rule for a sample set entering the package; returns its float rows and int64 labels.
 
-
-def _stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    """``models.stack_batch`` for data entering the package: labels must be integers, never cast."""
-    return _models.stack_batch((samples[0], _integer_labels(samples[1], "labels")))
-
-
-def check_samples(samples, name: str, num_classes: int | None) -> None:
-    """Features must be finite and, unless ``num_classes`` is None, labels integers in 0..num_classes-1."""
-    X = np.asarray(samples[0], dtype=float)
-    finite = np.isfinite(X)
-    if not finite.all():
-        raise ValueError(f"{name} features must be finite numbers, got {float(X[~finite][0])!r}")
-    if num_classes is None or len(samples[1]) == 0:
-        return
-    y = _integer_labels(samples[1], f"{name} labels")
-    lo, hi = y.min(), y.max()
-    if lo < 0 or hi >= num_classes:
-        raise ValueError(f"{name} labels must be in 0..{num_classes - 1}, got {int(lo if lo < 0 else hi)}")
+    Rows are 2-D with one integer label each (checked, never cast); without a ``model`` there is at
+    least one.  With the run's ``model`` they are also of its width and finite and, for a classifier,
+    labelled in 0..K-1; an empty set passes, as a run's test set may.
+    """
+    X, y = np.asarray(samples[0], dtype=float), np.asarray(samples[1])
+    of = f"{name} " if name else ""
+    rows = f"rows of width {model.input_dim}" if model else "one or more rows"
+    if X.ndim != 2 or y.ndim != 1 or len(X) != len(y) or (X.shape[1] != model.input_dim if model else not len(y)):
+        raise ValueError(f"{name or 'samples'} must be {rows} with one label each, "
+                         f"got X of shape {X.shape} and {y.size} labels")
+    if y.dtype.kind not in "iu":
+        raise ValueError(f"{of}labels must be integers, got {y.dtype} labels")
+    y = y.astype(np.int64, copy=False)
+    if model is None:
+        return X, y
+    check_finite(X, f"{of}features")
+    if model.kind != _models.QUADRATIC and len(y):
+        lo, hi = y.min(), y.max()
+        if lo < 0 or hi >= model.num_classes:
+            raise ValueError(f"{of}labels must be in 0..{model.num_classes - 1}, got {int(lo if lo < 0 else hi)}")
+    return X, y
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ def split_dataset(
     check_number(test_fraction, "test_fraction")
     if not 0.0 <= test_fraction < 1.0:
         raise ValueError("test_fraction must be in [0, 1)")
-    X, y = _stack_samples(dataset)
+    X, y = check_samples(dataset)
     n_test = int(round(test_fraction * len(y)))
     if n_test == len(y):
         raise ValueError(f"test_fraction {test_fraction} leaves none of the {len(y)} rows for training")
@@ -165,7 +162,7 @@ def partition(
     pool is smaller than the drawn shard size, sampling falls back to
     with-replacement.
     """
-    X, labels = _stack_samples(dataset)
+    X, labels = check_samples(dataset)
     num_classes = int(labels.max()) + 1
     by_class = [np.flatnonzero(labels == k) for k in range(num_classes)]
     present = [k for k in range(num_classes) if len(by_class[k])]

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models as _models
-from .checks import POSITIVE, check_count, check_number
+from .checks import POSITIVE, check_count, check_finite, check_number
 from .datagen import DeviceShard, check_samples, global_loss
 from .models import ModelSpec
 from .planner import PhaseTimes, baseline_iteration_delay, iteration_delay
@@ -132,41 +132,30 @@ class FedRunConfig:
             raise ValueError(
                 f"{len(self.shards)} shards for {self.topology.num_devices} devices"
             )
-        if self.initial_params is not None and len(self.initial_params) != self.model.dim:
-            raise ValueError("initial_params length does not match the model dimension")
+        if self.initial_params is not None:
+            w0 = np.asarray(self.initial_params, dtype=float)
+            if w0.shape != (self.model.dim,):
+                raise ValueError(f"initial_params must be a vector of length {self.model.dim}, got shape {w0.shape}")
+            check_finite(w0, "initial_params")
         # the gradient kernel checks no data, so it is checked here, once per run
-        num_classes = None if self.model.kind == _models.QUADRATIC else self.model.num_classes
         for s in self.shards:
-            check_samples((s.features, s.labels), f"shard ({s.set_index}, {s.device_index})", num_classes)
+            check_samples((s.features, s.labels), f"shard ({s.set_index}, {s.device_index})", self.model)
         if self.test_samples is not None:
-            X, y = self.test_samples
-            if np.ndim(X) != 2 or np.shape(X)[1] != self.model.input_dim or len(X) != len(y):
-                raise ValueError(
-                    f"test_samples must be rows of width {self.model.input_dim} with one label each, "
-                    f"got X of shape {np.shape(X)} and {len(y)} labels"
-                )
-            check_samples(self.test_samples, "test_samples", num_classes)
+            check_samples(self.test_samples, "test_samples", self.model)
         self._grid = _shard_grid(self.shards, self.topology)
 
 
 def _shard_grid(shards: list[DeviceShard], topology: Topology) -> list[list[DeviceShard]]:
-    grid: list[list[DeviceShard | None]] = [
-        [None] * n for n in topology.devices_per_set
-    ]
+    """Shards by (set, device).  The caller has counted one shard per device, so with none out of
+    range and none repeated every slot is filled."""
+    grid: list[list[DeviceShard | None]] = [[None] * n for n in topology.devices_per_set]
     for s in shards:
-        if not (0 <= s.set_index < topology.num_sets):
-            raise ValueError(f"shard set_index {s.set_index} outside topology")
-        if not (0 <= s.device_index < topology.devices_per_set[s.set_index]):
-            raise ValueError(
-                f"shard device_index {s.device_index} outside set {s.set_index}"
-            )
-        if grid[s.set_index][s.device_index] is not None:
-            raise ValueError(f"duplicate shard for device ({s.set_index},{s.device_index})")
-        grid[s.set_index][s.device_index] = s
-    for l, row in enumerate(grid):
-        for n, entry in enumerate(row):
-            if entry is None:
-                raise ValueError(f"missing shard for device ({l},{n})")
+        l, n = s.set_index, s.device_index
+        if not (0 <= l < topology.num_sets and 0 <= n < topology.devices_per_set[l]):
+            raise ValueError(f"shard ({l}, {n}) outside topology {topology.devices_per_set}")
+        if grid[l][n] is not None:
+            raise ValueError(f"duplicate shard for device ({l},{n})")
+        grid[l][n] = s
     return grid  # type: ignore[return-value]
 
 

@@ -28,7 +28,7 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -89,8 +89,8 @@ DEFAULTS: dict = {
     },
 }
 
-# physical-link alternative to the "runtime" block; mutually exclusive with it
-LINK_KEYS = {f.name for f in fields(LinkComputeParams)}
+# physical-link alternative to the "runtime" block; mutually exclusive with it.  key -> required
+LINK_KEYS = {f.name: f.default is MISSING for f in fields(LinkComputeParams)}
 
 
 class ConfigError(ValueError):
@@ -110,12 +110,15 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
         if key == "link" and not path:
             if not isinstance(value, dict):
                 raise ConfigError("link must be a table of keys")
-            bad = set(value) - LINK_KEYS
+            bad = set(value).difference(LINK_KEYS)
             if bad:
                 raise ConfigError(f"unknown configuration key: link.{sorted(bad)[0]}")
             for name, number in value.items():
                 if not (name == "edge_cloud_time" and number is None):
                     check_number(number, f"link.{name}")
+            missing = [name for name, required in LINK_KEYS.items() if required and name not in value]
+            if missing:
+                raise ConfigError(f"link: missing keys: {', '.join(missing)}")
             out["link"] = copy.deepcopy(value)
             continue
         if key not in defaults:

@@ -15,7 +15,9 @@ from qhetfed.datagen import (
     IID,
     NONIID1,
     NONIID2,
+    DeviceShard,
     PartitionScheme,
+    global_loss,
     make_synthetic_dataset,
     partition,
     split_dataset,
@@ -235,6 +237,56 @@ def test_criterion_05_gap_bounds_hold():
         assert base.train_loss[t] <= bound + 1e-15, (
             f"baseline gap {base.train_loss[t]:.3e} above bound {bound:.3e} at T={t + 1}"
         )
+
+
+def test_gap_bound_holds_in_its_own_regime():
+    # criterion 5's bounds where their terms are not zero: heterogeneous shards,
+    # mini-batches and quantized links.  The quadratic kind makes every constant
+    # exact, and the bounds hold in expectation, so the rule takes the mean gap
+    # over the seeds.  Sizes, seeds and the pass rule are fixed, not tuned to the result.
+    topo, D, rows, seeds = Topology((4, 4, 4)), 8, 30, range(20)
+    mu, tau, gamma, batch, rounds, s1, s2 = 0.02, 3, 2, 5, 60, 4, 8
+    model = ModelSpec(kind="quadratic", input_dim=D)
+    data = stream(2024, "gap-data")
+    shards = []
+    for l, n_dev in enumerate(topo.devices_per_set):
+        for n in range(n_dev):
+            centre = data.standard_normal(D)
+            samples = (centre + data.standard_normal((rows, D)), np.zeros(rows, dtype=int))
+            shards.append(DeviceShard(set_index=l, device_index=n, samples=samples))
+
+    means = [s.features.mean(axis=0) for s in shards]
+    pooled = np.concatenate([s.features for s in shards]).mean(axis=0)
+    G2 = max(float(np.sum((pooled - m) ** 2)) for m in means)
+    sigma2 = max(float(np.mean(np.sum((s.features - m) ** 2, axis=1))) for s, m in zip(shards, means))
+    q1, q2 = (min(D / s**2, math.sqrt(D) / s) for s in (s1, s2))
+    f_star = global_loss(shards, model, pooled)
+    gap0 = global_loss(shards, model, np.zeros(D)) - f_star
+
+    def params(T):
+        return analysis.TheoryParams(
+            L=1.0, delta=1.0, sigma2=sigma2, batch=batch, G2=G2, q1=q1, q2=q2,
+            mu=mu, tau=tau, gamma=gamma, T=T, devices_per_set=topo.devices_per_set,
+        )
+
+    conds = analysis.check_lr_conditions(params(1))
+    assert conds.cond_a and conds.cond_b, "chosen mu violates the step-size conditions"
+    assert analysis.baseline_lr_condition(params(1))[0], "chosen mu violates the baseline step-size condition"
+
+    for algorithm, bound_of in ((QHETFED, analysis.qhetfed_gap_bound), (HIER_LOCAL_QSGD, analysis.baseline_gap_bound)):
+        losses = []
+        for seed in seeds:
+            rec = run(FedRunConfig(
+                topology=topo, schedule=Schedule(tau=tau, gamma=gamma, mu=mu, rounds=rounds, batch=batch),
+                model=model, shards=shards, q1=QuantizerSpec(levels=s1), q2=QuantizerSpec(levels=s2),
+                algorithm=algorithm, master_seed=seed, initial_params=np.zeros(D),
+            ))
+            assert rec.diverged_at is None
+            losses.append(rec.train_loss)
+        mean_gap = (np.array(losses) - f_star).mean(axis=0)
+        for t in range(rounds):
+            bound = bound_of(params(t + 1), gap0).bound
+            assert mean_gap[t] <= bound, f"{algorithm}: mean gap {mean_gap[t]:.3e} above bound {bound:.3e} at T={t + 1}"
 
 
 def test_criterion_06_decomposition_identity():

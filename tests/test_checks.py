@@ -140,6 +140,19 @@ BOUNDARY_CASES = {
                                   "test_samples labels must be in 0..1, got 2"),
     "FedRunConfig.test_label=float": (lambda: _classifier_config(test=(np.zeros((1, 2)), np.array([1.0]))),
                                       "test_samples labels must be integers, got float64 labels"),
+    "DeviceShard.labels=2-D": (lambda: DeviceShard(0, 0, (np.zeros((2, 2)), np.zeros((2, 1), dtype=int))),
+                               "samples must be one or more rows with one label each, got X of shape (2, 2) and 2 labels"),
+    "FedRunConfig.shard_width=3": (
+        lambda: FedRunConfig(Topology((1,)), Schedule(**SCHEDULE), ModelSpec("logistic", 4, 2),
+                             [DeviceShard(0, 0, (np.zeros((2, 3)), np.array([0, 1])))]),
+        "shard (0, 0) must be rows of width 4 with one label each, got X of shape (2, 3) and 2 labels"),
+    "FedRunConfig.shard=(1, 0)": (
+        lambda: FedRunConfig(Topology((1,)), Schedule(**SCHEDULE), LOGISTIC, [DeviceShard(1, 0, SAMPLES)]),
+        "shard (1, 0) outside topology (1,)"),
+    "FedRunConfig.initial_params=[nan]": (lambda: _config(initial_params=np.array([math.nan])),
+                                          "initial_params must be finite numbers, got nan"),
+    "FedRunConfig.initial_params=(dim, 2)": (lambda: _config(initial_params=np.zeros((1, 2))),
+                                             "initial_params must be a vector of length 1, got shape (1, 2)"),
     "FedRunConfig.master_seed=-1": (lambda: _config(master_seed=-1), "master_seed must be >= 0"),
     "FedRunConfig.norm_guard=nan": (lambda: _config(norm_guard=math.nan),
                                     "norm_guard must be a finite positive number, got nan"),

@@ -199,6 +199,7 @@ def test_config_rejects_test_samples_that_do_not_fit_the_model():
     cfg = synthetic_config(QHETFED, LOGISTIC)
     X, y = make_synthetic_dataset(3, 2, 4, stream(5, "test"))
     assert dataclasses.replace(cfg, test_samples=(X, y)).test_samples is not None
+    assert dataclasses.replace(cfg, test_samples=(X[:0], y[:0])).test_samples is not None
     # before this check, a narrow test set failed in numpy's matmul after the first round
     for bad in [(X[:, :3], y), (X, y[:-1]), (X[0], y[:1])]:
         with pytest.raises(ValueError, match="test_samples must be rows of width 4"):

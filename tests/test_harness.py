@@ -3,8 +3,10 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import signal
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ import pytest
 from qhetfed import cli, federation, harness
 from qhetfed.harness import (
     AGG_COLUMNS,
+    DEFAULTS,
     ConfigError,
     RUN_COLUMNS,
     aggregate_records,
@@ -274,6 +277,7 @@ def test_out_of_range_nested_values_are_config_errors(user, key):
         ({"topology": {"num_sets": 2, "devices_per_set": [3, 0]}}, "topology.devices_per_set[1] must be >= 1"),
         ({"link": dict(LINK_BLOCK, edge_cloud_time="x")}, "link.edge_cloud_time must be a finite number, got 'x'"),
         ({"link": dict(LINK_BLOCK, noise_w=float("nan"))}, "link.noise_w must be a finite number, got nan"),
+        ({"link": {k: v for k, v in LINK_BLOCK.items() if k != "cpu_hz"}}, "link: missing keys: cpu_hz"),
     ],
     ids=lambda v: json.dumps(v)[:60] if isinstance(v, dict) else "",
 )
@@ -281,6 +285,37 @@ def test_one_fault_config_error_messages(user, message):
     with pytest.raises(ConfigError) as exc:
         parse_config(user)
     assert str(exc.value) == message
+
+
+def _leaves(table: dict, path: str = ""):
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{path}{key}.")
+        else:
+            yield f"{path}{key}", value
+
+
+def _readme_config_rows() -> dict[str, str]:
+    """Key -> default text of each row of the README's configuration table.
+
+    A row such as ``partition.size_min/max`` with ``50/150`` gives one key per part: each later
+    part replaces as many trailing ``_`` words of the first key's last segment as it has.
+    """
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| key | default | meaning |\n", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for key, default in re.findall(r"^\| `([^`]+)` \| `([^`]+)` \|", table, re.MULTILINE):
+        first, *rest = key.split("/")
+        head, _, last = first.rpartition(".")
+        keys = [first] + [f"{head}." + "_".join(last.split("_")[: -len(part.split("_"))] + [part]) for part in rest]
+        rows.update(zip(keys, default.split("/") if rest else [default]))
+    return rows
+
+
+def test_readme_config_table_gives_every_default():
+    rows = _readme_config_rows()
+    wrong = [key for key, value in _leaves(DEFAULTS) if rows.get(key) != json.dumps(value)]
+    assert not wrong, "README configuration table lacks or misstates: " + ", ".join(wrong)
 
 
 def test_resolving_a_config_checks_each_value_by_its_default():
