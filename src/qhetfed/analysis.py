@@ -20,6 +20,7 @@ floor; ``error_gap_decomposition`` splits that excess into its four sources.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
 from .planner import check_objective_inputs
@@ -71,8 +72,7 @@ class TheoryParams:
         return int(sum(self.devices_per_set))
 
 
-@dataclass(frozen=True)
-class LrConditions:
+class LrConditions(NamedTuple):
     cond_a: bool
     cond_b: bool
     lhs_a: float
@@ -123,8 +123,7 @@ def _geometric_bound(c: float, e: float, gap0: float, T: int) -> float:
     return cT * gap0 + (1.0 - cT) / (1.0 - c) * e
 
 
-@dataclass(frozen=True)
-class GapBound:
+class GapBound(NamedTuple):
     c: float
     e: float
     bound: float
@@ -154,8 +153,7 @@ def qhetfed_gap_bound(p: TheoryParams, gap0: float) -> GapBound:
     return GapBound(c=c, e=e, bound=_geometric_bound(c, e, gap0, p.T), contractive=abs(c) < 1.0)
 
 
-@dataclass(frozen=True)
-class BaselineGapBound:
+class BaselineGapBound(NamedTuple):
     c_bar: float
     e_bar: float
     bound: float
@@ -190,8 +188,7 @@ def baseline_gap_bound(p: TheoryParams, gap0: float) -> BaselineGapBound:
     )
 
 
-@dataclass(frozen=True)
-class GapDecomposition:
+class GapDecomposition(NamedTuple):
     d_q1: float
     d_q2: float
     d_local: float

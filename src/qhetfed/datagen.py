@@ -33,6 +33,9 @@ SCHEMES = (IID, MIXED, NONIID1, NONIID2)
 
 _CLASSES_PER_DEVICE = {NONIID1: 2, NONIID2: 1}
 
+# the largest label the int64 label vector holds; an unsigned label above it is rejected, not wrapped
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 @dataclass
 class DeviceShard:
@@ -61,9 +64,9 @@ class DeviceShard:
 def check_samples(samples, name: str = "", model: ModelSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The one rule for a sample set entering the package; returns its float rows and int64 labels.
 
-    Rows are 2-D with one integer label each (checked, never cast); without a ``model`` there is at
-    least one.  With the run's ``model`` they are also of its width and finite and, for a classifier,
-    labelled in 0..K-1; an empty set passes, as a run's test set may.
+    Rows are 2-D with one integer label each, which int64 holds (checked, never cast); without a
+    ``model`` there is at least one.  With the run's ``model`` they are also of its width and finite
+    and, for a classifier, labelled in 0..K-1; an empty set passes, as a run's test set may.
     """
     X, y = np.asarray(samples[0], dtype=float), np.asarray(samples[1])
     of = f"{name} " if name else ""
@@ -73,6 +76,8 @@ def check_samples(samples, name: str = "", model: ModelSpec | None = None) -> tu
                          f"got X of shape {X.shape} and {y.size} labels")
     if y.dtype.kind not in "iu":
         raise ValueError(f"{of}labels must be integers, got {y.dtype} labels")
+    if y.dtype.kind == "u" and len(y) and y.max() > _INT64_MAX:
+        raise ValueError(f"{of}labels must be at most {_INT64_MAX}, got {int(y.max())}")
     y = y.astype(np.int64, copy=False)
     if model is None:
         return X, y

@@ -269,11 +269,12 @@ def parse_config(user: dict) -> ExperimentConfig:
 
 
 def read_config_file(path: str):
-    """Parse a JSON config file: malformed JSON is a ``ConfigError``, a missing file an ``OSError``."""
+    """Parse a JSON config file: malformed JSON or text that is not UTF-8 is a ``ConfigError``, a
+    missing file an ``OSError``."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 

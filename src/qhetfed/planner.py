@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
 
@@ -149,8 +150,7 @@ def quadratic_coefficients(plan: DeadlinePlan, q1: float, C: int, N: int) -> tup
     return a0, b0, c0
 
 
-@dataclass(frozen=True)
-class ScheduleChoice:
+class ScheduleChoice(NamedTuple):
     """Continuous optimum plus the deadline-respecting integer pair."""
 
     tau: float
@@ -241,8 +241,7 @@ def optimize_schedule(plan: DeadlinePlan, q1: float, C: int, N: int) -> Schedule
     )
 
 
-@dataclass(frozen=True)
-class GridResult:
+class GridResult(NamedTuple):
     tau: int
     gamma: float
     j_value: float

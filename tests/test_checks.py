@@ -123,6 +123,9 @@ BOUNDARY_CASES = {
                                        "device_index must be an integer, got False"),
     "DeviceShard.labels=[1.7, 0.2]": (lambda: DeviceShard(0, 0, (np.zeros((2, 2)), [1.7, 0.2])),
                                       "labels must be integers, got float64 labels"),
+    "DeviceShard.labels=uint64 2**63": (
+        lambda: DeviceShard(0, 0, (np.zeros((1, 2)), np.array([2**63], dtype=np.uint64))),
+        "labels must be at most 9223372036854775807, got 9223372036854775808"),
     "split_dataset.labels=float": (lambda: split_dataset((np.zeros((4, 2)), np.zeros(4)), 0.5, stream(0, "s")),
                                    "labels must be integers, got float64 labels"),
     "partition.labels=float": (

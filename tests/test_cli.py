@@ -76,6 +76,52 @@ def test_run_set_override_rejects_unknown_path(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+# the whole stdout of the plan and bounds points below, line by line: key order and every value
+PLAN_LINES = [
+    "t_cp: 2.0",
+    "t_de: 0.17629143438888212",
+    "t_ec: 1.7629143438888213",
+    "max_feasible_tau: 69.95252715262394",
+    "a0: -0.09400140981309679",
+    "b0: 164.48335731565382",
+    "c0: -11159.905026180384",
+    "candidates: 1.0 69.95252715262394",
+    "tau_continuous: 69.95252715262394",
+    "gamma_continuous: 1.0",
+    "j_continuous: 6.995252715262395",
+    "tau: 69",
+    "gamma: 2",
+    "j_integer: 7.025352112676057",
+    "iteration_delay_s: 155.9270233167217",
+    "total_time_s: 15592.702331672168",
+    "deadline_s: 15600.0",
+]
+
+BOUNDS_LINES = [
+    "cond_a: True",
+    "cond_a_lhs: 0.8293916666666666",
+    "cond_b: True",
+    "cond_b_lhs: 0.9587",
+    "qhetfed_c: 0.85",
+    "qhetfed_e: 0.0750566",
+    "qhetfed_contractive: True",
+    "qhetfed_gap_bound: 0.5003773770386936",
+    "baseline_cond: False",
+    "baseline_cond_lhs: -0.0020999999999999908",
+    "baseline_c: 0.64",
+    "baseline_e: 0.1801677",
+    "baseline_contractive: True",
+    "baseline_gap_bound: 0.5004658333333333",
+    "delta_q1: 2.4600000000000005e-05",
+    "delta_q2: 7e-05",
+    "delta_local: 1.65e-05",
+    "delta_het: 0.105",
+    "delta_total: 0.1051111",
+    "rate_bound: 1.134088",
+    "tau_preference: prefer_high_tau",
+]
+
+
 def test_plan_prints_frozen_schedule(capsys):
     code = main([
         "plan", "--deadline", "15600", "--rounds", "100", "--q1", "1",
@@ -84,11 +130,9 @@ def test_plan_prints_frozen_schedule(capsys):
         "--t-ec", "1.7629143438888213",
     ])
     assert code == 0
-    pairs = parse_kv(capsys.readouterr().out)
-    assert pairs["tau"] == "69"
-    assert pairs["gamma"] == "2"
-    assert abs(float(pairs["iteration_delay_s"]) - 155.9270233167217) < 1e-9
-    assert float(pairs["total_time_s"]) <= 15600.0
+    out = capsys.readouterr().out
+    assert out.splitlines() == PLAN_LINES
+    assert float(parse_kv(out)["total_time_s"]) <= 15600.0
 
 
 def test_plan_link_mode_matches_direct_times(capsys):
@@ -247,14 +291,10 @@ def test_bounds_prints_frozen_values(capsys):
         "--devices-per-set", "20,20,20",
     ])
     assert code == 0
-    pairs = parse_kv(capsys.readouterr().out)
-    assert abs(float(pairs["qhetfed_c"]) - 0.85) < 1e-12
-    assert abs(float(pairs["qhetfed_gap_bound"]) - 0.5003773770386936) < 1e-10
-    assert abs(float(pairs["baseline_gap_bound"]) - 0.5004658333333333) < 1e-10
-    assert abs(float(pairs["delta_total"]) - 0.1051111) < 1e-10
-    assert pairs["baseline_cond"] == "False"
+    out = capsys.readouterr().out
+    assert out.splitlines() == BOUNDS_LINES
     # q1 = 1 sits below the switch point N/C - 1 = 19
-    assert pairs["tau_preference"] == "prefer_high_tau"
+    assert parse_kv(out)["tau_preference"] == "prefer_high_tau"
 
 
 def test_bounds_rejects_bad_device_list(capsys):
@@ -290,9 +330,10 @@ def test_missing_config_file_fails(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
-def test_malformed_config_json_is_a_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("content", [b'{"seed": 7,', b"\xff{}"], ids=["text", "not_utf8"])
+def test_malformed_config_json_is_a_config_error(tmp_path, capsys, content):
     path = tmp_path / "config.json"
-    path.write_text('{"seed": 7,', encoding="utf-8")
+    path.write_bytes(content)
     code = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
     assert code == 2
     assert "not valid JSON" in capsys.readouterr().err

@@ -244,3 +244,10 @@ def test_shard_validation():
         PartitionScheme(kind="iid", size_range=(10, 5))
     with pytest.raises(ValueError):
         PartitionScheme(kind="weird")
+
+
+def test_unsigned_labels_that_fit_int64_pass_unchanged():
+    labels = np.array([0, 7, 2**63 - 1], dtype=np.uint64)
+    shard = DeviceShard(0, 0, (np.zeros((3, 2)), labels))
+    assert shard.labels.dtype == np.int64
+    assert shard.labels.tolist() == [0, 7, 2**63 - 1]

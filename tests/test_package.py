@@ -11,15 +11,16 @@ def test_import_loads_the_submodules():
     # a fresh interpreter, so modules other tests imported do not count
     src = Path(harness.__file__).resolve().parents[1]
     probe = ("import sys, qhetfed; "
-             "print(sorted(m for m in ('checks', 'streams', 'quantizer', 'models', 'datagen', 'federation', "
-             "'planner', 'analysis', 'harness') "
-             "if f'qhetfed.{m}' not in sys.modules)); "
-             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+             "print(sorted(m for m in sys.modules if m.startswith('qhetfed.'))); "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules)); "
+             "from qhetfed import analysis; print(analysis.__name__)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), cwd=src)
-    # the worker pool's modules load only when an experiment starts one, so a
-    # single simulation does not pay for them in memory
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    # exactly the simulator's modules: the bound calculators and the CLI load only when
+    # imported, and the worker pool's modules only when an experiment starts one, so a
+    # single simulation does not pay for them in time or memory
+    simulator = ["checks", "datagen", "federation", "harness", "models", "planner", "quantizer", "streams"]
+    assert out.stdout.splitlines() == [str([f"qhetfed.{m}" for m in simulator]), "[]", "qhetfed.analysis"]
 
 
 # names kept in the package with no reader there: the validation oracles, and the version
