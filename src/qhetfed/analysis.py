@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
-from .planner import check_objective_inputs
+from .planner import check_objective_inputs, raw_objective
 
 PREFER_HIGH_TAU = "prefer_high_tau"
 PREFER_LOW_TAU = "prefer_low_tau"
@@ -240,9 +240,7 @@ def convergence_rate_bound(p: TheoryParams, gap0: float) -> float:
     noise = p.sigma2 / p.batch
     return (
         2.0 * gap0 / (mu * (tau + gamma) * T)
-        + (L**2 * mu**2 / 2.0)
-        * noise
-        * ((p.C / p.N) * (1.0 + p.q1) * tau * (1.0 + (gamma - 1.0) / (tau + gamma)) + gamma * (gamma - 1.0) / (tau + gamma))
+        + (L**2 * mu**2 / 2.0) * noise * raw_objective(tau, gamma, p.q1, p.C, p.N)
         + L * mu * noise * (1.0 / p.N) * (1.0 + p.q2) * (1.0 + p.q1)
         + p.G2
     )

@@ -324,30 +324,27 @@ def aggregate_records(records: list[tuple[str, RunRecord]]) -> dict[str, list[Cu
     Each point carries the iteration index and the modeled cumulative runtime
     of that iteration, so a curve can be plotted against either.
     """
-    by_alg: dict[str, dict[int, list[RunRecord]]] = {}
+    by_alg: dict[str, list[RunRecord]] = {}
     for _, rec in records:
-        per_t = by_alg.setdefault(rec.algorithm, {})
-        for t in range(len(rec.train_loss)):
-            per_t.setdefault(t, []).append(rec)
-    curves: dict[str, list[CurvePoint]] = {}
-    for alg, per_t in by_alg.items():
-        pts = []
-        for t in sorted(per_t):
-            recs = per_t[t]
-            losses = [r.train_loss[t] for r in recs]
-            accs = [r.test_accuracy[t] for r in recs]
-            pts.append(
+        by_alg.setdefault(rec.algorithm, []).append(rec)
+    curves: dict[str, list[CurvePoint]] = {alg: [] for alg in by_alg}
+    for alg, recs in by_alg.items():
+        for t in range(max(len(r.train_loss) for r in recs)):
+            # the runs that reached iteration t, in record order
+            reached = [r for r in recs if len(r.train_loss) > t]
+            losses = [r.train_loss[t] for r in reached]
+            accs = [r.test_accuracy[t] for r in reached]
+            curves[alg].append(
                 CurvePoint(
                     t=t + 1,
-                    runtime_s=recs[0].runtime_s[t],
-                    runs=len(recs),
+                    runtime_s=reached[0].runtime_s[t],
+                    runs=len(reached),
                     train_loss_mean=float(np.mean(losses)),
                     train_loss_std=_sample_std(losses),
                     test_accuracy_mean=float(np.mean(accs)),
                     test_accuracy_std=_sample_std(accs),
                 )
             )
-        curves[alg] = pts
     return curves
 
 

@@ -14,9 +14,11 @@ can treat a model as a single array.  Layouts:
 
 Batches are ``(X, y)`` pairs of a float feature matrix and an int label
 vector with labels in ``0..K-1``, the form in which ``datagen`` builds
-datasets, splits and shards.  The functions here do not check the labels:
-``FedRunConfig`` checks every shard's and the test set's once, at construction.
+datasets, splits and shards.  ``stack_batch`` checks a batch's shapes (width,
+one label per row), never its label values: ``FedRunConfig`` checks those of
+every shard and the test set once, at construction.
 
+``gradient``, ``loss`` and ``accuracy`` share one forward pass, ``_forward``.
 ``gradient`` is the simulator's hot kernel.  It computes in place and writes
 each block into one fresh output vector, yet returns the same bytes as the
 formula written one numpy operation per term (kept in the tests as the
@@ -69,13 +71,16 @@ class ModelSpec:
         return self.input_dim
 
 
-def stack_batch(batch) -> tuple[np.ndarray, np.ndarray]:
-    """Cast an ``(X, y)`` batch to float features and int labels; rejects empty batches."""
+def stack_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
+    """Cast an ``(X, y)`` batch to float features and int labels, checking its shapes for ``spec``."""
     X, y = batch
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ValueError("empty batch")
+    if X.ndim != 2 or y.ndim != 1 or not 0 < len(X) == len(y):
+        raise ValueError(f"a batch needs an (n, D) feature matrix with n > 0 and one label per row; "
+                         f"got features of shape {X.shape} and labels of shape {y.shape}")
+    if X.shape[1] != spec.input_dim:
+        raise ValueError(f"feature width {X.shape[1]} does not match model input_dim {spec.input_dim}")
     return X, y
 
 
@@ -94,13 +99,6 @@ def init_params(spec: ModelSpec, rng: np.random.Generator | None = None, scale: 
 
 # ---------------------------------------------------------------------------
 # parameter vector layouts
-
-
-def _logistic_unpack(spec: ModelSpec, w: np.ndarray):
-    K, D = spec.num_classes, spec.input_dim
-    W = w[: K * D].reshape(K, D)
-    b = w[K * D :]
-    return W, b
 
 
 def _mlp_unpack(spec: ModelSpec, w: np.ndarray):
@@ -123,13 +121,22 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(lse - logits[np.arange(len(y)), y]))
 
 
-def _forward_logits(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
+def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
+    """``(inputs, W, logits)`` of the softmax output layer, whose inputs are ``X`` itself for
+    logistic and ``tanh(X W1^T + b1)``, computed in place, for the mlp; ``logits`` is a fresh array."""
     if spec.kind == LOGISTIC:
-        W, b = _logistic_unpack(spec, w)
-        return X @ W.T + b, None
-    W1, b1, W2, b2 = _mlp_unpack(spec, w)
-    hidden = np.tanh(X @ W1.T + b1)
-    return hidden @ W2.T + b2, hidden
+        # the blocks are sliced here, not through spec.dim, whose fixed cost
+        # is a measurable share of a small batch
+        K, D = spec.num_classes, spec.input_dim
+        inputs, W, b = X, w[: K * D].reshape(K, D), w[K * D :]
+    else:
+        W1, b1, W, b = _mlp_unpack(spec, w)
+        inputs = np.dot(X, W1.T)
+        inputs += b1
+        np.tanh(inputs, out=inputs)
+    logits = np.dot(inputs, W.T)
+    logits += b
+    return inputs, W, logits
 
 
 # ---------------------------------------------------------------------------
@@ -138,41 +145,28 @@ def _forward_logits(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
 
 def loss(spec: ModelSpec, w: np.ndarray, batch) -> float:
     """Mean loss over the batch (cross-entropy for the classifier kinds)."""
-    X, y = stack_batch(batch)
-    _check_width(spec, X)
+    X, y = stack_batch(spec, batch)
     if spec.kind == QUADRATIC:
         diff = w[None, :] - X
         return float(0.5 * np.mean(np.sum(diff * diff, axis=1)))
-    logits, _ = _forward_logits(spec, w, X)
-    return _cross_entropy(logits, y)
+    return _cross_entropy(_forward(spec, w, X)[2], y)
 
 
 def gradient(spec: ModelSpec, w: np.ndarray, batch) -> np.ndarray:
     """Exact analytic gradient of ``loss`` at ``w`` over the given batch."""
-    X, y = stack_batch(batch)
-    _check_width(spec, X)
-    n = X.shape[0]
-    kind, D, K = spec.kind, spec.input_dim, spec.num_classes
-    if kind == QUADRATIC:
+    X, y = stack_batch(spec, batch)
+    if spec.kind == QUADRATIC:
         return w - X.mean(axis=0)
-    # logistic regression is the mlp's softmax output layer applied to X itself;
-    # its blocks are sliced here, not through spec.dim and _logistic_unpack,
-    # whose fixed cost is a measurable share of a small batch
-    if kind == LOGISTIC:
-        out = np.empty(K * (D + 1))
-        W, b = w[: K * D].reshape(K, D), w[K * D :]
-        inputs, head = X, out
+    inputs, W, resid = _forward(spec, w, X)
+    n, K = resid.shape
+    if spec.kind == LOGISTIC:
+        out = head = np.empty(W.size + K)
     else:
+        H, D = spec.hidden_width, spec.input_dim
         out = np.empty(spec.dim)
-        W1, b1, W, b = _mlp_unpack(spec, w)
-        inputs = np.dot(X, W1.T)
-        inputs += b1
-        np.tanh(inputs, out=inputs)
-        head = out[W1.size + b1.size :]
+        head = out[H * (D + 1) :]
     # resid = (softmax(logits) - onehot(y)) / n, all in the logits array;
     # the reductions take axis and keepdims positionally (axis, dtype, out, keepdims)
-    resid = np.dot(inputs, W.T)
-    resid += b
     resid -= np.maximum.reduce(resid, 1, None, None, True)
     np.exp(resid, out=resid)
     resid /= np.add.reduce(resid, 1, None, None, True)
@@ -180,12 +174,12 @@ def gradient(spec: ModelSpec, w: np.ndarray, batch) -> np.ndarray:
     resid /= n
     np.dot(resid.T, inputs, out=head[: W.size].reshape(W.shape))
     np.add.reduce(resid, 0, None, head[W.size :])
-    if kind == MLP:
+    if spec.kind == MLP:
         back = np.dot(resid, W)
         inputs *= inputs
         back *= np.subtract(1.0, inputs, out=inputs)
-        np.dot(back.T, X, out=out[: W1.size].reshape(W1.shape))
-        np.add.reduce(back, 0, None, out[W1.size : W1.size + b1.size])
+        np.dot(back.T, X, out=out[: H * D].reshape(H, D))
+        np.add.reduce(back, 0, None, out[H * D : H * (D + 1)])
     return out
 
 
@@ -207,7 +201,7 @@ def finite_diff_gradient(spec: ModelSpec, w: np.ndarray, batch, h) -> np.ndarray
     for step in (h,) if np.ndim(h) == 0 else np.ravel(h):
         check_number(step, "h", POSITIVE)
     steps = np.broadcast_to(np.asarray(h, dtype=float), w.shape)
-    X, y = stack_batch(batch)
+    X, y = stack_batch(spec, batch)
     out = np.empty_like(w)
     for i in range(w.size):
         wp = w.copy()
@@ -218,25 +212,9 @@ def finite_diff_gradient(spec: ModelSpec, w: np.ndarray, batch, h) -> np.ndarray
     return out
 
 
-def predict(spec: ModelSpec, w: np.ndarray, X: np.ndarray) -> np.ndarray:
-    if spec.kind == QUADRATIC:
-        raise ValueError("quadratic kind has no class predictions")
-    X = np.asarray(X, dtype=float)
-    _check_width(spec, X)
-    logits, _ = _forward_logits(spec, w, X)
-    return logits.argmax(axis=1)
-
-
 def accuracy(spec: ModelSpec, w: np.ndarray, samples) -> float:
     """Fraction of correct argmax predictions; 0.0 for the quadratic kind."""
     if spec.kind == QUADRATIC:
         return 0.0
-    X, y = stack_batch(samples)
-    return float(np.mean(predict(spec, w, X) == y))
-
-
-def _check_width(spec: ModelSpec, X: np.ndarray) -> None:
-    if X.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"feature width {X.shape[1]} does not match model input_dim {spec.input_dim}"
-        )
+    X, y = stack_batch(spec, samples)
+    return float(np.mean(_forward(spec, w, X)[2].argmax(axis=1) == y))

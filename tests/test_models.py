@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from qhetfed.models import (
     gradient,
     init_params,
     loss,
-    predict,
     stack_batch,
 )
 from qhetfed.streams import stream
@@ -66,34 +66,56 @@ def test_loss_is_stable_for_large_logits():
     assert value >= 0.0
 
 
-def test_predict_and_accuracy():
+def test_accuracy_counts_argmax_class_matches():
     spec = ModelSpec(kind="logistic", input_dim=1, num_classes=2)
     # class 1 scores higher for positive inputs with this weight layout
     w = np.array([-1.0, 1.0, 0.0, 0.0])
     X = np.array([[2.0], [-2.0]])
     y = np.array([1, 0])
-    assert np.array_equal(predict(spec, w, X), y)
+    for i in range(2):
+        assert accuracy(spec, w, (X[i : i + 1], y[i : i + 1])) == 1.0
     assert accuracy(spec, w, (X, y)) == 1.0
     assert accuracy(spec, w, (X, np.array([0, 1]))) == 0.0
+    assert accuracy(spec, w, (X, np.array([1, 1]))) == 0.5
     with pytest.raises(ValueError, match="feature width 2 does not match model input_dim 1"):
-        predict(spec, w, np.zeros((1, 2)))
+        accuracy(spec, w, (np.zeros((1, 2)), np.array([0])))
 
 
 def test_quadratic_has_no_classifier_surface():
     spec = ModelSpec(kind="quadratic", input_dim=2)
-    with pytest.raises(ValueError):
-        predict(spec, np.zeros(2), np.zeros((1, 2)))
     assert accuracy(spec, np.zeros(2), (np.zeros((1, 2)), np.array([0]))) == 0.0
 
 
 def test_stack_batch_forms():
-    X, y = stack_batch(([[1, 2], [3, 4]], [1.0, 0.0]))
+    spec = ModelSpec(kind="logistic", input_dim=2, num_classes=2)
+    X, y = stack_batch(spec, ([[1, 2], [3, 4]], [1.0, 0.0]))
     assert X.shape == (2, 2) and X.dtype == np.float64
     assert np.array_equal(y, [1, 0]) and y.dtype == np.int64
-    X2, y2 = stack_batch((X, y))
+    X2, y2 = stack_batch(spec, (X, y))
     assert X2 is X and y2 is y
-    with pytest.raises(ValueError):
-        stack_batch((np.zeros((0, 2)), np.zeros(0, dtype=int)))
+    with pytest.raises(ValueError, match=r"got features of shape \(0, 2\) and labels of shape \(0,\)"):
+        stack_batch(spec, (np.zeros((0, 2)), np.zeros(0, dtype=int)))
+
+
+_X4 = np.arange(8.0).reshape(4, 2)
+
+
+@pytest.mark.parametrize("fn", [gradient, loss, accuracy])
+@pytest.mark.parametrize(
+    "X,y,shapes",
+    [
+        # one label for every row used to broadcast, and a label column too
+        (_X4, np.array([2]), "features of shape (4, 2) and labels of shape (1,)"),
+        (_X4, np.full((4, 1), 2), "features of shape (4, 2) and labels of shape (4, 1)"),
+        (np.zeros(3), np.array([0]), "features of shape (3,) and labels of shape (1,)"),
+        (np.zeros((2, 3, 1)), np.array([0, 1]), "features of shape (2, 3, 1) and labels of shape (2,)"),
+    ],
+)
+def test_batch_needs_a_feature_matrix_and_one_label_per_row(fn, X, y, shapes):
+    spec = ModelSpec(kind="logistic", input_dim=X.shape[-1], num_classes=3)
+    w = stream(15, "shapes").standard_normal(spec.dim)
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        fn(spec, w, (X, y))
 
 
 def test_init_params():
@@ -134,10 +156,11 @@ def _reference_softmax(logits):
 
 def _reference_gradient(spec, w, batch):
     """The classifier gradients written one numpy operation per formula term."""
-    X, y = stack_batch(batch)
+    X, y = stack_batch(spec, batch)
     n = X.shape[0]
     if spec.kind == "logistic":
-        W, b = models._logistic_unpack(spec, w)
+        K, D = spec.num_classes, spec.input_dim
+        W, b = w[: K * D].reshape(K, D), w[K * D :]
         logits = X @ W.T + b
         resid = _reference_softmax(logits)
         resid[np.arange(n), y] -= 1.0
@@ -178,6 +201,32 @@ def test_gradient_is_byte_identical_to_reference(kind, B):
             w = scale * rng.standard_normal(spec.dim)
             g = gradient(spec, w, (X, y))
             assert g.tobytes() == _reference_gradient(spec, w, (X, y)).tobytes(), (spec, scale)
+
+
+def _reference_logits(spec, w, X):
+    if spec.kind == "logistic":
+        K, D = spec.num_classes, spec.input_dim
+        W, b = w[: K * D].reshape(K, D), w[K * D :]
+        return X @ W.T + b
+    W1, b1, W2, b2 = models._mlp_unpack(spec, w)
+    return np.tanh(X @ W1.T + b1) @ W2.T + b2
+
+
+@pytest.mark.parametrize("B", [1, 5, 40, 100])
+@pytest.mark.parametrize("kind", ["logistic", "mlp"])
+def test_loss_and_accuracy_are_byte_identical_to_reference(kind, B):
+    # the same cases as the gradient oracle; the loss is the log-sum-exp cross-entropy
+    for spec in _oracle_specs(kind):
+        rng = stream(11, "oracle", kind, B, spec.input_dim, spec.num_classes, spec.hidden_width)
+        X = rng.normal(size=(B, spec.input_dim))
+        y = rng.integers(0, spec.num_classes, size=B)
+        for scale in (1e-2, 0.3, 3.0):
+            w = scale * rng.standard_normal(spec.dim)
+            logits = _reference_logits(spec, w, X)
+            m = logits.max(axis=1)
+            lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+            assert loss(spec, w, (X, y)) == float(np.mean(lse - logits[np.arange(B), y])), (spec, scale)
+            assert accuracy(spec, w, (X, y)) == float(np.mean(logits.argmax(axis=1) == y)), (spec, scale)
 
 
 @pytest.mark.parametrize("kind", ["logistic", "mlp"])
