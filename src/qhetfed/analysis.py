@@ -19,7 +19,7 @@ floor; ``error_gap_decomposition`` splits that excess into its four sources.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
@@ -30,8 +30,7 @@ PREFER_LOW_TAU = "prefer_low_tau"
 INDIFFERENT = "indifferent"
 
 
-@dataclass(frozen=True)
-class TheoryParams:
+class TheoryParams(namedtuple("TheoryParams", "L delta sigma2 batch G2 q1 q2 mu tau gamma T devices_per_set")):
     """Problem and algorithm constants the bounds are evaluated at.
 
     ``sigma2`` bounds the per-sample gradient variance, so the mini-batch
@@ -39,20 +38,10 @@ class TheoryParams:
     count and the total device count.
     """
 
-    L: float
-    delta: float
-    sigma2: float
-    batch: int
-    G2: float
-    q1: float
-    q2: float
-    mu: float
-    tau: int
-    gamma: int
-    T: int
-    devices_per_set: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("batch", "tau", "gamma", "T"):
             check_count(getattr(self, name), name)
         for name in ("L", "delta", "sigma2", "G2", "q1", "q2"):
@@ -62,6 +51,7 @@ class TheoryParams:
             raise ValueError("devices_per_set must not be empty")
         for i, n in enumerate(self.devices_per_set):
             check_count(n, f"devices_per_set[{i}]")
+        return self
 
     @property
     def C(self) -> int:

@@ -14,7 +14,6 @@ run), 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -28,11 +27,6 @@ from .streams import stream
 
 def _f(x: float) -> str:
     return repr(float(x))
-
-
-# one plan option per planner.LinkComputeParams field; link mode requires those without a default
-_LINK_FIELDS = dataclasses.fields(planner.LinkComputeParams)
-_LINK_ARGS = tuple(f.name for f in _LINK_FIELDS if f.default is dataclasses.MISSING)
 
 
 # argparse takes "-1e6" or "-inf" after an option for another option unless it
@@ -100,10 +94,10 @@ def _times_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
     if link_given and any(v is not None for v in direct):
         parser.error("give either --t-cp/--t-de/--t-ec or the link parameters, not both")
     if link_given:
-        missing = [name for name in _LINK_ARGS if getattr(args, name) is None]
+        missing = [name for name, required in harness.LINK_KEYS.items() if required and getattr(args, name) is None]
         if missing:
             parser.error(f"link mode needs --{missing[0].replace('_', '-')}")
-        lp = planner.LinkComputeParams(**{f.name: getattr(args, f.name) for f in _LINK_FIELDS})
+        lp = planner.LinkComputeParams(**{name: getattr(args, name) for name in harness.LINK_KEYS})
         return planner.compute_times(lp)
     if any(v is None for v in direct):
         parser.error("need all of --t-cp, --t-de, --t-ec (or the link parameters)")
@@ -215,9 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--t-cp", type=_finite, help="per-local-iteration compute time, seconds")
     p_plan.add_argument("--t-de", type=_finite, help="device-to-edge upload time, seconds")
     p_plan.add_argument("--t-ec", type=_finite, help="edge-to-cloud time, seconds")
-    for f in _LINK_FIELDS:
-        default = None if f.default is dataclasses.MISSING else f.default
-        p_plan.add_argument(f"--{f.name.replace('_', '-')}", type=_finite, default=default)
+    # one option per planner.LinkComputeParams field; link mode requires those without a default
+    for name in harness.LINK_KEYS:
+        default = planner.LinkComputeParams._field_defaults.get(name)
+        p_plan.add_argument(f"--{name.replace('_', '-')}", type=_finite, default=default)
 
     p_bounds = sub.add_parser("bounds", help="evaluate the convergence-bound calculators")
     p_bounds.add_argument("--L", type=_finite, required=True, help="smoothness constant")

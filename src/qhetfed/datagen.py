@@ -16,7 +16,7 @@ The partition schemes control how class-skewed each device's shard is:
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -37,7 +37,6 @@ _CLASSES_PER_DEVICE = {NONIID1: 2, NONIID2: 1}
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass
 class DeviceShard:
     """One device's local dataset as stacked ``features`` and ``labels`` arrays.
 
@@ -45,15 +44,11 @@ class DeviceShard:
     not kept.
     """
 
-    set_index: int
-    device_index: int
-    samples: InitVar[tuple[np.ndarray, np.ndarray]]
-    features: np.ndarray = field(init=False, repr=False)
-    labels: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, samples: tuple[np.ndarray, np.ndarray]) -> None:
-        check_count(self.set_index, "set_index", 0)
-        check_count(self.device_index, "device_index", 0)
+    def __init__(self, set_index: int, device_index: int, samples: tuple[np.ndarray, np.ndarray]) -> None:
+        check_count(set_index, "set_index", 0)
+        check_count(device_index, "device_index", 0)
+        self.set_index = set_index
+        self.device_index = device_index
         self.features, self.labels = check_samples(samples)
 
     @property
@@ -89,17 +84,20 @@ def check_samples(samples, name: str = "", model: ModelSpec | None = None) -> tu
     return X, y
 
 
-@dataclass(frozen=True)
-class PartitionScheme:
-    kind: str = IID
-    size_range: tuple[int, int] = (50, 150)
+class PartitionScheme(namedtuple("PartitionScheme", "kind size_range", defaults=(IID, (50, 150)))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in SCHEMES:
-            raise ValueError(f"unknown partition scheme {self.kind!r}")
-        lo, hi = self.size_range
+    def __new__(cls, *args, **kwargs):
+        kind, size_range = super().__new__(cls, *args, **kwargs)
+        if kind not in SCHEMES:
+            raise ValueError(f"unknown partition scheme {kind!r}")
+        try:
+            lo, hi = size_range
+        except (TypeError, ValueError):
+            raise ValueError(f"size_range must be a (min, max) pair, got {size_range!r}") from None
         check_count(lo, "size_range[0]")
         check_count(hi, "size_range[1]", lo)
+        return super().__new__(cls, kind, (lo, hi))
 
 
 def make_synthetic_dataset(

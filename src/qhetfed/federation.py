@@ -40,7 +40,7 @@ indices ``integers`` would draw, and numpy redraws each rejected key itself.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -63,18 +63,18 @@ GRAD = "grad"
 LOCAL = "local"
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(namedtuple("Topology", "devices_per_set")):
     """Device sets hanging off one cloud: ``devices_per_set[l]`` devices in set l."""
 
-    devices_per_set: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.devices_per_set:
+    def __new__(cls, devices_per_set):
+        counts = tuple(devices_per_set)
+        if not counts:
             raise ValueError("need at least one device set")
-        for i, n in enumerate(self.devices_per_set):
+        for i, n in enumerate(counts):
             check_count(n, f"devices_per_set[{i}]")
-        object.__setattr__(self, "devices_per_set", tuple(int(n) for n in self.devices_per_set))
+        return super().__new__(cls, tuple(int(n) for n in counts))
 
     @property
     def num_sets(self) -> int:
@@ -85,64 +85,64 @@ class Topology:
         return int(sum(self.devices_per_set))
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(namedtuple("Schedule", "tau gamma mu rounds batch")):
     """Iteration structure: tau rounds, gamma local steps, rate mu, T global iterations, batch B."""
 
-    tau: int
-    gamma: int
-    mu: float
-    rounds: int
-    batch: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("tau", "gamma", "rounds", "batch"):
             check_count(getattr(self, name), name)
         check_number(self.mu, "mu", POSITIVE)
+        return self
 
 
-@dataclass
 class FedRunConfig:
-    topology: Topology
-    schedule: Schedule
-    model: ModelSpec
-    shards: list[DeviceShard]
-    q1: QuantizerSpec = field(default_factory=identity_spec)
-    q2: QuantizerSpec = field(default_factory=identity_spec)
-    algorithm: str = QHETFED
-    master_seed: int = 0
-    test_samples: tuple[np.ndarray, np.ndarray] | None = None
-    times: PhaseTimes = field(default_factory=lambda: PhaseTimes(1.0, 0.1, 1.0))
-    initial_params: np.ndarray | None = None
-    init_scale: float = 0.1
-    keep_snapshots: bool = False
-    norm_guard: float = 1e9
+    """One simulation's inputs, checked once at construction."""
 
-    def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        check_count(self.master_seed, "master_seed", 0)
-        check_number(self.init_scale, "init_scale")
+    def __init__(self, topology: Topology, schedule: Schedule, model: ModelSpec, shards: list[DeviceShard],
+                 q1: QuantizerSpec = identity_spec(), q2: QuantizerSpec = identity_spec(),
+                 algorithm: str = QHETFED, master_seed: int = 0,
+                 test_samples: tuple[np.ndarray, np.ndarray] | None = None,
+                 times: PhaseTimes = PhaseTimes(1.0, 0.1, 1.0), initial_params: np.ndarray | None = None,
+                 init_scale: float = 0.1, keep_snapshots: bool = False, norm_guard: float = 1e9) -> None:
+        if algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        check_count(master_seed, "master_seed", 0)
+        check_number(init_scale, "init_scale")
         # +inf turns the divergence guard off; a NaN would too, without a word
-        if self.norm_guard != np.inf:
-            check_number(self.norm_guard, "norm_guard", POSITIVE)
-        if self.algorithm == QHETFED_GAMMA1 and self.schedule.gamma != 1:
+        if norm_guard != np.inf:
+            check_number(norm_guard, "norm_guard", POSITIVE)
+        if algorithm == QHETFED_GAMMA1 and schedule.gamma != 1:
             raise ValueError("qhetfed_gamma1 requires schedule.gamma == 1")
-        if len(self.shards) != self.topology.num_devices:
-            raise ValueError(
-                f"{len(self.shards)} shards for {self.topology.num_devices} devices"
-            )
-        if self.initial_params is not None:
-            w0 = np.asarray(self.initial_params, dtype=float)
-            if w0.shape != (self.model.dim,):
-                raise ValueError(f"initial_params must be a vector of length {self.model.dim}, got shape {w0.shape}")
+        if len(shards) != topology.num_devices:
+            raise ValueError(f"{len(shards)} shards for {topology.num_devices} devices")
+        if initial_params is not None:
+            w0 = np.asarray(initial_params, dtype=float)
+            if w0.shape != (model.dim,):
+                raise ValueError(f"initial_params must be a vector of length {model.dim}, got shape {w0.shape}")
             check_finite(w0, "initial_params")
         # the gradient kernel checks no data, so it is checked here, once per run
-        for s in self.shards:
-            check_samples((s.features, s.labels), f"shard ({s.set_index}, {s.device_index})", self.model)
-        if self.test_samples is not None:
-            check_samples(self.test_samples, "test_samples", self.model)
-        self._grid = _shard_grid(self.shards, self.topology)
+        for s in shards:
+            check_samples((s.features, s.labels), f"shard ({s.set_index}, {s.device_index})", model)
+        if test_samples is not None:
+            check_samples(test_samples, "test_samples", model)
+        self.topology = topology
+        self.schedule = schedule
+        self.model = model
+        self.shards = shards
+        self.q1 = q1
+        self.q2 = q2
+        self.algorithm = algorithm
+        self.master_seed = master_seed
+        self.test_samples = test_samples
+        self.times = times
+        self.initial_params = initial_params
+        self.init_scale = init_scale
+        self.keep_snapshots = keep_snapshots
+        self.norm_guard = norm_guard
+        self._grid = _shard_grid(shards, topology)
 
 
 def _shard_grid(shards: list[DeviceShard], topology: Topology) -> list[list[DeviceShard]]:
@@ -159,7 +159,6 @@ def _shard_grid(shards: list[DeviceShard], topology: Topology) -> list[list[Devi
     return grid  # type: ignore[return-value]
 
 
-@dataclass
 class RunRecord:
     """Per-global-iteration metrics plus the configuration that produced them.
 
@@ -169,16 +168,19 @@ class RunRecord:
     otherwise the lists have exactly ``schedule.rounds`` entries.
     """
 
-    algorithm: str
-    master_seed: int
-    train_loss: list[float]
-    test_accuracy: list[float]
-    runtime_s: list[float]
-    param_hash: list[str]
-    final_params: np.ndarray
-    diverged_at: int | None
-    snapshots: list[np.ndarray] | None
-    config: FedRunConfig
+    def __init__(self, algorithm: str, master_seed: int, train_loss: list[float], test_accuracy: list[float],
+                 runtime_s: list[float], param_hash: list[str], final_params: np.ndarray,
+                 diverged_at: int | None, snapshots: list[np.ndarray] | None, config: FedRunConfig | None) -> None:
+        self.algorithm = algorithm
+        self.master_seed = master_seed
+        self.train_loss = train_loss
+        self.test_accuracy = test_accuracy
+        self.runtime_s = runtime_s
+        self.param_hash = param_hash
+        self.final_params = final_params
+        self.diverged_at = diverged_at
+        self.snapshots = snapshots
+        self.config = config
 
 
 # ---------------------------------------------------------------------------

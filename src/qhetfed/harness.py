@@ -28,7 +28,6 @@ import copy
 import hashlib
 import json
 import os
-from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -90,7 +89,7 @@ DEFAULTS: dict = {
 }
 
 # physical-link alternative to the "runtime" block; mutually exclusive with it.  key -> required
-LINK_KEYS = {f.name: f.default is MISSING for f in fields(LinkComputeParams)}
+LINK_KEYS = {name: name not in LinkComputeParams._field_defaults for name in LinkComputeParams._fields}
 
 
 class ConfigError(ValueError):
@@ -159,25 +158,27 @@ def resolved_config(user: dict) -> dict:
     return merged
 
 
-@dataclass
 class ExperimentConfig:
     """Fully resolved experiment description plus the raw dict it came from."""
 
-    seed: int
-    repeats: int
-    output_dir: str
-    algorithms: list[str]
-    metric_cadence: int
-    dataset: dict
-    scheme: PartitionScheme
-    topology: Topology
-    model: ModelSpec
-    schedule: Schedule
-    q1: QuantizerSpec
-    q2: QuantizerSpec
-    times: PhaseTimes
-    init_scale: float
-    raw: dict = field(repr=False)
+    def __init__(self, seed: int, repeats: int, output_dir: str, algorithms: list[str], metric_cadence: int,
+                 dataset: dict, scheme: PartitionScheme, topology: Topology, model: ModelSpec, schedule: Schedule,
+                 q1: QuantizerSpec, q2: QuantizerSpec, times: PhaseTimes, init_scale: float, raw: dict) -> None:
+        self.seed = seed
+        self.repeats = repeats
+        self.output_dir = output_dir
+        self.algorithms = algorithms
+        self.metric_cadence = metric_cadence
+        self.dataset = dataset
+        self.scheme = scheme
+        self.topology = topology
+        self.model = model
+        self.schedule = schedule
+        self.q1 = q1
+        self.q2 = q2
+        self.times = times
+        self.init_scale = init_scale
+        self.raw = raw
 
 
 @contextlib.contextmanager
@@ -436,7 +437,7 @@ def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np
     rep, algorithm = task
     schedule = cfg.schedule
     if algorithm == federation.QHETFED_GAMMA1 and schedule.gamma != 1:
-        schedule = replace(schedule, gamma=1)
+        schedule = Schedule(**dict(schedule._asdict(), gamma=1))
     rec = federation.run(FedRunConfig(
         topology=cfg.topology,
         schedule=schedule,
@@ -451,7 +452,8 @@ def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np
         init_scale=cfg.init_scale,
     ))
     # the config holds every shard, which the parent already has
-    return task, replace(rec, config=None)
+    rec.config = None
+    return task, rec
 
 
 # A worker's copy of the pool's stop event and the parent's (cfg, partitions,

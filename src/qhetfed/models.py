@@ -32,7 +32,7 @@ cache of read-only arrays.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -45,19 +45,19 @@ QUADRATIC = "quadratic"
 KINDS = (LOGISTIC, MLP, QUADRATIC)
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    kind: str
-    input_dim: int
-    num_classes: int = 1
-    hidden_width: int = 0
+class ModelSpec(namedtuple("ModelSpec", "kind input_dim num_classes hidden_width", defaults=(1, 0))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         check_count(self.input_dim, "input_dim")
         check_count(self.num_classes, "num_classes", 1 if self.kind == QUADRATIC else 2)
         check_count(self.hidden_width, "hidden_width", 1 if self.kind == MLP else 0)
+        if self.kind != MLP and self.hidden_width:
+            raise ValueError(f"hidden_width must be 0 for the {self.kind} kind, got {self.hidden_width!r}")
+        return self
 
     @property
     def dim(self) -> int:

@@ -13,7 +13,7 @@ to validate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from typing import NamedTuple
 
 from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
@@ -23,42 +23,35 @@ class InfeasibleScheduleError(ValueError):
     """No (tau, gamma) with tau, gamma >= 1 fits inside the deadline."""
 
 
-@dataclass(frozen=True)
-class PhaseTimes:
+class PhaseTimes(namedtuple("PhaseTimes", "t_cp t_de t_ec")):
     """Per-phase delays in seconds: local compute step, device-edge upload, edge-cloud exchange."""
 
-    t_cp: float
-    t_de: float
-    t_ec: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("t_cp", "t_de", "t_ec"):
-            check_number(getattr(self, name), name, POSITIVE)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            check_number(value, name, POSITIVE)
+        return self
 
 
-@dataclass(frozen=True)
-class LinkComputeParams:
+class LinkComputeParams(namedtuple("LinkComputeParams", (
+        "bandwidth_hz", "power_w", "noise_w", "channel_gain", "cycles_per_bit", "cpu_hz", "bits_per_local_iter",
+        "model_bits", "edge_cloud_time", "edge_cloud_ratio"), defaults=(None, 10.0))):
     """Physical link and CPU parameters from which the phase times derive.
 
     ``edge_cloud_time`` gives t_ec directly; when it is None, t_ec is
     ``edge_cloud_ratio`` times the device-edge upload time.
     """
 
-    bandwidth_hz: float
-    power_w: float
-    noise_w: float
-    channel_gain: float
-    cycles_per_bit: float
-    cpu_hz: float
-    bits_per_local_iter: float
-    model_bits: float
-    edge_cloud_time: float | None = None
-    edge_cloud_ratio: float = 10.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if not (f.name == "edge_cloud_time" and self.edge_cloud_time is None):
-                check_number(getattr(self, f.name), f.name, POSITIVE)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if not (name == "edge_cloud_time" and value is None):
+                check_number(value, name, POSITIVE)
+        return self
 
 
 def compute_times(lp: LinkComputeParams) -> PhaseTimes:
@@ -70,17 +63,16 @@ def compute_times(lp: LinkComputeParams) -> PhaseTimes:
     return PhaseTimes(t_cp=t_cp, t_de=t_de, t_ec=t_ec)
 
 
-@dataclass(frozen=True)
-class DeadlinePlan:
-    deadline_s: float
-    rounds: int
-    times: PhaseTimes
+class DeadlinePlan(namedtuple("DeadlinePlan", "deadline_s rounds times")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         check_count(self.rounds, "rounds")
         check_number(self.deadline_s, "deadline_s")
         if not self.rounds * self.times.t_ec < self.deadline_s:
             raise ValueError("deadline_s must leave time for computation: need rounds * t_ec < deadline_s")
+        return self
 
 
 def iteration_delay(tau: float, gamma: float, times: PhaseTimes) -> float:

@@ -15,7 +15,7 @@ which grows as the number of levels s shrinks and as the dimension grows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -33,21 +33,21 @@ class NonFiniteInputError(ValueError):
     """
 
 
-@dataclass(frozen=True)
-class QuantizerSpec:
+class QuantizerSpec(namedtuple("QuantizerSpec", "levels mode", defaults=(1, STOCHASTIC))):
     """Quantizer configuration: number of levels plus a mode switch.
 
     ``identity`` mode passes vectors through exactly, so degenerate-case tests
     can disable quantization without touching the code path layout.
     """
 
-    levels: int = 1
-    mode: str = STOCHASTIC
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in (STOCHASTIC, IDENTITY):
             raise ValueError(f"unknown quantizer mode {self.mode!r}")
         check_count(self.levels, "levels")
+        return self
 
 
 def identity_spec() -> QuantizerSpec:

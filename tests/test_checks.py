@@ -163,6 +163,8 @@ BOUNDARY_CASES = {
                                      "norm_guard must be a finite positive number, got True"),
     "FedRunConfig.norm_guard=0.0": (lambda: _config(norm_guard=0.0),
                                     "norm_guard must be a finite positive number, got 0.0"),
+    "ModelSpec.hidden_width=7 (logistic)": (lambda: ModelSpec("logistic", 4, 3, 7),
+                                            "hidden_width must be 0 for the logistic kind, got 7"),
     "split_dataset.test_fraction=False": (lambda: split_dataset(SAMPLES, False, stream(0, "s")),
                                           "test_fraction must be a finite number, got False"),
     "finite_diff_gradient.h=[1e-6, nan]": (

@@ -244,6 +244,13 @@ def test_shard_validation():
         PartitionScheme(kind="iid", size_range=(10, 5))
     with pytest.raises(ValueError):
         PartitionScheme(kind="weird")
+    for bad in [(3,), (2, 5, 7), 4]:
+        with pytest.raises(ValueError, match=r"^size_range must be a \(min, max\) pair, got "):
+            PartitionScheme(kind="iid", size_range=bad)
+    # a list is stored as a tuple, so the read-only spec stays hashable
+    scheme = PartitionScheme(kind="iid", size_range=[2, 5])
+    assert scheme.size_range == (2, 5) and type(scheme.size_range) is tuple
+    assert hash(scheme) == hash(PartitionScheme("iid", (2, 5)))
 
 
 def test_unsigned_labels_that_fit_int64_pass_unchanged():

@@ -1,5 +1,5 @@
-import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -196,14 +196,14 @@ def test_config_rejects_initial_params_of_wrong_length():
 
 
 def test_config_rejects_test_samples_that_do_not_fit_the_model():
-    cfg = synthetic_config(QHETFED, LOGISTIC)
     X, y = make_synthetic_dataset(3, 2, 4, stream(5, "test"))
-    assert dataclasses.replace(cfg, test_samples=(X, y)).test_samples is not None
-    assert dataclasses.replace(cfg, test_samples=(X[:0], y[:0])).test_samples is not None
+    # a copy with new test samples is built through the constructor, so it runs the checks
+    assert synthetic_config(QHETFED, LOGISTIC, test_samples=(X, y)).test_samples is not None
+    assert synthetic_config(QHETFED, LOGISTIC, test_samples=(X[:0], y[:0])).test_samples is not None
     # before this check, a narrow test set failed in numpy's matmul after the first round
     for bad in [(X[:, :3], y), (X, y[:-1]), (X[0], y[:1])]:
         with pytest.raises(ValueError, match="test_samples must be rows of width 4"):
-            dataclasses.replace(cfg, test_samples=bad)
+            synthetic_config(QHETFED, LOGISTIC, test_samples=bad)
 
 
 def test_topology_validation():
@@ -214,6 +214,11 @@ def test_topology_validation():
     topo = Topology((np.int64(3), np.int32(1)))
     assert topo.devices_per_set == (3, 1)
     assert all(type(n) is int for n in topo.devices_per_set)
+    # any sequence of counts, a numpy integer array included
+    topo = Topology(np.array([3, 3]))
+    assert topo.devices_per_set == (3, 3) and all(type(n) is int for n in topo.devices_per_set)
+    with pytest.raises(ValueError, match="^need at least one device set$"):
+        Topology(np.array([], dtype=int))
 
 
 def test_schedule_validation():
@@ -227,6 +232,18 @@ def test_schedule_validation():
             Schedule(*args)
     sched = Schedule(np.int64(2), np.int32(3), 1, np.int64(4), np.int64(5))
     assert steps_per_round(QHETFED, sched) == 5
+
+
+def test_run_record_survives_a_pickle_round_trip():
+    # the experiment pool's workers send their records to the parent pickled
+    rec = run(quadratic_config([2], [[[1.0, 2.0], [3.0]]], tau=2, gamma=2, mu=0.1, rounds=3))
+    rec.config = None
+    back = pickle.loads(pickle.dumps(rec))
+    assert type(back) is federation.RunRecord
+    for name in ("algorithm", "master_seed", "train_loss", "test_accuracy", "runtime_s", "param_hash",
+                 "diverged_at", "snapshots", "config"):
+        assert getattr(back, name) == getattr(rec, name)
+    assert back.final_params.tobytes() == rec.final_params.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +573,8 @@ def test_snapshots_match_param_hashes():
 # byte-level pins on synthetic data
 
 
-def synthetic_config(algorithm, kind):
-    """Sets of 2 and 3 devices on a small synthetic task, stochastic q1/q2.
+def synthetic_config(algorithm, kind, **kw):
+    """Sets of 2 and 3 devices on a small synthetic task, stochastic q1/q2; ``kw`` adds config fields.
 
     Shard sizes straddle the batch size, so some devices draw sampled batches
     and others take full-batch steps.
@@ -575,6 +592,7 @@ def synthetic_config(algorithm, kind):
         q2=QuantizerSpec(levels=8),
         algorithm=algorithm,
         master_seed=17,
+        **kw,
     )
 
 

@@ -7,11 +7,13 @@ import re
 import signal
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qhetfed import cli, federation, harness
+from qhetfed.federation import Schedule
 from qhetfed.harness import (
     AGG_COLUMNS,
     DEFAULTS,
@@ -503,6 +505,19 @@ def test_run_experiment_gamma1_algorithm_forces_gamma(tmp_path):
         manifest = json.load(fh)
     assert {m["algorithm"] for m in manifest} == {"qhetfed_gamma1"}
     assert all(m["iterations_completed"] == 3 for m in manifest)
+
+
+def test_gamma1_schedule_copy_runs_the_schedule_checks(monkeypatch):
+    cfg = parse_config(dict(TINY, schedule=dict(TINY["schedule"], gamma=3)))
+    # the run sees the schedule _run_one builds; no data is needed to look at it
+    monkeypatch.setattr(harness, "FedRunConfig", lambda **fields: SimpleNamespace(**fields))
+    monkeypatch.setattr(federation, "run", lambda config: SimpleNamespace(schedule=config.schedule))
+    _, rec = harness._run_one(cfg, [None], None, (0, "qhetfed_gamma1"))
+    assert type(rec.schedule) is Schedule and rec.schedule == (2, 1, 0.05, 3, 5)
+    # Schedule._make, like _replace, skips the checks; the copy goes through the constructor and runs them
+    cfg.schedule = Schedule._make((2, 3, -0.05, 3, 5))
+    with pytest.raises(ValueError, match="^mu must be a finite positive number, got -0.05$"):
+        harness._run_one(cfg, [None], None, (0, "qhetfed_gamma1"))
 
 
 def test_no_temporary_file_left_behind(tmp_path):

@@ -1,10 +1,19 @@
 import ast
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qhetfed import harness
+from qhetfed.analysis import TheoryParams
+from qhetfed.datagen import PartitionScheme
+from qhetfed.federation import Schedule, Topology
+from qhetfed.models import ModelSpec
+from qhetfed.planner import DeadlinePlan, LinkComputeParams, PhaseTimes
+from qhetfed.quantizer import QuantizerSpec
 
 
 def test_import_loads_the_submodules():
@@ -12,15 +21,36 @@ def test_import_loads_the_submodules():
     src = Path(harness.__file__).resolve().parents[1]
     probe = ("import sys, qhetfed; "
              "print(sorted(m for m in sys.modules if m.startswith('qhetfed.'))); "
-             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules)); "
-             "from qhetfed import analysis; print(analysis.__name__)")
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'dataclasses') if m in sys.modules)); "
+             "from qhetfed import analysis; print(analysis.__name__, 'dataclasses' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), cwd=src)
     # exactly the simulator's modules: the bound calculators and the CLI load only when
     # imported, and the worker pool's modules only when an experiment starts one, so a
-    # single simulation does not pay for them in time or memory
+    # single simulation does not pay for them in time or memory; no value type is a dataclass,
+    # whose class processing generates code at import
     simulator = ["checks", "datagen", "federation", "harness", "models", "planner", "quantizer", "streams"]
-    assert out.stdout.splitlines() == [str([f"qhetfed.{m}" for m in simulator]), "[]", "qhetfed.analysis"]
+    assert out.stdout.splitlines() == [str([f"qhetfed.{m}" for m in simulator]), "[]", "qhetfed.analysis False"]
+
+
+READ_ONLY_SPECS = [
+    ModelSpec("logistic", 2, 2), PartitionScheme(), PhaseTimes(1.0, 0.1, 1.0),
+    LinkComputeParams(1e6, 0.5, 1e-10, 1e-8, 20.0, 1e9, 1e8, 1e6),
+    DeadlinePlan(100.0, 2, PhaseTimes(1.0, 0.1, 1.0)), QuantizerSpec(), Topology((2, 1)),
+    Schedule(1, 2, 0.1, 3, 4), TheoryParams(1.0, 0.5, 1.0, 2, 0.1, 0.2, 0.3, 0.01, 2, 3, 10, (2, 1)),
+]
+
+
+@pytest.mark.parametrize("spec", READ_ONLY_SPECS, ids=lambda spec: type(spec).__name__)
+def test_read_only_specs_reject_assignment_and_unpickle_through_their_checks(spec):
+    for name in spec._fields:
+        with pytest.raises(AttributeError):
+            setattr(spec, name, getattr(spec, name))
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    # unpickling calls the constructor, so a pickled spec comes back checked and equal
+    back = pickle.loads(pickle.dumps(spec))
+    assert type(back) is type(spec) and back == spec and hash(back) == hash(spec)
 
 
 # names kept in the package with no reader there: the validation oracles, and the version

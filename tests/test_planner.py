@@ -201,7 +201,7 @@ def test_plan_validation():
     with pytest.raises(ValueError, match="t_cp"):
         PhaseTimes(True, 0.1, 1.0)
     with pytest.raises(ValueError, match="power_w"):
-        LinkComputeParams(**{**vars(LINK), "power_w": True})
+        LinkComputeParams(**{**LINK._asdict(), "power_w": True})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0])
@@ -210,9 +210,9 @@ def test_plan_inputs_must_be_positive_and_finite(bad):
     with pytest.raises(ValueError, match="t_de"):
         PhaseTimes(1.0, bad, 1.0)
     with pytest.raises(ValueError, match="bandwidth_hz"):
-        LinkComputeParams(**{**vars(LINK), "bandwidth_hz": bad})
+        LinkComputeParams(**{**LINK._asdict(), "bandwidth_hz": bad})
     with pytest.raises(ValueError, match="edge_cloud_time"):
-        LinkComputeParams(**{**vars(LINK), "edge_cloud_time": bad})
+        LinkComputeParams(**{**LINK._asdict(), "edge_cloud_time": bad})
     with pytest.raises(ValueError, match="deadline"):
         DeadlinePlan(deadline_s=bad, rounds=10, times=PhaseTimes(1.0, 0.1, 1.0))
     plan = _plan()
