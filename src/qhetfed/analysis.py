@@ -47,11 +47,13 @@ class TheoryParams(namedtuple("TheoryParams", "L delta sigma2 batch G2 q1 q2 mu 
         for name in ("L", "delta", "sigma2", "G2", "q1", "q2"):
             check_number(getattr(self, name), name, NON_NEGATIVE)
         check_number(self.mu, "mu", POSITIVE)
-        if not self.devices_per_set:
+        # any sequence of counts, a list or a numpy array included, is stored as a tuple of ints
+        counts = tuple(self.devices_per_set)
+        if not counts:
             raise ValueError("devices_per_set must not be empty")
-        for i, n in enumerate(self.devices_per_set):
+        for i, n in enumerate(counts):
             check_count(n, f"devices_per_set[{i}]")
-        return self
+        return self._replace(devices_per_set=tuple(int(n) for n in counts))
 
     @property
     def C(self) -> int:

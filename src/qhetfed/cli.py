@@ -20,7 +20,7 @@ import os
 import re
 import sys
 
-from . import analysis, harness, planner
+from . import analysis, harness, planner, timing
 from .quantizer import QuantizerSpec, estimate_variance_factor
 from .streams import stream
 
@@ -60,10 +60,20 @@ def _set_override(user: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
+def _read_config_file(path: str):
+    """Parse a JSON config file: malformed JSON or text that is not UTF-8 is a ``ConfigError``, a
+    missing file an ``OSError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise harness.ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     user: dict = {}
     if args.config:
-        user = harness.read_config_file(args.config)
+        user = _read_config_file(args.config)
     for assignment in args.set or []:
         _set_override(user, assignment)
     if args.output_dir is not None:
@@ -88,7 +98,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _times_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> planner.PhaseTimes:
+def _times_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> timing.PhaseTimes:
     direct = [args.t_cp, args.t_de, args.t_ec]
     link_given = args.bandwidth_hz is not None
     if link_given and any(v is not None for v in direct):
@@ -97,11 +107,11 @@ def _times_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) 
         missing = [name for name, required in harness.LINK_KEYS.items() if required and getattr(args, name) is None]
         if missing:
             parser.error(f"link mode needs --{missing[0].replace('_', '-')}")
-        lp = planner.LinkComputeParams(**{name: getattr(args, name) for name in harness.LINK_KEYS})
-        return planner.compute_times(lp)
+        lp = timing.LinkComputeParams(**{name: getattr(args, name) for name in harness.LINK_KEYS})
+        return timing.compute_times(lp)
     if any(v is None for v in direct):
         parser.error("need all of --t-cp, --t-de, --t-ec (or the link parameters)")
-    return planner.PhaseTimes(args.t_cp, args.t_de, args.t_ec)
+    return timing.PhaseTimes(args.t_cp, args.t_de, args.t_ec)
 
 
 def _cmd_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -122,7 +132,7 @@ def _cmd_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     print(f"tau: {choice.tau_int}")
     print(f"gamma: {choice.gamma_int}")
     print(f"j_integer: {_f(choice.j_int)}")
-    delay = planner.iteration_delay(choice.tau_int, choice.gamma_int, times)
+    delay = timing.iteration_delay(choice.tau_int, choice.gamma_int, times)
     print(f"iteration_delay_s: {_f(delay)}")
     print(f"total_time_s: {_f(args.rounds * delay)}")
     print(f"deadline_s: {_f(args.deadline)}")
@@ -209,9 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--t-cp", type=_finite, help="per-local-iteration compute time, seconds")
     p_plan.add_argument("--t-de", type=_finite, help="device-to-edge upload time, seconds")
     p_plan.add_argument("--t-ec", type=_finite, help="edge-to-cloud time, seconds")
-    # one option per planner.LinkComputeParams field; link mode requires those without a default
+    # one option per timing.LinkComputeParams field; link mode requires those without a default
     for name in harness.LINK_KEYS:
-        default = planner.LinkComputeParams._field_defaults.get(name)
+        default = timing.LinkComputeParams._field_defaults.get(name)
         p_plan.add_argument(f"--{name.replace('_', '-')}", type=_finite, default=default)
 
     p_bounds = sub.add_parser("bounds", help="evaluate the convergence-bound calculators")

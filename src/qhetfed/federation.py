@@ -48,9 +48,9 @@ from . import models as _models
 from .checks import POSITIVE, check_count, check_finite, check_number
 from .datagen import DeviceShard, check_samples, global_loss
 from .models import ModelSpec
-from .planner import PhaseTimes, baseline_iteration_delay, iteration_delay
 from .quantizer import NonFiniteInputError, QuantizerSpec, identity_spec, quantize
 from .streams import integers_from_words, seed_states, stream
+from .timing import PhaseTimes, baseline_iteration_delay, iteration_delay
 
 QHETFED = "qhetfed"
 HIER_LOCAL_QSGD = "hier_local_qsgd"

@@ -37,9 +37,9 @@ from .checks import check_count, check_number
 from .datagen import PartitionScheme, split_dataset
 from .federation import ALGORITHMS, FedRunConfig, RunRecord, Schedule, Topology
 from .models import ModelSpec
-from .planner import LinkComputeParams, PhaseTimes, compute_times
 from .quantizer import IDENTITY, STOCHASTIC, QuantizerSpec, identity_spec
 from .streams import derive_seed, stream
+from .timing import LinkComputeParams, PhaseTimes, compute_times
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -267,16 +267,6 @@ def parse_config(user: dict) -> ExperimentConfig:
         init_scale=float(cfg["model"]["init_scale"]),
         raw=cfg,
     )
-
-
-def read_config_file(path: str):
-    """Parse a JSON config file: malformed JSON or text that is not UTF-8 is a ``ConfigError``, a
-    missing file an ``OSError``."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

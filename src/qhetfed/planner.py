@@ -1,11 +1,9 @@
-"""Delay model and deadline-constrained schedule optimization.
+"""Deadline-constrained schedule optimization over ``timing``'s delay model.
 
-A global iteration spends ``(tau + gamma) * t_cp`` seconds computing,
-``tau * t_de`` uploading device gradients to the edge, and ``t_ec`` on the
-edge-to-cloud exchange.  Given a total deadline ``T_d`` for ``T`` global
-iterations, the deadline fixes gamma as an affine function of tau, and the
-communication-error objective J(tau) becomes a one-dimensional function whose
-stationary points solve a quadratic.  ``optimize_schedule`` evaluates that
+Given a total deadline ``T_d`` for ``T`` global iterations, the deadline fixes
+gamma as an affine function of tau, and the communication-error objective
+J(tau) becomes a one-dimensional function whose stationary points solve a
+quadratic.  ``optimize_schedule`` evaluates that
 closed form; ``grid_search_schedule`` is the brute-force integer oracle used
 to validate it.
 """
@@ -16,51 +14,11 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
+from .checks import NON_NEGATIVE, check_count, check_number
 
 
 class InfeasibleScheduleError(ValueError):
     """No (tau, gamma) with tau, gamma >= 1 fits inside the deadline."""
-
-
-class PhaseTimes(namedtuple("PhaseTimes", "t_cp t_de t_ec")):
-    """Per-phase delays in seconds: local compute step, device-edge upload, edge-cloud exchange."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
-            check_number(value, name, POSITIVE)
-        return self
-
-
-class LinkComputeParams(namedtuple("LinkComputeParams", (
-        "bandwidth_hz", "power_w", "noise_w", "channel_gain", "cycles_per_bit", "cpu_hz", "bits_per_local_iter",
-        "model_bits", "edge_cloud_time", "edge_cloud_ratio"), defaults=(None, 10.0))):
-    """Physical link and CPU parameters from which the phase times derive.
-
-    ``edge_cloud_time`` gives t_ec directly; when it is None, t_ec is
-    ``edge_cloud_ratio`` times the device-edge upload time.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, value in zip(self._fields, self):
-            if not (name == "edge_cloud_time" and value is None):
-                check_number(value, name, POSITIVE)
-        return self
-
-
-def compute_times(lp: LinkComputeParams) -> PhaseTimes:
-    """Phase times from the link budget: t_cp = c*D/f, t_de from the channel rate."""
-    t_cp = lp.cycles_per_bit * lp.bits_per_local_iter / lp.cpu_hz
-    snr = lp.channel_gain * lp.power_w / lp.noise_w
-    t_de = lp.model_bits / (lp.bandwidth_hz * math.log2(1.0 + snr))
-    t_ec = lp.edge_cloud_time if lp.edge_cloud_time is not None else lp.edge_cloud_ratio * t_de
-    return PhaseTimes(t_cp=t_cp, t_de=t_de, t_ec=t_ec)
 
 
 class DeadlinePlan(namedtuple("DeadlinePlan", "deadline_s rounds times")):
@@ -73,16 +31,6 @@ class DeadlinePlan(namedtuple("DeadlinePlan", "deadline_s rounds times")):
         if not self.rounds * self.times.t_ec < self.deadline_s:
             raise ValueError("deadline_s must leave time for computation: need rounds * t_ec < deadline_s")
         return self
-
-
-def iteration_delay(tau: float, gamma: float, times: PhaseTimes) -> float:
-    """Seconds per global iteration: tau+gamma compute steps, tau uploads, one cloud exchange."""
-    return (tau + gamma) * times.t_cp + tau * times.t_de + times.t_ec
-
-
-def baseline_iteration_delay(tau: float, gamma: float, times: PhaseTimes) -> float:
-    """Same, for the variant that runs gamma local steps inside each of the tau rounds."""
-    return tau * gamma * times.t_cp + tau * times.t_de + times.t_ec
 
 
 def _ratios(plan: DeadlinePlan) -> tuple[float, float]:

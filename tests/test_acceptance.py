@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qhetfed import analysis, planner
+from qhetfed import analysis, planner, timing
 from qhetfed.datagen import (
     IID,
     NONIID1,
@@ -327,7 +327,7 @@ def _random_plan_instance(rng):
     C = int(rng.integers(2, 7))
     n_l = int(rng.integers(5, 41))
     plan = planner.DeadlinePlan(
-        deadline_s=deadline, rounds=rounds, times=planner.PhaseTimes(t_cp, t_de, t_ec)
+        deadline_s=deadline, rounds=rounds, times=timing.PhaseTimes(t_cp, t_de, t_ec)
     )
     return plan, q1, C, C * n_l
 
@@ -352,19 +352,19 @@ def test_criterion_07_planner_correctness():
         checked += 1
 
     # hand value for the device-edge upload time at SNR 50
-    lp = planner.LinkComputeParams(
+    lp = timing.LinkComputeParams(
         bandwidth_hz=1e6, power_w=0.5, noise_w=1e-10, channel_gain=1e-8,
         cycles_per_bit=20, cpu_hz=1e9, bits_per_local_iter=1e8, model_bits=1e6,
         edge_cloud_ratio=10.0,
     )
-    times = planner.compute_times(lp)
+    times = timing.compute_times(lp)
     hand_t_de = 1.0 / math.log2(51.0)
     assert abs(times.t_de - hand_t_de) / hand_t_de < 1e-6
 
     # a feasible plan under these times lands within 5% of a 156 s iteration
     plan = planner.DeadlinePlan(deadline_s=15600.0, rounds=100, times=times)
     choice = planner.optimize_schedule(plan, 1.0, 3, 60)
-    delay = planner.iteration_delay(choice.tau_int, choice.gamma_int, times)
+    delay = timing.iteration_delay(choice.tau_int, choice.gamma_int, times)
     assert abs(delay - 156.0) / 156.0 < 0.05
     assert 100 * delay <= 15600.0 + 1e-9
 
@@ -420,12 +420,12 @@ def test_criterion_09_heterogeneity_robustness():
     # matched wall-clock budget: each algorithm gets as many global
     # iterations as fit the same modeled time under its own delay formula
     started = time.monotonic()
-    times = planner.PhaseTimes(2.0, 0.17629143438888212, 1.7629143438888213)
+    times = timing.PhaseTimes(2.0, 0.17629143438888212, 1.7629143438888213)
     topo = Topology((20, 20, 20))
     tau, gamma, mu, batch, wall = 12, 3, 0.05, 40, 1360.0
     model = ModelSpec(kind="logistic", input_dim=20, num_classes=10)
-    t_fed = int(math.floor(wall / planner.iteration_delay(tau, gamma, times)))
-    t_base = int(math.floor(wall / planner.baseline_iteration_delay(tau, gamma, times)))
+    t_fed = int(math.floor(wall / timing.iteration_delay(tau, gamma, times)))
+    t_base = int(math.floor(wall / timing.baseline_iteration_delay(tau, gamma, times)))
 
     def final_pair(seed, scheme_kind):
         dataset = make_synthetic_dataset(

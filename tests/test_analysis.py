@@ -194,3 +194,14 @@ def test_theory_params_validation():
                       ("gamma", True), ("batch", 1.0), ("T", 3.0), ("mu", True), ("L", True)]:
         with pytest.raises(ValueError, match=name):
             TheoryParams(**{**base, name: bad})
+
+
+@pytest.mark.parametrize("counts", [[2, 2], np.array([2, 2]), (np.int64(2), 2)], ids=["list", "array", "numpy_ints"])
+def test_theory_params_store_any_sequence_of_counts_as_a_tuple_of_ints(counts):
+    base = dict(L=1, delta=1, sigma2=1, batch=1, G2=1, q1=0, q2=0, mu=0.1, tau=1, gamma=1, T=1)
+    p = TheoryParams(**base, devices_per_set=counts)
+    assert p == TheoryParams(**base, devices_per_set=(2, 2))
+    assert hash(p) == hash(TheoryParams(**base, devices_per_set=(2, 2)))
+    assert type(p.devices_per_set) is tuple and all(type(n) is int for n in p.devices_per_set)
+    with pytest.raises(ValueError, match="devices_per_set must not be empty"):
+        TheoryParams(**base, devices_per_set=np.array([], dtype=int))

@@ -10,9 +10,10 @@ from qhetfed.datagen import DeviceShard, PartitionScheme, make_synthetic_dataset
 from qhetfed.federation import CENTRALIZED_SGD, FedRunConfig, Schedule, Topology, run_centralized_sgd
 from qhetfed.harness import ConfigError, resolved_config
 from qhetfed.models import ModelSpec, finite_diff_gradient
-from qhetfed.planner import DeadlinePlan, LinkComputeParams, PhaseTimes, grid_search_schedule, optimize_schedule
+from qhetfed.planner import DeadlinePlan, grid_search_schedule, optimize_schedule
 from qhetfed.quantizer import QuantizerSpec, estimate_variance_factor
 from qhetfed.streams import stream
+from qhetfed.timing import LinkComputeParams, PhaseTimes
 
 NOT_COUNTS = (2.5, 2.0, True, "2")
 NOT_NUMBERS = (True, "1", math.nan, math.inf)

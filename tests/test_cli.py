@@ -341,6 +341,22 @@ def test_malformed_config_json_is_a_config_error(tmp_path, capsys, content):
 
 
 
+ZERO_RATE = "link rate bandwidth_hz * log2(1 + snr) must be a finite positive number, got 0.0"
+
+
+def test_a_zero_link_rate_is_an_error_not_a_traceback(tmp_path, capsys):
+    # positive power and noise whose SNR underflows, so the channel carries no bit
+    link = dict(bandwidth_hz=1e6, power_w=1e-200, noise_w=1e200, channel_gain=1e-8, cycles_per_bit=20.0,
+                cpu_hz=1e9, bits_per_local_iter=1e8, model_bits=1e6)
+    cfg = write_config(tmp_path, dict(TINY, link=link))
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: link: {ZERO_RATE}\n"
+    assert not (tmp_path / "out").exists()
+
+    assert main(NUMERIC_COMMANDS["plan-link"] + ["--power-w", "1e-200", "--noise-w", "1e200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {ZERO_RATE}\n"
+
 @pytest.mark.parametrize("algorithms", [["qhetfed", "qhetfed"], []])
 def test_run_rejects_duplicate_or_empty_algorithms(tmp_path, capsys, algorithms):
     cfg = write_config(tmp_path, dict(TINY, algorithms=algorithms))

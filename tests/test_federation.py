@@ -25,9 +25,9 @@ from qhetfed.federation import (
     steps_per_round,
 )
 from qhetfed.models import LOGISTIC, MLP, ModelSpec, QUADRATIC, gradient
-from qhetfed.planner import PhaseTimes, baseline_iteration_delay, iteration_delay
 from qhetfed.quantizer import QuantizerSpec, identity_spec, quantize
 from qhetfed.streams import stream
+from qhetfed.timing import PhaseTimes, baseline_iteration_delay, iteration_delay
 
 
 def scalar_shard(set_index, device_index, values):

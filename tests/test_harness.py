@@ -27,7 +27,7 @@ from qhetfed.harness import (
     run_experiment,
 )
 from qhetfed.streams import derive_seed
-from qhetfed.planner import LinkComputeParams, compute_times
+from qhetfed.timing import LinkComputeParams, compute_times
 from qhetfed.quantizer import IDENTITY
 
 

@@ -12,25 +12,48 @@ from qhetfed.analysis import TheoryParams
 from qhetfed.datagen import PartitionScheme
 from qhetfed.federation import Schedule, Topology
 from qhetfed.models import ModelSpec
-from qhetfed.planner import DeadlinePlan, LinkComputeParams, PhaseTimes
+from qhetfed.planner import DeadlinePlan
 from qhetfed.quantizer import QuantizerSpec
+from qhetfed.timing import LinkComputeParams, PhaseTimes
+
+
+PROBE = """
+import sys, numpy as np, qhetfed
+from qhetfed import federation, harness, models
+print(sorted(m for m in sys.modules if m.startswith("qhetfed.")))
+print(sorted(m for m in ("multiprocessing", "concurrent.futures", "dataclasses") if m in sys.modules))
+link = dict(bandwidth_hz=1e6, power_w=0.5, noise_w=1e-10, channel_gain=1e-8, cycles_per_bit=20.0,
+            cpu_hz=1e9, bits_per_local_iter=1e8, model_bits=1e6)
+harness.parse_config({"link": link})
+shard = federation.DeviceShard(0, 0, (np.ones((2, 1)), np.zeros(2, dtype=int)))
+federation.run(federation.FedRunConfig(federation.Topology((1,)), federation.Schedule(1, 1, 0.1, 1, 2),
+                                       models.ModelSpec("quadratic", 1), [shard]))
+print("qhetfed.planner" in sys.modules)
+from qhetfed import analysis
+print(analysis.__name__, "dataclasses" in sys.modules)
+"""
+
+
+def _probe(script: str) -> list[str]:
+    # a fresh interpreter, so modules other tests imported do not count
+    src = Path(harness.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), cwd=src)
+    return out.stdout.splitlines()
 
 
 def test_import_loads_the_submodules():
-    # a fresh interpreter, so modules other tests imported do not count
-    src = Path(harness.__file__).resolve().parents[1]
-    probe = ("import sys, qhetfed; "
-             "print(sorted(m for m in sys.modules if m.startswith('qhetfed.'))); "
-             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'dataclasses') if m in sys.modules)); "
-             "from qhetfed import analysis; print(analysis.__name__, 'dataclasses' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), cwd=src)
-    # exactly the simulator's modules: the bound calculators and the CLI load only when
-    # imported, and the worker pool's modules only when an experiment starts one, so a
-    # single simulation does not pay for them in time or memory; no value type is a dataclass,
-    # whose class processing generates code at import
-    simulator = ["checks", "datagen", "federation", "harness", "models", "planner", "quantizer", "streams"]
-    assert out.stdout.splitlines() == [str([f"qhetfed.{m}" for m in simulator]), "[]", "qhetfed.analysis False"]
+    # exactly the simulator's modules: the bound calculators, the deadline planner and the CLI
+    # load only when imported, and the worker pool's modules only when an experiment starts one,
+    # so a single simulation does not pay for them in time or memory, not even one whose times
+    # come from a link block; no value type is a dataclass, whose class processing generates code at import
+    simulator = ["checks", "datagen", "federation", "harness", "models", "quantizer", "streams", "timing"]
+    assert _probe(PROBE) == [str([f"qhetfed.{m}" for m in simulator]), "[]", "False", "qhetfed.analysis False"]
+
+
+@pytest.mark.parametrize("statement", ["from qhetfed import planner", "import qhetfed.cli", "import qhetfed.analysis"])
+def test_the_planner_loads_when_imported(statement):
+    assert _probe(f"import sys; {statement}; print('qhetfed.planner' in sys.modules)") == ["True"]
 
 
 READ_ONLY_SPECS = [

@@ -6,19 +6,15 @@ import pytest
 from qhetfed.planner import (
     DeadlinePlan,
     InfeasibleScheduleError,
-    LinkComputeParams,
-    PhaseTimes,
-    baseline_iteration_delay,
-    compute_times,
     gamma_from_tau,
     grid_search_schedule,
-    iteration_delay,
     max_feasible_tau,
     objective_J,
     optimize_schedule,
     quadratic_coefficients,
     raw_objective,
 )
+from qhetfed.timing import LinkComputeParams, PhaseTimes, baseline_iteration_delay, compute_times, iteration_delay
 
 # reference link budget: 1 MHz band, 0.5 W transmit power, 1e-10 W noise,
 # 1e-8 channel gain -> SNR 50; 20 cycles/bit on a 1 GHz CPU with 1e8 bits
@@ -58,6 +54,15 @@ def test_compute_times_direct_edge_cloud():
     )
     assert compute_times(lp).t_ec == 3.5
 
+
+@pytest.mark.parametrize("power_w, noise_w, rate", [(1e-200, 1e200, "0.0"), (1e200, 1e-200, "inf")])
+def test_compute_times_rejects_a_zero_or_infinite_rate(power_w, noise_w, rate):
+    # every input is a finite positive number, but the SNR underflows to 0 or overflows to inf
+    lp = LinkComputeParams(**dict(LINK._asdict(), power_w=power_w, noise_w=noise_w))
+    message = f"link rate bandwidth_hz * log2(1 + snr) must be a finite positive number, got {rate}"
+    with pytest.raises(ValueError) as exc:
+        compute_times(lp)
+    assert str(exc.value) == message
 
 def test_iteration_delays():
     t = compute_times(LINK)
