@@ -23,6 +23,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
+from .federation import Topology
 from .planner import check_objective_inputs, raw_objective
 
 PREFER_HIGH_TAU = "prefer_high_tau"
@@ -48,12 +49,7 @@ class TheoryParams(namedtuple("TheoryParams", "L delta sigma2 batch G2 q1 q2 mu 
             check_number(getattr(self, name), name, NON_NEGATIVE)
         check_number(self.mu, "mu", POSITIVE)
         # any sequence of counts, a list or a numpy array included, is stored as a tuple of ints
-        counts = tuple(self.devices_per_set)
-        if not counts:
-            raise ValueError("devices_per_set must not be empty")
-        for i, n in enumerate(counts):
-            check_count(n, f"devices_per_set[{i}]")
-        return self._replace(devices_per_set=tuple(int(n) for n in counts))
+        return self._replace(devices_per_set=Topology(self.devices_per_set).devices_per_set)
 
     @property
     def C(self) -> int:

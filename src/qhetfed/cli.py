@@ -132,7 +132,7 @@ def _cmd_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     print(f"tau: {choice.tau_int}")
     print(f"gamma: {choice.gamma_int}")
     print(f"j_integer: {_f(choice.j_int)}")
-    delay = timing.iteration_delay(choice.tau_int, choice.gamma_int, times)
+    delay = timing.iteration_delay(choice.tau_int + choice.gamma_int, choice.tau_int, times)
     print(f"iteration_delay_s: {_f(delay)}")
     print(f"total_time_s: {_f(args.rounds * delay)}")
     print(f"deadline_s: {_f(args.deadline)}")

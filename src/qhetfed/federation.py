@@ -14,12 +14,17 @@ set deltas weighted by set size.  A phase is one of
 ``qhetfed`` runs gradient rounds k = 0..tau-1, then ``(LOCAL, tau, tau)``;
 ``hier_local_qsgd`` runs ``(LOCAL, i*gamma, i)`` for i = 0..tau-1 (model
 averaging at both levels); ``qhetfed_gamma1``, the reduced form of qhetfed at
-gamma = 1, runs gradient rounds k = 0..tau.  ``centralized_sgd`` is the
-single-worker oracle the degenerate topologies are checked against.
+gamma = 1, runs gradient rounds k = 0..tau and reads no ``schedule.gamma``.
+``centralized_sgd`` is the single-worker oracle the degenerate topologies are
+checked against.
 
 ``run(config)`` is the one entry point: it runs the algorithm that
-``config.algorithm`` names.  ``run_centralized_sgd`` stays callable on its own
-for its ``steps_per_iteration`` alignment.  Every algorithm, the oracle
+``config.algorithm`` names.  The phase list is all a hierarchical algorithm
+is: ``steps_per_round`` counts its compute steps (one per gradient round,
+gamma per local phase), which size the batch draws and give every iteration
+the one delay ``timing.iteration_delay(steps, tau, times)``.
+``run_centralized_sgd`` stays callable on its own for its
+``steps_per_iteration`` alignment.  Every algorithm, the oracle
 included, is one ``advance(w, t)`` step inside one loop that records each
 iterate and stops before the first diverged one.  The three aggregation
 steps (edge gradients, edge models, cloud) are one quantized average,
@@ -50,7 +55,7 @@ from .datagen import DeviceShard, check_samples, global_loss
 from .models import ModelSpec
 from .quantizer import NonFiniteInputError, QuantizerSpec, identity_spec, quantize
 from .streams import integers_from_words, seed_states, stream
-from .timing import PhaseTimes, baseline_iteration_delay, iteration_delay
+from .timing import PhaseTimes, iteration_delay
 
 QHETFED = "qhetfed"
 HIER_LOCAL_QSGD = "hier_local_qsgd"
@@ -71,7 +76,7 @@ class Topology(namedtuple("Topology", "devices_per_set")):
     def __new__(cls, devices_per_set):
         counts = tuple(devices_per_set)
         if not counts:
-            raise ValueError("need at least one device set")
+            raise ValueError("devices_per_set must not be empty")
         for i, n in enumerate(counts):
             check_count(n, f"devices_per_set[{i}]")
         return super().__new__(cls, tuple(int(n) for n in counts))
@@ -114,8 +119,6 @@ class FedRunConfig:
         # +inf turns the divergence guard off; a NaN would too, without a word
         if norm_guard != np.inf:
             check_number(norm_guard, "norm_guard", POSITIVE)
-        if algorithm == QHETFED_GAMMA1 and schedule.gamma != 1:
-            raise ValueError("qhetfed_gamma1 requires schedule.gamma == 1")
         if len(shards) != topology.num_devices:
             raise ValueError(f"{len(shards)} shards for {topology.num_devices} devices")
         if initial_params is not None:
@@ -234,13 +237,12 @@ def cloud_aggregate(set_models, global_prev: np.ndarray, topology: Topology, q2_
 # engine
 
 
-def _batch_rows(config: FedRunConfig, l: int, t: int) -> dict[int, np.ndarray]:
+def _batch_rows(config: FedRunConfig, l: int, t: int, steps: int) -> dict[int, np.ndarray]:
     """(steps, B) batch indices of each device n of set l in iteration t; none for a full-batch device.
 
     Row k is ``integers``' draw from the batch stream of key (l, n, t, k), found from its raw words.
     """
     B, seed = config.schedule.batch, config.master_seed
-    steps = steps_per_round(config.algorithm, config.schedule)
     devices = config._grid[l]
     sampled = [n for n, s in enumerate(devices) if B < s.size]
     if not sampled:
@@ -271,11 +273,11 @@ def _phases(algorithm: str, schedule: Schedule) -> list[tuple[str, int, int]]:
     }[algorithm]
 
 
-def _set_model(config: FedRunConfig, phases, w: np.ndarray, l: int, t: int) -> np.ndarray:
-    """Model of set l after running ``phases`` of global iteration t from the cloud model ``w``."""
+def _set_model(config: FedRunConfig, phases, steps: int, w: np.ndarray, l: int, t: int) -> np.ndarray:
+    """Model of set l after running ``phases`` (``steps`` compute steps) of iteration t from the cloud model ``w``."""
     mu, gamma, seed = config.schedule.mu, config.schedule.gamma, config.master_seed
     devices = config._grid[l]
-    rows = _batch_rows(config, l, t)
+    rows = _batch_rows(config, l, t, steps)
     # seed the q1 streams of every upload in one pass; every draw still comes from its own stream() call
     q1 = seed_states(seed, "q1", l, np.arange(len(devices))[:, None], t, np.array([key for _, _, key in phases]))
     # one shared array per set: the broadcast value every device holds
@@ -337,20 +339,6 @@ def _train(config: FedRunConfig, delay: float, advance) -> RunRecord:
     return record
 
 
-def _run_hierarchical(config: FedRunConfig) -> RunRecord:
-    """Global iterations of ``config.algorithm``: every set runs its phases, then the cloud aggregates."""
-    sched, topo = config.schedule, config.topology
-    phases = _phases(config.algorithm, sched)
-    delay_of = baseline_iteration_delay if config.algorithm == HIER_LOCAL_QSGD else iteration_delay
-
-    def advance(w: np.ndarray, t: int) -> np.ndarray:
-        set_models = [_set_model(config, phases, w, l, t) for l in range(topo.num_sets)]
-        rngs = [stream(config.master_seed, "q2", l, t) for l in range(topo.num_sets)]
-        return cloud_aggregate(set_models, w, topo, config.q2, rngs)
-
-    return _train(config, delay_of(sched.tau, sched.gamma, config.times), advance)
-
-
 def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> RunRecord:
     """Plain mini-batch SGD on the pooled data; the degenerate-case oracle.
 
@@ -380,10 +368,20 @@ def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> R
 
 
 def run(config: FedRunConfig) -> RunRecord:
-    """Run the simulation ``config.algorithm`` names: the centralized oracle or a hierarchical algorithm."""
+    """Run the simulation ``config.algorithm`` names: the centralized oracle, or global iterations of a
+    hierarchical algorithm, in which every set runs its phases and then the cloud aggregates."""
     if config.algorithm == CENTRALIZED_SGD:
         return run_centralized_sgd(config)
-    return _run_hierarchical(config)
+    sched, topo = config.schedule, config.topology
+    phases = _phases(config.algorithm, sched)
+    steps = steps_per_round(config.algorithm, sched)
+
+    def advance(w: np.ndarray, t: int) -> np.ndarray:
+        set_models = [_set_model(config, phases, steps, w, l, t) for l in range(topo.num_sets)]
+        rngs = [stream(config.master_seed, "q2", l, t) for l in range(topo.num_sets)]
+        return cloud_aggregate(set_models, w, topo, config.q2, rngs)
+
+    return _train(config, iteration_delay(steps, sched.tau, config.times), advance)
 
 
 def steps_per_round(algorithm: str, schedule: Schedule) -> int:

@@ -14,11 +14,11 @@ comparisons), and writes:
 * ``runs.json``: manifest with per-run status, including divergence markers
 * ``resolved_config.json``: the fully defaulted config actually used
 
-All output is byte-deterministic for a fixed config: floats are written with
-``repr`` (shortest round-trip form) and JSON keys are sorted.  The runs are
-independent simulations and execute in parallel worker processes, at most
-one per usable CPU; since every draw is keyed, the files do not depend on
-that count.  Each file is written to a temporary name and renamed into place.
+All output is byte-deterministic for a fixed config: every table cell is
+written with ``str``, which gives a Python or numpy float's shortest
+round-trip form, and JSON keys are sorted.  The runs are independent
+simulations and execute in parallel worker processes, at most one per usable
+CPU; since every draw is keyed, the files do not depend on that count.  Each file is written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import copy
 import hashlib
 import json
 import os
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
@@ -158,27 +159,12 @@ def resolved_config(user: dict) -> dict:
     return merged
 
 
-class ExperimentConfig:
-    """Fully resolved experiment description plus the raw dict it came from."""
+class ExperimentConfig(namedtuple("ExperimentConfig", (
+        "seed repeats output_dir algorithms metric_cadence dataset scheme topology model schedule q1 q2 times "
+        "init_scale raw"))):
+    """Fully resolved experiment description plus the raw dict it came from; ``parse_config`` checks it."""
 
-    def __init__(self, seed: int, repeats: int, output_dir: str, algorithms: list[str], metric_cadence: int,
-                 dataset: dict, scheme: PartitionScheme, topology: Topology, model: ModelSpec, schedule: Schedule,
-                 q1: QuantizerSpec, q2: QuantizerSpec, times: PhaseTimes, init_scale: float, raw: dict) -> None:
-        self.seed = seed
-        self.repeats = repeats
-        self.output_dir = output_dir
-        self.algorithms = algorithms
-        self.metric_cadence = metric_cadence
-        self.dataset = dataset
-        self.scheme = scheme
-        self.topology = topology
-        self.model = model
-        self.schedule = schedule
-        self.q1 = q1
-        self.q2 = q2
-        self.times = times
-        self.init_scale = init_scale
-        self.raw = raw
+    __slots__ = ()
 
 
 @contextlib.contextmanager
@@ -281,12 +267,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
 # metric tables
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 class CurvePoint(NamedTuple):
     """One row of the aggregate tables: the field order is the column order of both."""
 
@@ -374,7 +354,7 @@ def _write_atomic(path: str, text: str) -> None:
 
 def _write_table(path: str, columns: tuple, rows: list[tuple]) -> None:
     lines = [",".join(columns)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     try:
         _write_atomic(path, "\n".join(lines) + "\n")
     except OSError as exc:
@@ -425,12 +405,9 @@ def emit_metrics(records: list[tuple[str, RunRecord]], output_dir: str,
 def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np.ndarray],
              task: tuple[int, str]) -> tuple[tuple[int, str], RunRecord]:
     rep, algorithm = task
-    schedule = cfg.schedule
-    if algorithm == federation.QHETFED_GAMMA1 and schedule.gamma != 1:
-        schedule = Schedule(**dict(schedule._asdict(), gamma=1))
     rec = federation.run(FedRunConfig(
         topology=cfg.topology,
-        schedule=schedule,
+        schedule=cfg.schedule,
         model=cfg.model,
         shards=partitions[rep],
         q1=cfg.q1,
@@ -468,7 +445,9 @@ def _single_blas_thread() -> None:
 
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1].lower()}
+            # the path is the sixth field, and may itself hold spaces
+            fields = (line.rstrip("\n").split(None, 5) for line in fh)
+            paths = {f[5] for f in fields if len(f) == 6 and "openblas" in f[5].rsplit("/", 1)[-1].lower()}
     except OSError:
         return
     for path in sorted(paths):

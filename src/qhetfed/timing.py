@@ -1,9 +1,12 @@
 """Delay model: the seconds a global iteration takes.
 
-A global iteration spends ``(tau + gamma) * t_cp`` seconds computing,
-``tau * t_de`` uploading device gradients to the edge, and ``t_ec`` on the
-edge-to-cloud exchange.  The simulator stamps each iteration with these
-times; ``planner`` optimizes the schedule under a deadline from them.
+A global iteration spends ``steps * t_cp`` seconds computing, ``uploads *
+t_de`` uploading device messages to the edge, and ``t_ec`` on the
+edge-to-cloud exchange.  Every hierarchical algorithm uploads ``tau`` times
+per iteration; its compute steps are ``federation.steps_per_round``:
+``tau + gamma`` for qhetfed, ``tau * gamma`` for the model-averaging baseline.
+The simulator stamps each iteration with this delay; ``planner`` optimizes
+the qhetfed schedule under a deadline from the same times.
 """
 
 from __future__ import annotations
@@ -57,11 +60,6 @@ def compute_times(lp: LinkComputeParams) -> PhaseTimes:
     return PhaseTimes(t_cp=t_cp, t_de=t_de, t_ec=t_ec)
 
 
-def iteration_delay(tau: float, gamma: float, times: PhaseTimes) -> float:
-    """Seconds per global iteration: tau+gamma compute steps, tau uploads, one cloud exchange."""
-    return (tau + gamma) * times.t_cp + tau * times.t_de + times.t_ec
-
-
-def baseline_iteration_delay(tau: float, gamma: float, times: PhaseTimes) -> float:
-    """Same, for the variant that runs gamma local steps inside each of the tau rounds."""
-    return tau * gamma * times.t_cp + tau * times.t_de + times.t_ec
+def iteration_delay(steps: float, uploads: float, times: PhaseTimes) -> float:
+    """Seconds per global iteration: ``steps`` compute steps, ``uploads`` device uploads, one cloud exchange."""
+    return steps * times.t_cp + uploads * times.t_de + times.t_ec

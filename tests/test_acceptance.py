@@ -364,7 +364,7 @@ def test_criterion_07_planner_correctness():
     # a feasible plan under these times lands within 5% of a 156 s iteration
     plan = planner.DeadlinePlan(deadline_s=15600.0, rounds=100, times=times)
     choice = planner.optimize_schedule(plan, 1.0, 3, 60)
-    delay = timing.iteration_delay(choice.tau_int, choice.gamma_int, times)
+    delay = timing.iteration_delay(choice.tau_int + choice.gamma_int, choice.tau_int, times)
     assert abs(delay - 156.0) / 156.0 < 0.05
     assert 100 * delay <= 15600.0 + 1e-9
 
@@ -424,8 +424,8 @@ def test_criterion_09_heterogeneity_robustness():
     topo = Topology((20, 20, 20))
     tau, gamma, mu, batch, wall = 12, 3, 0.05, 40, 1360.0
     model = ModelSpec(kind="logistic", input_dim=20, num_classes=10)
-    t_fed = int(math.floor(wall / timing.iteration_delay(tau, gamma, times)))
-    t_base = int(math.floor(wall / timing.baseline_iteration_delay(tau, gamma, times)))
+    t_fed = int(math.floor(wall / timing.iteration_delay(tau + gamma, tau, times)))
+    t_base = int(math.floor(wall / timing.iteration_delay(tau * gamma, tau, times)))
 
     def final_pair(seed, scheme_kind):
         dataset = make_synthetic_dataset(

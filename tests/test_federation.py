@@ -27,7 +27,7 @@ from qhetfed.federation import (
 from qhetfed.models import LOGISTIC, MLP, ModelSpec, QUADRATIC, gradient
 from qhetfed.quantizer import QuantizerSpec, identity_spec, quantize
 from qhetfed.streams import stream
-from qhetfed.timing import PhaseTimes, baseline_iteration_delay, iteration_delay
+from qhetfed.timing import PhaseTimes, iteration_delay
 
 
 def scalar_shard(set_index, device_index, values):
@@ -153,11 +153,6 @@ def test_config_rejects_unknown_algorithm():
         quadratic_config([1], [[[1.0]]], 1, 1, 0.1, 1, algorithm="sgd")
 
 
-def test_config_gamma1_variant_requires_gamma_one():
-    with pytest.raises(ValueError):
-        quadratic_config([1], [[[1.0]]], 1, 2, 0.1, 1, algorithm=QHETFED_GAMMA1)
-
-
 def test_config_rejects_wrong_shard_count():
     topo = Topology((2,))
     shards = [scalar_shard(0, 0, [1.0])]
@@ -217,7 +212,7 @@ def test_topology_validation():
     # any sequence of counts, a numpy integer array included
     topo = Topology(np.array([3, 3]))
     assert topo.devices_per_set == (3, 3) and all(type(n) is int for n in topo.devices_per_set)
-    with pytest.raises(ValueError, match="^need at least one device set$"):
+    with pytest.raises(ValueError, match="^devices_per_set must not be empty$"):
         Topology(np.array([], dtype=int))
 
 
@@ -434,6 +429,19 @@ def test_gamma1_equivalence_survives_stochastic_quantization():
     assert np.max(np.abs(general.final_params - reduced.final_params)) < 1e-12
 
 
+def test_gamma1_variant_reads_no_gamma():
+    # its phases, batch draws and delay are the same under any schedule.gamma
+    kw = dict(
+        tau=3, mu=0.05, rounds=4, batch=2, master_seed=11, algorithm=QHETFED_GAMMA1,
+        q1=QuantizerSpec(levels=4), q2=QuantizerSpec(levels=8), times=PhaseTimes(2.0, 0.25, 1.5),
+    )
+    values = [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]], [[4.0, 5.0, 6.0]]]
+    one, three = (run(quadratic_config([2, 1], values, gamma=gamma, **kw)) for gamma in (1, 3))
+    assert one.param_hash == three.param_hash and len(one.param_hash) == 4
+    assert one.train_loss == three.train_loss
+    assert one.runtime_s == three.runtime_s == [(t + 1) * iteration_delay(4, 3, kw["times"]) for t in range(4)]
+
+
 def test_single_device_identity_collapses_to_centralized():
     # per global iteration the qhetfed run takes tau + gamma descent steps
     # and the baseline takes tau * gamma, so each gets its own oracle alignment
@@ -465,7 +473,7 @@ def test_runtime_column_is_iteration_times_delay():
         [1], [[[1.0]]], tau=3, gamma=2, mu=0.1, rounds=4, times=times,
     )
     rec = run(cfg)
-    delay = iteration_delay(3, 2, times)
+    delay = iteration_delay(3 + 2, 3, times)
     assert rec.runtime_s == [(t + 1) * delay for t in range(4)]
 
     cfg_b = quadratic_config(
@@ -473,7 +481,7 @@ def test_runtime_column_is_iteration_times_delay():
         algorithm=HIER_LOCAL_QSGD,
     )
     rec_b = run(cfg_b)
-    delay_b = baseline_iteration_delay(3, 2, times)
+    delay_b = iteration_delay(3 * 2, 3, times)
     assert rec_b.runtime_s == [(t + 1) * delay_b for t in range(4)]
 
 
@@ -550,9 +558,8 @@ def test_runners_reject_another_algorithms_config():
 def test_dispatcher_routes_every_algorithm():
     values = [[[1.0, 2.0]]]
     for algo in ALGORITHMS:
-        gamma = 1 if algo == QHETFED_GAMMA1 else 2
         cfg = quadratic_config(
-            [1], values, tau=2, gamma=gamma, mu=0.05, rounds=2, algorithm=algo,
+            [1], values, tau=2, gamma=2, mu=0.05, rounds=2, algorithm=algo,
         )
         rec = run(cfg)
         assert rec.algorithm == algo
@@ -634,7 +641,7 @@ def ragged_config(sizes, batch):
 def test_batch_rows_are_numpys_rows_for_each_key(batch):
     cfg = ragged_config([1, 3, 7, 8, 40, 41, 55, 100], batch)
     steps = steps_per_round(QHETFED, cfg.schedule)
-    rows = _batch_rows(cfg, 1, 3)
+    rows = _batch_rows(cfg, 1, 3, steps)
     sampled = [n for n, shard in enumerate(cfg._grid[1]) if shard.size > batch]
     assert sorted(rows) == sampled
     for n in sampled:
@@ -646,7 +653,7 @@ def test_batch_rows_are_numpys_rows_for_each_key(batch):
 def test_batch_gathers_one_step_or_a_slice_of_steps():
     cfg = ragged_config([3, 41], 7)
     small, large = cfg._grid[1]
-    rows = _batch_rows(cfg, 1, 0)
+    rows = _batch_rows(cfg, 1, 0, steps_per_round(QHETFED, cfg.schedule))
     X, y = _batch(small, None, slice(2, 5))
     assert X is small.features and y is small.labels
     X, y = _batch(large, rows[1], slice(2, 5))
@@ -664,7 +671,8 @@ def test_full_batch_set_draws_nothing(monkeypatch):
 
     monkeypatch.setattr(federation, "stream", no_draw)
     monkeypatch.setattr(federation, "seed_states", no_draw)
-    assert _batch_rows(ragged_config([2, 5, 9], 9), 1, 0) == {}
+    cfg = ragged_config([2, 5, 9], 9)
+    assert _batch_rows(cfg, 1, 0, steps_per_round(QHETFED, cfg.schedule)) == {}
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

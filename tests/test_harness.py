@@ -1,5 +1,7 @@
 import contextlib
+import ctypes
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -13,7 +15,6 @@ import numpy as np
 import pytest
 
 from qhetfed import cli, federation, harness
-from qhetfed.federation import Schedule
 from qhetfed.harness import (
     AGG_COLUMNS,
     DEFAULTS,
@@ -108,6 +109,9 @@ def test_defaults_resolve():
     assert cfg.model.kind == "logistic" and cfg.model.num_classes == 10
     assert cfg.q1.levels == 4 and cfg.q2.levels == 10
     assert cfg.times.t_cp == 2.0
+    # read-only, like the specs it holds
+    with pytest.raises(AttributeError):
+        cfg.seed = 1
 
 
 def test_unknown_key_rejected_with_dotted_path():
@@ -412,6 +416,20 @@ def test_metrics_round_trip_exact(tmp_path):
         assert float(row[5]) == rec.runtime_s[t]
 
 
+def test_numpy_floats_in_a_record_write_the_same_tables(tmp_path):
+    # numpy 2 reprs a float64 as np.float64(0.5); every cell is written with str instead
+    values = dict(losses=[0.5, 1.0 / 3.0], accs=[0.25, 0.1 + 0.2])
+    python = make_record("qhetfed", **values, delay=1.5)
+    numpy = make_record("qhetfed", **{k: list(np.array(v)) for k, v in values.items()}, delay=np.float64(1.5))
+    assert type(numpy.train_loss[0]) is type(numpy.runtime_s[0]) is np.float64
+    tables = []
+    for name, rec in (("python", python), ("numpy", numpy)):
+        emit_metrics([("run0", rec)], str(tmp_path / name))
+        tables.append([(tmp_path / name / table).read_bytes() for table in ("metrics.csv", "aggregate.csv")])
+    assert tables[0] == tables[1]
+    assert tables[0][0].splitlines()[1] == b"run0,qhetfed,1,0.5,0.25,1.5"
+
+
 def test_metric_cadence_keeps_last_iteration(tmp_path):
     rec = make_record("qhetfed", [float(t) for t in range(12)])
     emit_metrics([("run0", rec)], str(tmp_path), cadence=5)
@@ -498,26 +516,19 @@ def test_run_experiment_without_test_split_records_zero_accuracy(tmp_path):
     assert len(rows) == 12 and all(row[column] == "0.0" for row in rows)
 
 
-def test_run_experiment_gamma1_algorithm_forces_gamma(tmp_path):
-    user = dict(TINY, output_dir=str(tmp_path / "out"), algorithms=["qhetfed_gamma1"])
-    run_experiment(user)
-    with open(tmp_path / "out" / "runs.json", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    assert {m["algorithm"] for m in manifest} == {"qhetfed_gamma1"}
-    assert all(m["iterations_completed"] == 3 for m in manifest)
-
-
-def test_gamma1_schedule_copy_runs_the_schedule_checks(monkeypatch):
-    cfg = parse_config(dict(TINY, schedule=dict(TINY["schedule"], gamma=3)))
-    # the run sees the schedule _run_one builds; no data is needed to look at it
-    monkeypatch.setattr(harness, "FedRunConfig", lambda **fields: SimpleNamespace(**fields))
-    monkeypatch.setattr(federation, "run", lambda config: SimpleNamespace(schedule=config.schedule))
-    _, rec = harness._run_one(cfg, [None], None, (0, "qhetfed_gamma1"))
-    assert type(rec.schedule) is Schedule and rec.schedule == (2, 1, 0.05, 3, 5)
-    # Schedule._make, like _replace, skips the checks; the copy goes through the constructor and runs them
-    cfg.schedule = Schedule._make((2, 3, -0.05, 3, 5))
-    with pytest.raises(ValueError, match="^mu must be a finite positive number, got -0.05$"):
-        harness._run_one(cfg, [None], None, (0, "qhetfed_gamma1"))
+def test_run_experiment_runs_gamma1_under_any_gamma(tmp_path):
+    # qhetfed_gamma1 reads no schedule.gamma: its tables are those of the gamma = 1 experiment
+    tables = {}
+    for gamma in (1, 3):
+        out = tmp_path / f"gamma{gamma}"
+        run_experiment(dict(TINY, output_dir=str(out), algorithms=["qhetfed_gamma1"],
+                            schedule=dict(TINY["schedule"], gamma=gamma)))
+        with open(out / "runs.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert {m["algorithm"] for m in manifest} == {"qhetfed_gamma1"}
+        assert all(m["iterations_completed"] == 3 for m in manifest)
+        tables[gamma] = [(out / name).read_bytes() for name in ("metrics.csv", "aggregate.csv")]
+    assert tables[1] == tables[3]
 
 
 def test_no_temporary_file_left_behind(tmp_path):
@@ -579,6 +590,25 @@ def test_pool_and_in_process_runs_write_identical_files(tmp_path, monkeypatch):
     assert len(pids[1]) == len(pids[2]) == 6
     assert set(pids[1]) == {str(os.getpid())}
     assert str(os.getpid()) not in pids[2]
+
+
+def test_blas_cap_loads_an_openblas_whose_path_holds_a_space(monkeypatch):
+    path = "/opt/my env/lib/python3.11/site-packages/numpy.libs/libscipy_openblas64_-ff651d7f.so"
+    maps = (
+        f"7f2a00000000-7f2a00100000 r-xp 00000000 08:01 1234                       {path}\n"
+        "7f2a00200000-7f2a00300000 rw-p 00000000 00:00 0 \n"
+        "7ffc00000000-7ffc00021000 rw-p 00000000 00:00 0                          [stack]\n"
+    )
+    loaded, threads = [], []
+
+    def cdll(name):
+        loaded.append(name)
+        return SimpleNamespace(scipy_openblas_set_num_threads64_=lambda n: threads.append(n))
+
+    monkeypatch.setattr(harness, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    harness._single_blas_thread()
+    assert loaded == [path] and threads == [1]
 
 
 def test_worker_count_is_capped_by_runs_and_cpus(monkeypatch):

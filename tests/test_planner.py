@@ -14,7 +14,7 @@ from qhetfed.planner import (
     quadratic_coefficients,
     raw_objective,
 )
-from qhetfed.timing import LinkComputeParams, PhaseTimes, baseline_iteration_delay, compute_times, iteration_delay
+from qhetfed.timing import LinkComputeParams, PhaseTimes, compute_times, iteration_delay
 
 # reference link budget: 1 MHz band, 0.5 W transmit power, 1e-10 W noise,
 # 1e-8 channel gain -> SNR 50; 20 cycles/bit on a 1 GHz CPU with 1e8 bits
@@ -66,12 +66,16 @@ def test_compute_times_rejects_a_zero_or_infinite_rate(power_w, noise_w, rate):
 
 def test_iteration_delays():
     t = compute_times(LINK)
-    d = iteration_delay(12, 3, t)
+    # qhetfed computes tau + gamma steps, the baseline tau * gamma; both upload tau times
+    d = iteration_delay(12 + 3, 12, t)
     assert abs(d - (15 * 2.0 + 22 * t.t_de)) < 1e-12
     assert abs(d - 33.878441) < 1e-4
-    b = baseline_iteration_delay(12, 3, t)
+    b = iteration_delay(12 * 3, 12, t)
     assert abs(b - (72.0 + 22 * t.t_de)) < 1e-12
     assert b > d
+    # the same float operations as the two per-algorithm formulas they replace, so the same bits
+    assert d == (12 + 3) * t.t_cp + 12 * t.t_de + t.t_ec
+    assert b == 12 * 3 * t.t_cp + 12 * t.t_de + t.t_ec
 
 
 def test_gamma_from_tau_hand_value():
@@ -80,7 +84,7 @@ def test_gamma_from_tau_hand_value():
     # gamma spends exactly the per-iteration budget
     t = plan.times
     g = gamma_from_tau(12.0, plan)
-    assert abs(iteration_delay(12.0, g, t) * plan.rounds - plan.deadline_s) < 1e-6
+    assert abs(iteration_delay(12.0 + g, 12.0, t) * plan.rounds - plan.deadline_s) < 1e-6
 
 
 def test_max_feasible_tau_boundary():
@@ -134,7 +138,7 @@ def test_optimizer_takes_the_boundary_when_roots_fall_outside():
     assert choice.tau_int == 69
     assert choice.gamma_int == 2
     # the integer pair still fits the deadline
-    delay = iteration_delay(choice.tau_int, choice.gamma_int, plan.times)
+    delay = iteration_delay(choice.tau_int + choice.gamma_int, choice.tau_int, plan.times)
     assert plan.rounds * delay <= plan.deadline_s + 1e-9
     assert abs(delay - 155.92702332) < 1e-6
 
