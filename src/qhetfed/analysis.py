@@ -9,12 +9,15 @@ persistent error floor ``e``:
 
     gap_T  <=  c^T * gap_0 + (1 - c^T) / (1 - c) * e.
 
-Two algorithm families are covered: the gradient-aggregating scheme with tau
-synchronized rounds plus gamma trailing local steps (contraction
-``c = 1 - mu (tau + gamma) delta``), and the model-averaging baseline that
-nests gamma local steps inside each of tau rounds (``c = 1 - mu tau gamma
-delta``).  The baseline contracts faster but pays a strictly larger error
-floor; ``error_gap_decomposition`` splits that excess into its four sources.
+Two algorithm families are covered, each a ``GapBound`` of that one
+recursion: the gradient-aggregating scheme with tau synchronized rounds plus
+gamma trailing local steps (contraction ``c = 1 - mu (tau + gamma) delta``),
+and the model-averaging baseline that nests gamma local steps inside each of
+tau rounds (``c = 1 - mu tau gamma delta``).  Neither dominates: with tau and
+gamma both at least 2, tau*gamma >= tau + gamma, so the baseline's ``c`` is
+at most the scheme's and its floor usually the larger, while at tau = 1 or
+gamma = 1 both orders reverse.  ``error_gap_decomposition`` splits the
+difference of the two floors into its four sources and asserts no sign.
 """
 
 from __future__ import annotations
@@ -102,20 +105,26 @@ def baseline_lr_condition(p: TheoryParams) -> tuple[bool, float]:
     return lhs >= 0.0, lhs
 
 
-def _geometric_bound(c: float, e: float, gap0: float, T: int) -> float:
-    # closed form of the recursion gap <- c * gap + e; |c| >= 1 still evaluates
-    # to the exact recursion value, it just no longer contracts
-    if c == 1.0:
-        return gap0 + T * e
-    cT = c**T
-    return cT * gap0 + (1.0 - cT) / (1.0 - c) * e
-
-
 class GapBound(NamedTuple):
     c: float
     e: float
     bound: float
     contractive: bool
+
+
+def _gap_bound(c: float, e: float, gap0: float, T: int) -> GapBound:
+    """Closed form of the recursion gap <- c * gap + e after T steps from ``gap0``.
+
+    ``contractive`` is False when |c| >= 1; the bound value is still the exact
+    recursion value, it just grows with T instead of settling.
+    """
+    check_number(gap0, "gap0", NON_NEGATIVE)
+    if c == 1.0:
+        bound = gap0 + T * e
+    else:
+        cT = c**T
+        bound = cT * gap0 + (1.0 - cT) / (1.0 - c) * e
+    return GapBound(c=c, e=e, bound=bound, contractive=abs(c) < 1.0)
 
 
 def qhetfed_error_floor(p: TheoryParams) -> float:
@@ -131,23 +140,8 @@ def qhetfed_error_floor(p: TheoryParams) -> float:
 
 
 def qhetfed_gap_bound(p: TheoryParams, gap0: float) -> GapBound:
-    """Optimality-gap bound after ``p.T`` global iterations.
-
-    ``contractive`` is False when |c| >= 1; the bound value is still the exact
-    recursion value, it just grows with T instead of settling.
-    """
-    c = 1.0 - p.mu * (p.tau + p.gamma) * p.delta
-    e = qhetfed_error_floor(p)
-    return GapBound(c=c, e=e, bound=_geometric_bound(c, e, gap0, p.T), contractive=abs(c) < 1.0)
-
-
-class BaselineGapBound(NamedTuple):
-    c_bar: float
-    e_bar: float
-    bound: float
-    contractive: bool
-    cond: bool
-    cond_lhs: float
+    """Optimality-gap bound after ``p.T`` global iterations of the gradient-aggregating scheme."""
+    return _gap_bound(1.0 - p.mu * (p.tau + p.gamma) * p.delta, qhetfed_error_floor(p), gap0, p.T)
 
 
 def baseline_error_floor(p: TheoryParams) -> float:
@@ -162,18 +156,9 @@ def baseline_error_floor(p: TheoryParams) -> float:
     return (L * mu**2 / 2.0) * noise * inner + mu * tau * gamma * p.G2 / 2.0
 
 
-def baseline_gap_bound(p: TheoryParams, gap0: float) -> BaselineGapBound:
-    c_bar = 1.0 - p.mu * p.tau * p.gamma * p.delta
-    e_bar = baseline_error_floor(p)
-    ok, lhs = baseline_lr_condition(p)
-    return BaselineGapBound(
-        c_bar=c_bar,
-        e_bar=e_bar,
-        bound=_geometric_bound(c_bar, e_bar, gap0, p.T),
-        contractive=abs(c_bar) < 1.0,
-        cond=ok,
-        cond_lhs=lhs,
-    )
+def baseline_gap_bound(p: TheoryParams, gap0: float) -> GapBound:
+    """Optimality-gap bound after ``p.T`` global iterations of the model-averaging baseline."""
+    return _gap_bound(1.0 - p.mu * p.tau * p.gamma * p.delta, baseline_error_floor(p), gap0, p.T)
 
 
 class GapDecomposition(NamedTuple):
@@ -187,7 +172,7 @@ class GapDecomposition(NamedTuple):
 def error_gap_decomposition(p: TheoryParams) -> GapDecomposition:
     """Split of (baseline error floor - gradient-scheme error floor) by source.
 
-    The four components sum to ``delta_total`` exactly.  The total is usually
+    ``delta_total`` is the sum of the four components.  The total is usually
     positive (the baseline pays more) but can go negative in corners such as
     tau = gamma = 1, where tau*gamma - tau - gamma < 0; no sign is asserted.
     """
@@ -204,26 +189,14 @@ def error_gap_decomposition(p: TheoryParams) -> GapDecomposition:
     d_q2 = (L * mu**2 / (2.0 * p.N)) * noise * (1.0 + p.q2) * (1.0 + p.q1) * excess_rounds
     d_local = (L**2 * mu**3 / 2.0) * noise * (tau - 1) * gamma * (gamma - 1) / 2.0
     d_het = (mu / 2.0) * p.G2 * excess_rounds
-    delta_total = (
-        (L * mu**2 / 2.0)
-        * noise
-        * (
-            (L * mu / p.N)
-            * p.C
-            * (1.0 + p.q1)
-            * (gamma**2 * tau * (tau - 1) / 2.0 - tau * (tau - 1) / 2.0 - tau * gamma)
-            + (1.0 / p.N) * (1.0 + p.q2) * (1.0 + p.q1) * excess_rounds
-            + L * mu * (tau - 1) * gamma * (gamma - 1) / 2.0
-        )
-        + (mu / 2.0) * p.G2 * excess_rounds
-    )
     return GapDecomposition(
-        d_q1=d_q1, d_q2=d_q2, d_local=d_local, d_het=d_het, delta_total=delta_total
+        d_q1=d_q1, d_q2=d_q2, d_local=d_local, d_het=d_het, delta_total=d_q1 + d_q2 + d_local + d_het
     )
 
 
 def convergence_rate_bound(p: TheoryParams, gap0: float) -> float:
     """Bound on the average squared gradient norm over ``p.T`` global iterations."""
+    check_number(gap0, "gap0", NON_NEGATIVE)
     L, mu, tau, gamma, T = p.L, p.mu, p.tau, p.gamma, p.T
     noise = p.sigma2 / p.batch
     return (

@@ -60,14 +60,18 @@ def _set_override(user: dict, assignment: str) -> None:
     node[keys[-1]] = value
 
 
-def _read_config_file(path: str):
-    """Parse a JSON config file: malformed JSON or text that is not UTF-8 is a ``ConfigError``, a
-    missing file an ``OSError``."""
+def _read_config_file(path: str) -> dict:
+    """Parse a JSON config file: malformed JSON, text that is not UTF-8 or a root that is not an
+    object is a ``ConfigError``, a missing file an ``OSError``."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            user = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise harness.ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    # checked here, not only in parse_config, because the overrides write into the root first
+    if not isinstance(user, dict):
+        raise harness.ConfigError("config root must be a JSON object")
+    return user
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -150,30 +154,25 @@ def _cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         tau=args.tau, gamma=args.gamma, T=args.rounds, devices_per_set=devices,
     )
     conds = analysis.check_lr_conditions(p)
-    print(f"cond_a: {conds.cond_a}")
-    print(f"cond_a_lhs: {_f(conds.lhs_a)}")
-    print(f"cond_b: {conds.cond_b}")
-    print(f"cond_b_lhs: {_f(conds.lhs_b)}")
+    base_ok, base_lhs = analysis.baseline_lr_condition(p)
     gb = analysis.qhetfed_gap_bound(p, args.gap0)
-    print(f"qhetfed_c: {_f(gb.c)}")
-    print(f"qhetfed_e: {_f(gb.e)}")
-    print(f"qhetfed_contractive: {gb.contractive}")
-    print(f"qhetfed_gap_bound: {_f(gb.bound)}")
     bb = analysis.baseline_gap_bound(p, args.gap0)
-    print(f"baseline_cond: {bb.cond}")
-    print(f"baseline_cond_lhs: {_f(bb.cond_lhs)}")
-    print(f"baseline_c: {_f(bb.c_bar)}")
-    print(f"baseline_e: {_f(bb.e_bar)}")
-    print(f"baseline_contractive: {bb.contractive}")
-    print(f"baseline_gap_bound: {_f(bb.bound)}")
     dec = analysis.error_gap_decomposition(p)
-    print(f"delta_q1: {_f(dec.d_q1)}")
-    print(f"delta_q2: {_f(dec.d_q2)}")
-    print(f"delta_local: {_f(dec.d_local)}")
-    print(f"delta_het: {_f(dec.d_het)}")
-    print(f"delta_total: {_f(dec.delta_total)}")
-    print(f"rate_bound: {_f(analysis.convergence_rate_bound(p, args.gap0))}")
-    print(f"tau_preference: {analysis.tau_preference(p.q1, p.N, p.C)}")
+    # every value is computed before any is printed, so a value the library rejects prints only its error
+    rows = [
+        ("cond_a", conds.cond_a), ("cond_a_lhs", conds.lhs_a),
+        ("cond_b", conds.cond_b), ("cond_b_lhs", conds.lhs_b),
+        ("qhetfed_c", gb.c), ("qhetfed_e", gb.e),
+        ("qhetfed_contractive", gb.contractive), ("qhetfed_gap_bound", gb.bound),
+        ("baseline_cond", base_ok), ("baseline_cond_lhs", base_lhs),
+        ("baseline_c", bb.c), ("baseline_e", bb.e),
+        ("baseline_contractive", bb.contractive), ("baseline_gap_bound", bb.bound),
+        ("delta_q1", dec.d_q1), ("delta_q2", dec.d_q2), ("delta_local", dec.d_local),
+        ("delta_het", dec.d_het), ("delta_total", dec.delta_total),
+        ("rate_bound", analysis.convergence_rate_bound(p, args.gap0)),
+        ("tau_preference", analysis.tau_preference(p.q1, p.N, p.C)),
+    ]
+    print("\n".join(f"{key}: {_f(value) if isinstance(value, float) else value}" for key, value in rows))
     return 0
 
 

@@ -307,7 +307,7 @@ def test_criterion_06_decomposition_identity():
             T=int(rng.integers(1, 101)),
             devices_per_set=devices,
         )
-        diff = analysis.baseline_gap_bound(p, 1.0).e_bar - analysis.qhetfed_gap_bound(p, 1.0).e
+        diff = analysis.baseline_gap_bound(p, 1.0).e - analysis.qhetfed_gap_bound(p, 1.0).e
         total = analysis.error_gap_decomposition(p).delta_total
         denom = max(abs(diff), abs(total), 1e-300)
         assert abs(diff - total) / denom <= 1e-10, (

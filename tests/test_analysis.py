@@ -7,7 +7,7 @@ from qhetfed.analysis import (
     PREFER_HIGH_TAU,
     PREFER_LOW_TAU,
     TheoryParams,
-    _geometric_bound,
+    _gap_bound,
     baseline_gap_bound,
     baseline_lr_condition,
     check_lr_conditions,
@@ -16,6 +16,7 @@ from qhetfed.analysis import (
     qhetfed_gap_bound,
     tau_preference,
 )
+from qhetfed.streams import stream
 
 # reference parameter point: 3 sets of 20 devices, tau=12, gamma=3, mu=0.01,
 # unit smoothness / PL / noise / heterogeneity constants, q1=q2=1
@@ -56,11 +57,11 @@ def test_gap_bound_hand_values():
 
 def test_baseline_gap_bound_hand_values():
     bb = baseline_gap_bound(REF, 1.0)
-    assert abs(bb.c_bar - 0.64) < 1e-15
-    assert abs(bb.e_bar - 0.1801677) < 1e-10
+    assert abs(bb.c - 0.64) < 1e-15
+    assert abs(bb.e - 0.1801677) < 1e-10
     assert abs(bb.bound - 0.5004658333333333) < 1e-10
     assert bb.contractive
-    assert not bb.cond
+    assert not baseline_lr_condition(REF)[0]
 
 
 def test_decomposition_hand_values():
@@ -76,8 +77,26 @@ def test_decomposition_matches_floor_difference():
     gb = qhetfed_gap_bound(REF, 1.0)
     bb = baseline_gap_bound(REF, 1.0)
     dec = error_gap_decomposition(REF)
-    diff = bb.e_bar - gb.e
+    diff = bb.e - gb.e
     assert abs(dec.delta_total - diff) < 1e-12 * max(1.0, abs(diff))
+
+
+def test_decomposition_total_is_the_sum_of_its_parts_and_both_bounds_are_gap_bounds():
+    # criterion 6's 100 seeded draws
+    rng = stream(606, "accept-decomp")
+    for trial in range(100):
+        devices = tuple(int(rng.integers(1, 30)) for _ in range(int(rng.integers(1, 6))))
+        p = TheoryParams(
+            L=float(rng.uniform(0.1, 5.0)), delta=float(rng.uniform(0.01, 2.0)),
+            sigma2=float(rng.uniform(0.0, 5.0)), batch=int(rng.integers(1, 11)),
+            G2=float(rng.uniform(0.0, 5.0)), q1=float(rng.uniform(0.0, 50.0)),
+            q2=float(rng.uniform(0.0, 50.0)), mu=float(rng.uniform(1e-4, 0.1)),
+            tau=int(rng.integers(1, 21)), gamma=int(rng.integers(1, 21)),
+            T=int(rng.integers(1, 101)), devices_per_set=devices,
+        )
+        dec = error_gap_decomposition(p)
+        assert dec.delta_total == dec.d_q1 + dec.d_q2 + dec.d_local + dec.d_het, f"trial {trial}"
+        assert type(qhetfed_gap_bound(p, 1.0)) is GapBound and type(baseline_gap_bound(p, 1.0)) is GapBound
 
 
 def test_rate_bound_hand_value():
@@ -86,13 +105,13 @@ def test_rate_bound_hand_value():
 
 
 def test_geometric_bound_degenerate_contraction():
-    assert _geometric_bound(1.0, 0.5, 2.0, 10) == 2.0 + 10 * 0.5
+    assert _gap_bound(1.0, 0.5, 2.0, 10).bound == 2.0 + 10 * 0.5
     # plain geometric case: closed form equals the unrolled recursion
     c, e, gap0 = 0.9, 0.1, 1.0
     value = gap0
     for _ in range(7):
         value = c * value + e
-    assert abs(_geometric_bound(c, e, gap0, 7) - value) < 1e-12
+    assert abs(_gap_bound(c, e, gap0, 7).bound - value) < 1e-12
 
 
 def test_non_contractive_flagged_not_raised():
@@ -130,7 +149,7 @@ def _single_set_gap_bound(p: TheoryParams, gap0: float) -> GapBound:
         + (1.0 / p.N) * (tau + gamma) * (1.0 + p.q1)
     ) + mu * (tau + gamma) * p.G2 / 2.0
     c = 1.0 - mu * (tau + gamma) * p.delta
-    return GapBound(c=c, e=e, bound=_geometric_bound(c, e, gap0, p.T), contractive=abs(c) < 1.0)
+    return GapBound(c=c, e=e, bound=_gap_bound(c, e, gap0, p.T).bound, contractive=abs(c) < 1.0)
 
 
 def test_single_set_bound_matches_general_form_at_c1_q2_zero():

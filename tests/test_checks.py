@@ -4,7 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from qhetfed.analysis import tau_preference
+from qhetfed.analysis import (
+    TheoryParams, baseline_gap_bound, convergence_rate_bound, qhetfed_gap_bound, tau_preference,
+)
 from qhetfed.checks import NON_NEGATIVE, POSITIVE, check_count, check_number, is_count
 from qhetfed.datagen import DeviceShard, PartitionScheme, make_synthetic_dataset, partition, split_dataset
 from qhetfed.federation import CENTRALIZED_SGD, FedRunConfig, Schedule, Topology, run_centralized_sgd
@@ -23,6 +25,8 @@ TIMES = dict(t_cp=1.0, t_de=0.1, t_ec=1.0)
 LINK = dict(bandwidth_hz=1e6, power_w=0.5, noise_w=1e-10, channel_gain=1e-8, cycles_per_bit=20.0,
             cpu_hz=1e9, bits_per_local_iter=1e8, model_bits=1e6, edge_cloud_time=2.0, edge_cloud_ratio=10.0)
 PLAN = DeadlinePlan(deadline_s=15600.0, rounds=100, times=PhaseTimes(2.0, 0.2, 1.8))
+THEORY = TheoryParams(L=1.0, delta=1.0, sigma2=1.0, batch=1, G2=1.0, q1=1.0, q2=1.0,
+                      mu=0.01, tau=2, gamma=2, T=10, devices_per_set=(2,))
 LOGISTIC = ModelSpec("logistic", 2, 2)
 SAMPLES = (np.zeros((4, 2)), np.array([0, 1, 0, 1]))
 
@@ -88,6 +92,8 @@ NUMBER_FIELDS = {
     "optimize_schedule.q1": (lambda v: optimize_schedule(PLAN, v, 3, 60), "q1"),
     "grid_search_schedule.q1": (lambda v: grid_search_schedule(PLAN, v, 3, 60), "q1"),
     "tau_preference.q1": (lambda v: tau_preference(v, 60, 3), "q1"),
+    **{f"{bound.__name__}.gap0": ((lambda v, bound=bound: bound(THEORY, v)), "gap0")
+       for bound in (qhetfed_gap_bound, baseline_gap_bound, convergence_rate_bound)},
     "FedRunConfig.init_scale": (lambda v: _config(init_scale=v), "init_scale"),
     "split_dataset.test_fraction": (lambda v: split_dataset(SAMPLES, v, stream(0, "s")), "test_fraction"),
     "make_synthetic_dataset.separation": (

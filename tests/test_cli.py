@@ -235,6 +235,7 @@ def test_non_finite_numbers_are_usage_errors(capsys, command, flag, value):
     ("plan", ["--rounds", "0"]),
     ("bounds", ["--rounds", "0"]),
     ("bounds", ["--q1", "-1"]),
+    ("bounds", ["--gap0", "-1"]),
     # the quantizer's own count rule decides, before any row is printed
     ("quantizer-table", ["--levels", "4,0"]),
     ("quantizer-table", ["--dim", "0"]),
@@ -339,6 +340,19 @@ def test_malformed_config_json_is_a_config_error(tmp_path, capsys, content):
     assert "not valid JSON" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
+
+@pytest.mark.parametrize(
+    "overrides",
+    [[], ["--set", "seed=1"], ["--output-dir", "out"], ["--seed", "1"], ["--repeats", "1"]],
+    ids=["none", "set", "output_dir", "seed", "repeats"],
+)
+def test_a_config_root_that_is_not_an_object_is_a_config_error(tmp_path, capsys, monkeypatch, overrides):
+    # the overrides write into the root, so it is checked before them
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, [1, 2])
+    assert main(["run", "--config", cfg, *overrides]) == 2
+    assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
 
 
 ZERO_RATE = "link rate bandwidth_hz * log2(1 + snr) must be a finite positive number, got 0.0"
