@@ -29,6 +29,18 @@ def _f(x: float) -> str:
     return repr(float(x))
 
 
+def _print_rows(rows) -> None:
+    """Print every row in one call, once all are computed, so a value the library rejects prints only its
+    error.  A ``(key, value)`` row prints as ``key: value``, a float value by ``_f``; a string row as it is."""
+    lines = []
+    for row in rows:
+        if not isinstance(row, str):
+            key, value = row
+            row = f"{key}: {_f(value) if isinstance(value, float) else value}"
+        lines.append(row)
+    print("\n".join(lines))
+
+
 # argparse takes "-1e6" or "-inf" after an option for another option unless it
 # matches its negative-number pattern.  The plan and bounds parsers widen that
 # pattern to every float literal, so "--x -1e6" and "--x=-1e6" both reach ``_finite``.
@@ -122,24 +134,16 @@ def _cmd_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     times = _times_from_args(args, parser)
     plan = planner.DeadlinePlan(deadline_s=args.deadline, rounds=args.rounds, times=times)
     choice = planner.optimize_schedule(plan, args.q1, args.num_sets, args.num_devices)
-    print(f"t_cp: {_f(times.t_cp)}")
-    print(f"t_de: {_f(times.t_de)}")
-    print(f"t_ec: {_f(times.t_ec)}")
-    print(f"max_feasible_tau: {_f(planner.max_feasible_tau(plan))}")
-    print(f"a0: {_f(choice.a0)}")
-    print(f"b0: {_f(choice.b0)}")
-    print(f"c0: {_f(choice.c0)}")
-    print(f"candidates: {' '.join(_f(c) for c in choice.candidates)}")
-    print(f"tau_continuous: {_f(choice.tau)}")
-    print(f"gamma_continuous: {_f(choice.gamma)}")
-    print(f"j_continuous: {_f(choice.j_value)}")
-    print(f"tau: {choice.tau_int}")
-    print(f"gamma: {choice.gamma_int}")
-    print(f"j_integer: {_f(choice.j_int)}")
     delay = timing.iteration_delay(choice.tau_int + choice.gamma_int, choice.tau_int, times)
-    print(f"iteration_delay_s: {_f(delay)}")
-    print(f"total_time_s: {_f(args.rounds * delay)}")
-    print(f"deadline_s: {_f(args.deadline)}")
+    _print_rows([
+        ("t_cp", times.t_cp), ("t_de", times.t_de), ("t_ec", times.t_ec),
+        ("max_feasible_tau", planner.max_feasible_tau(plan)),
+        ("a0", choice.a0), ("b0", choice.b0), ("c0", choice.c0),
+        ("candidates", " ".join(_f(c) for c in choice.candidates)),
+        ("tau_continuous", choice.tau), ("gamma_continuous", choice.gamma), ("j_continuous", choice.j_value),
+        ("tau", choice.tau_int), ("gamma", choice.gamma_int), ("j_integer", choice.j_int),
+        ("iteration_delay_s", delay), ("total_time_s", args.rounds * delay), ("deadline_s", args.deadline),
+    ])
     return 0
 
 
@@ -158,8 +162,7 @@ def _cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     gb = analysis.qhetfed_gap_bound(p, args.gap0)
     bb = analysis.baseline_gap_bound(p, args.gap0)
     dec = analysis.error_gap_decomposition(p)
-    # every value is computed before any is printed, so a value the library rejects prints only its error
-    rows = [
+    _print_rows([
         ("cond_a", conds.cond_a), ("cond_a_lhs", conds.lhs_a),
         ("cond_b", conds.cond_b), ("cond_b_lhs", conds.lhs_b),
         ("qhetfed_c", gb.c), ("qhetfed_e", gb.e),
@@ -171,8 +174,7 @@ def _cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         ("delta_het", dec.d_het), ("delta_total", dec.delta_total),
         ("rate_bound", analysis.convergence_rate_bound(p, args.gap0)),
         ("tau_preference", analysis.tau_preference(p.q1, p.N, p.C)),
-    ]
-    print("\n".join(f"{key}: {_f(value) if isinstance(value, float) else value}" for key, value in rows))
+    ])
     return 0
 
 
@@ -181,7 +183,6 @@ def _cmd_quantizer_table(args: argparse.Namespace, parser: argparse.ArgumentPars
         levels = [int(x) for x in args.levels.split(",")]
     except ValueError:
         parser.error("--levels expects a comma-separated integer list")
-    # every row is computed before any is printed, so a value the library rejects prints only its error
     rows = ["levels,variance_factor,theory_cap"]
     d = args.dim
     for s in levels:
@@ -190,7 +191,7 @@ def _cmd_quantizer_table(args: argparse.Namespace, parser: argparse.ArgumentPars
         q_hat = estimate_variance_factor(spec, d, args.trials, rng)
         cap = min(d / s**2, d**0.5 / s)
         rows.append(f"{s},{_f(q_hat)},{_f(cap)}")
-    print("\n".join(rows))
+    _print_rows(rows)
     return 0
 
 
@@ -266,7 +267,8 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (planner.InfeasibleScheduleError, ValueError, OSError) as exc:
+    # an ArithmeticError: a value outgrew a float on the way, as in c**T, L**2 or floor(inf)
+    except (planner.InfeasibleScheduleError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,52 +104,42 @@ class Schedule(namedtuple("Schedule", "tau gamma mu rounds batch")):
         return self
 
 
-class FedRunConfig:
-    """One simulation's inputs, checked once at construction."""
+class FedRunConfig(namedtuple("FedRunConfig", (
+        "topology", "schedule", "model", "shards", "q1", "q2", "algorithm", "master_seed", "test_samples", "times",
+        "initial_params", "init_scale", "keep_snapshots", "norm_guard"),
+        defaults=(identity_spec(), identity_spec(), QHETFED, 0, None, PhaseTimes(1.0, 0.1, 1.0), None, 0.1, False,
+                  1e9))):
+    """One simulation's inputs, checked once at construction; ``shards`` is kept as a tuple in (set, device) order."""
 
-    def __init__(self, topology: Topology, schedule: Schedule, model: ModelSpec, shards: list[DeviceShard],
-                 q1: QuantizerSpec = identity_spec(), q2: QuantizerSpec = identity_spec(),
-                 algorithm: str = QHETFED, master_seed: int = 0,
-                 test_samples: tuple[np.ndarray, np.ndarray] | None = None,
-                 times: PhaseTimes = PhaseTimes(1.0, 0.1, 1.0), initial_params: np.ndarray | None = None,
-                 init_scale: float = 0.1, keep_snapshots: bool = False, norm_guard: float = 1e9) -> None:
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        check_count(master_seed, "master_seed", 0)
-        check_number(init_scale, "init_scale")
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        check_count(self.master_seed, "master_seed", 0)
+        check_number(self.init_scale, "init_scale")
         # +inf turns the divergence guard off; a NaN would too, without a word
-        if norm_guard != np.inf:
-            check_number(norm_guard, "norm_guard", POSITIVE)
+        if self.norm_guard != np.inf:
+            check_number(self.norm_guard, "norm_guard", POSITIVE)
+        topology, model, shards = self.topology, self.model, self.shards
         if len(shards) != topology.num_devices:
             raise ValueError(f"{len(shards)} shards for {topology.num_devices} devices")
-        if initial_params is not None:
-            w0 = np.asarray(initial_params, dtype=float)
+        if self.initial_params is not None:
+            w0 = np.asarray(self.initial_params, dtype=float)
             if w0.shape != (model.dim,):
                 raise ValueError(f"initial_params must be a vector of length {model.dim}, got shape {w0.shape}")
             check_finite(w0, "initial_params")
         # the gradient kernel checks no data, so it is checked here, once per run
         for s in shards:
             check_samples((s.features, s.labels), f"shard ({s.set_index}, {s.device_index})", model)
-        if test_samples is not None:
-            check_samples(test_samples, "test_samples", model)
-        self.topology = topology
-        self.schedule = schedule
-        self.model = model
-        self.shards = shards
-        self.q1 = q1
-        self.q2 = q2
-        self.algorithm = algorithm
-        self.master_seed = master_seed
-        self.test_samples = test_samples
-        self.times = times
-        self.initial_params = initial_params
-        self.init_scale = init_scale
-        self.keep_snapshots = keep_snapshots
-        self.norm_guard = norm_guard
-        self._grid = _shard_grid(shards, topology)
+        if self.test_samples is not None:
+            check_samples(self.test_samples, "test_samples", model)
+        # _replace builds the tuple without coming back through these checks
+        return self._replace(shards=tuple(s for row in _shard_grid(shards, topology) for s in row))
 
 
-def _shard_grid(shards: list[DeviceShard], topology: Topology) -> list[list[DeviceShard]]:
+def _shard_grid(shards, topology: Topology) -> list[list[DeviceShard]]:
     """Shards by (set, device).  The caller has counted one shard per device, so with none out of
     range and none repeated every slot is filled."""
     grid: list[list[DeviceShard | None]] = [[None] * n for n in topology.devices_per_set]
@@ -162,7 +153,7 @@ def _shard_grid(shards: list[DeviceShard], topology: Topology) -> list[list[Devi
     return grid  # type: ignore[return-value]
 
 
-class RunRecord:
+class RunRecord(NamedTuple):
     """Per-global-iteration metrics plus the configuration that produced them.
 
     All lists have one entry per recorded global iteration, and ``final_params``
@@ -171,19 +162,16 @@ class RunRecord:
     otherwise the lists have exactly ``schedule.rounds`` entries.
     """
 
-    def __init__(self, algorithm: str, master_seed: int, train_loss: list[float], test_accuracy: list[float],
-                 runtime_s: list[float], param_hash: list[str], final_params: np.ndarray,
-                 diverged_at: int | None, snapshots: list[np.ndarray] | None, config: FedRunConfig | None) -> None:
-        self.algorithm = algorithm
-        self.master_seed = master_seed
-        self.train_loss = train_loss
-        self.test_accuracy = test_accuracy
-        self.runtime_s = runtime_s
-        self.param_hash = param_hash
-        self.final_params = final_params
-        self.diverged_at = diverged_at
-        self.snapshots = snapshots
-        self.config = config
+    algorithm: str
+    master_seed: int
+    train_loss: list[float]
+    test_accuracy: list[float]
+    runtime_s: list[float]
+    param_hash: list[str]
+    final_params: np.ndarray
+    diverged_at: int | None
+    snapshots: list[np.ndarray] | None
+    config: FedRunConfig | None
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +225,13 @@ def cloud_aggregate(set_models, global_prev: np.ndarray, topology: Topology, q2_
 # engine
 
 
-def _batch_rows(config: FedRunConfig, l: int, t: int, steps: int) -> dict[int, np.ndarray]:
-    """(steps, B) batch indices of each device n of set l in iteration t; none for a full-batch device.
+def _batch_rows(config: FedRunConfig, l: int, devices, t: int, steps: int) -> dict[int, np.ndarray]:
+    """(steps, B) batch indices of each device n of set l (shards ``devices``) in iteration t; none for a
+    full-batch device.
 
     Row k is ``integers``' draw from the batch stream of key (l, n, t, k), found from its raw words.
     """
     B, seed = config.schedule.batch, config.master_seed
-    devices = config._grid[l]
     sampled = [n for n, s in enumerate(devices) if B < s.size]
     if not sampled:
         return {}
@@ -273,11 +261,11 @@ def _phases(algorithm: str, schedule: Schedule) -> list[tuple[str, int, int]]:
     }[algorithm]
 
 
-def _set_model(config: FedRunConfig, phases, steps: int, w: np.ndarray, l: int, t: int) -> np.ndarray:
-    """Model of set l after running ``phases`` (``steps`` compute steps) of iteration t from the cloud model ``w``."""
+def _set_model(config: FedRunConfig, phases, steps: int, w: np.ndarray, l: int, devices, t: int) -> np.ndarray:
+    """Model of set l (shards ``devices``) after running ``phases`` (``steps`` compute steps) of iteration t
+    from the cloud model ``w``."""
     mu, gamma, seed = config.schedule.mu, config.schedule.gamma, config.master_seed
-    devices = config._grid[l]
-    rows = _batch_rows(config, l, t, steps)
+    rows = _batch_rows(config, l, devices, t, steps)
     # seed the q1 streams of every upload in one pass; every draw still comes from its own stream() call
     q1 = seed_states(seed, "q1", l, np.arange(len(devices))[:, None], t, np.array([key for _, _, key in phases]))
     # one shared array per set: the broadcast value every device holds
@@ -309,9 +297,9 @@ def _train(config: FedRunConfig, delay: float, advance) -> RunRecord:
     entry, or a norm above ``norm_guard``), whose index goes to ``diverged_at``;
     ``final_params`` is the last recorded iterate, or the start point.
     """
-    record = RunRecord(algorithm=config.algorithm, master_seed=config.master_seed, train_loss=[],
-                       test_accuracy=[], runtime_s=[], param_hash=[], final_params=None, diverged_at=None,
-                       snapshots=[] if config.keep_snapshots else None, config=config)
+    train_loss, test_accuracy, runtime_s, param_hash = [], [], [], []
+    snapshots = [] if config.keep_snapshots else None
+    diverged_at = None
     if config.initial_params is not None:
         w = np.array(config.initial_params, dtype=float)
     elif config.model.kind == _models.MLP:
@@ -326,17 +314,17 @@ def _train(config: FedRunConfig, delay: float, advance) -> RunRecord:
         except NonFiniteInputError:
             w_next = None
         if w_next is None or not np.all(np.isfinite(w_next)) or float(np.linalg.norm(w_next)) > config.norm_guard:
-            record.diverged_at = t
+            diverged_at = t
             break
         w = w_next
-        record.train_loss.append(global_loss(config.shards, config.model, w))
-        record.test_accuracy.append(_models.accuracy(config.model, w, config.test_samples) if has_test else 0.0)
-        record.runtime_s.append((t + 1) * delay)
-        record.param_hash.append(hashlib.sha256(w.tobytes()).hexdigest())
-        if record.snapshots is not None:
-            record.snapshots.append(w.copy())
-    record.final_params = w
-    return record
+        train_loss.append(global_loss(config.shards, config.model, w))
+        test_accuracy.append(_models.accuracy(config.model, w, config.test_samples) if has_test else 0.0)
+        runtime_s.append((t + 1) * delay)
+        param_hash.append(hashlib.sha256(w.tobytes()).hexdigest())
+        if snapshots is not None:
+            snapshots.append(w.copy())
+    return RunRecord(config.algorithm, config.master_seed, train_loss, test_accuracy, runtime_s, param_hash,
+                     final_params=w, diverged_at=diverged_at, snapshots=snapshots, config=config)
 
 
 def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> RunRecord:
@@ -350,8 +338,8 @@ def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> R
         raise ValueError(f"a {CENTRALIZED_SGD!r} run got a {config.algorithm!r} config")
     check_count(steps_per_iteration, "steps_per_iteration")
     sched, seed = config.schedule, config.master_seed
-    pooled_X = np.concatenate([s.features for row in config._grid for s in row])
-    pooled_y = np.concatenate([s.labels for row in config._grid for s in row])
+    pooled_X = np.concatenate([s.features for s in config.shards])
+    pooled_y = np.concatenate([s.labels for s in config.shards])
     pooled_size = len(pooled_y)
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
@@ -375,9 +363,10 @@ def run(config: FedRunConfig) -> RunRecord:
     sched, topo = config.schedule, config.topology
     phases = _phases(config.algorithm, sched)
     steps = steps_per_round(config.algorithm, sched)
+    sets = _shard_grid(config.shards, topo)
 
     def advance(w: np.ndarray, t: int) -> np.ndarray:
-        set_models = [_set_model(config, phases, steps, w, l, t) for l in range(topo.num_sets)]
+        set_models = [_set_model(config, phases, steps, w, l, devices, t) for l, devices in enumerate(sets)]
         rngs = [stream(config.master_seed, "q2", l, t) for l in range(topo.num_sets)]
         return cloud_aggregate(set_models, w, topo, config.q2, rngs)
 

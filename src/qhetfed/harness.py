@@ -419,8 +419,7 @@ def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np
         init_scale=cfg.init_scale,
     ))
     # the config holds every shard, which the parent already has
-    rec.config = None
-    return task, rec
+    return task, rec._replace(config=None)
 
 
 # A worker's copy of the pool's stop event and the parent's (cfg, partitions,

@@ -52,7 +52,8 @@ def compute_times(lp: LinkComputeParams) -> PhaseTimes:
     """Phase times from the link budget: t_cp = c*D/f, t_de from the channel rate."""
     t_cp = lp.cycles_per_bit * lp.bits_per_local_iter / lp.cpu_hz
     snr = lp.channel_gain * lp.power_w / lp.noise_w
-    rate = lp.bandwidth_hz * math.log2(1.0 + snr)
+    # log1p keeps a weak link's rate: 1.0 + snr rounds to 1.0 once snr is below about 1e-16
+    rate = lp.bandwidth_hz * math.log1p(snr) / math.log(2.0)
     # positive inputs can still give a zero rate (the SNR underflows) or an infinite one
     check_number(rate, "link rate bandwidth_hz * log2(1 + snr)", POSITIVE)
     t_de = lp.model_bits / rate

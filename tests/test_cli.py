@@ -236,6 +236,11 @@ def test_non_finite_numbers_are_usage_errors(capsys, command, flag, value):
     ("bounds", ["--rounds", "0"]),
     ("bounds", ["--q1", "-1"]),
     ("bounds", ["--gap0", "-1"]),
+    # a float overflows on the way: c**T with c = -3999, L**2, floor(inf)
+    ("bounds", ["--mu", "100", "--tau", "20", "--gamma", "20", "--rounds", "1000"]),
+    ("bounds", ["--L", "1e200"]),
+    ("plan", ["--deadline", "1e300", "--rounds", "1", "--q1", "1e300", "--num-sets", "1", "--num-devices", "1",
+              "--t-cp", "1e-300", "--t-de", "1", "--t-ec", "1"]),
     # the quantizer's own count rule decides, before any row is printed
     ("quantizer-table", ["--levels", "4,0"]),
     ("quantizer-table", ["--dim", "0"]),

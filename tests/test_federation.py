@@ -17,6 +17,7 @@ from qhetfed.federation import (
     Topology,
     _batch,
     _batch_rows,
+    _shard_grid,
     cloud_aggregate,
     edge_aggregate_gradients,
     edge_aggregate_models,
@@ -232,13 +233,62 @@ def test_schedule_validation():
 def test_run_record_survives_a_pickle_round_trip():
     # the experiment pool's workers send their records to the parent pickled
     rec = run(quadratic_config([2], [[[1.0, 2.0], [3.0]]], tau=2, gamma=2, mu=0.1, rounds=3))
-    rec.config = None
+    rec = rec._replace(config=None)
     back = pickle.loads(pickle.dumps(rec))
     assert type(back) is federation.RunRecord
     for name in ("algorithm", "master_seed", "train_loss", "test_accuracy", "runtime_s", "param_hash",
                  "diverged_at", "snapshots", "config"):
         assert getattr(back, name) == getattr(rec, name)
     assert back.final_params.tobytes() == rec.final_params.tobytes()
+
+
+def test_config_and_record_fields_are_read_only():
+    cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=2)
+    rec = run(cfg)
+    # a field assigned after construction would skip the checks, and the engine would run on unchecked inputs
+    for obj, count in ((cfg, 14), (rec, 10)):
+        assert len(obj._fields) == count
+        for name in obj._fields:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+    with pytest.raises(AttributeError):
+        cfg.extra = 1
+
+
+def test_config_keeps_its_shards_as_a_tuple_in_set_device_order():
+    cfg = quadratic_config([2, 1], [[[1.0], [2.0]], [[3.0]]], tau=1, gamma=1, mu=0.1, rounds=1)
+    back = FedRunConfig(**dict(cfg._asdict(), shards=list(cfg.shards[::-1])))
+    for c in (cfg, back):
+        assert type(c.shards) is tuple
+        assert [(s.set_index, s.device_index) for s in c.shards] == [(0, 0), (0, 1), (1, 0)]
+
+
+def test_pickled_config_unpickles_through_its_checks():
+    cfg = quadratic_config([2], [[[1.0, 2.0], [3.0]]], tau=2, gamma=2, mu=0.1, rounds=3, master_seed=4)
+    back = pickle.loads(pickle.dumps(cfg))
+    assert type(back) is FedRunConfig and type(back.shards) is tuple
+    assert run(back).param_hash == run(cfg).param_hash
+    # _replace skips the checks; unpickling goes through the constructor again
+    for bad, message in ((cfg._replace(master_seed=-1), "master_seed must be >= 0"),
+                         (cfg._replace(shards=cfg.shards[:1]), "1 shards for 2 devices")):
+        with pytest.raises(ValueError, match=message):
+            pickle.loads(pickle.dumps(bad))
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_a_run_does_not_depend_on_the_order_of_the_shard_list(algorithm):
+    topo = Topology((2, 3))
+    train = make_synthetic_dataset(3, 20, 4, stream(5, "dataset"))
+    shards = partition(train, topo, PartitionScheme(NONIID1, (3, 9)), stream(5, "partition"))
+    for kind, hidden in ((LOGISTIC, 0), (MLP, 5)):
+        recs = [
+            run(FedRunConfig(topo, Schedule(2, 3, 0.1, 4, 5), ModelSpec(kind, 4, 3, hidden), order,
+                             QuantizerSpec(levels=4), QuantizerSpec(levels=8), algorithm, 17))
+            for order in (shards, shards[::-1])
+        ]
+        # global_loss sums over config.shards, kept in (set, device) order whatever order they came in
+        assert recs[0].param_hash == recs[1].param_hash
+        assert recs[0].train_loss == recs[1].train_loss
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +356,7 @@ def test_centralized_full_batch_ignores_seed():
 def replay_qhetfed(cfg):
     """Straight-line reimplementation of the qhetfed iteration for comparison."""
     sched, topo, seed = cfg.schedule, cfg.topology, cfg.master_seed
-    grid = cfg._grid
+    grid = _shard_grid(cfg.shards, cfg.topology)
     w = np.array(cfg.initial_params, dtype=float)
     for t in range(sched.rounds):
         set_models = []
@@ -359,7 +409,7 @@ def test_qhetfed_matches_reference_replay():
 
 def replay_hier_local(cfg):
     sched, topo, seed = cfg.schedule, cfg.topology, cfg.master_seed
-    grid = cfg._grid
+    grid = _shard_grid(cfg.shards, cfg.topology)
     w = np.array(cfg.initial_params, dtype=float)
     for t in range(sched.rounds):
         set_models = []
@@ -641,19 +691,20 @@ def ragged_config(sizes, batch):
 def test_batch_rows_are_numpys_rows_for_each_key(batch):
     cfg = ragged_config([1, 3, 7, 8, 40, 41, 55, 100], batch)
     steps = steps_per_round(QHETFED, cfg.schedule)
-    rows = _batch_rows(cfg, 1, 3, steps)
-    sampled = [n for n, shard in enumerate(cfg._grid[1]) if shard.size > batch]
+    devices = cfg.shards[1:]  # set 0 holds the one device before them
+    rows = _batch_rows(cfg, 1, devices, 3, steps)
+    sampled = [n for n, shard in enumerate(devices) if shard.size > batch]
     assert sorted(rows) == sampled
     for n in sampled:
-        size = cfg._grid[1][n].size
+        size = devices[n].size
         want = [stream(23, "batch", 1, n, 3, k).integers(0, size, size=batch) for k in range(steps)]
         assert np.array_equal(rows[n], want)
 
 
 def test_batch_gathers_one_step_or_a_slice_of_steps():
     cfg = ragged_config([3, 41], 7)
-    small, large = cfg._grid[1]
-    rows = _batch_rows(cfg, 1, 0, steps_per_round(QHETFED, cfg.schedule))
+    small, large = cfg.shards[1:]
+    rows = _batch_rows(cfg, 1, (small, large), 0, steps_per_round(QHETFED, cfg.schedule))
     X, y = _batch(small, None, slice(2, 5))
     assert X is small.features and y is small.labels
     X, y = _batch(large, rows[1], slice(2, 5))
@@ -672,7 +723,7 @@ def test_full_batch_set_draws_nothing(monkeypatch):
     monkeypatch.setattr(federation, "stream", no_draw)
     monkeypatch.setattr(federation, "seed_states", no_draw)
     cfg = ragged_config([2, 5, 9], 9)
-    assert _batch_rows(cfg, 1, 0, steps_per_round(QHETFED, cfg.schedule)) == {}
+    assert _batch_rows(cfg, 1, cfg.shards[1:], 0, steps_per_round(QHETFED, cfg.schedule)) == {}
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)

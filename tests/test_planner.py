@@ -64,6 +64,15 @@ def test_compute_times_rejects_a_zero_or_infinite_rate(power_w, noise_w, rate):
         compute_times(lp)
     assert str(exc.value) == message
 
+def test_a_weak_link_has_a_small_positive_rate():
+    # SNR 1e-17: 1 + snr rounds to 1.0, so log2(1 + snr) would read a zero rate and reject the link
+    t = compute_times(LinkComputeParams(1e6, 1e-9, 1.0, 1e-8, 20.0, 1e9, 1e8, 1e6))
+    # the rate is about bandwidth * snr / ln 2
+    expected = 1e6 / (1e6 * 1e-17 / math.log(2.0))
+    assert abs(t.t_de - expected) / expected < 1e-12
+    assert t.t_ec == 10.0 * t.t_de
+
+
 def test_iteration_delays():
     t = compute_times(LINK)
     # qhetfed computes tau + gamma steps, the baseline tau * gamma; both upload tau times
