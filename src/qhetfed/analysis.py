@@ -70,6 +70,14 @@ class LrConditions(NamedTuple):
     lhs_b: float
 
 
+def _power(base: float, exp: int, name: str) -> float:
+    """``base**exp``; a power too large for a float is a ``ValueError`` that names it as ``name``."""
+    try:
+        return base**exp
+    except OverflowError:
+        raise ValueError(f"{name} = ({base!r})**{exp} is too large for a float") from None
+
+
 def check_lr_conditions(p: TheoryParams) -> LrConditions:
     """Feasibility of the learning rate for the gradient-aggregating scheme.
 
@@ -81,14 +89,15 @@ def check_lr_conditions(p: TheoryParams) -> LrConditions:
     q1, q2, N = p.q1, p.q2, p.N
     max_nl = max(p.devices_per_set)
     max_inv = 1.0 / min(p.devices_per_set)
+    L2, mu2 = _power(L, 2, "L**2"), _power(mu, 2, "mu**2")
     lhs_a = (
         1.0
-        - L**2 * mu**2 * (tau * gamma + tau * (tau - 1) / 2.0 + q1 * (tau + gamma) * max_inv)
+        - L2 * mu2 * (tau * gamma + tau * (tau - 1) / 2.0 + q1 * (tau + gamma) * max_inv)
         - L * mu * (tau + q1 / N + q2 * q1 / N + tau * q2 * max_nl / N)
     )
     lhs_b = (
         1.0
-        - L**2 * mu**2 * gamma * (gamma - 1) / 2.0
+        - L2 * mu2 * gamma * (gamma - 1) / 2.0
         - L * mu * gamma * (1.0 + (1.0 + q2) * q1 / N + q2 * max_nl / N)
     )
     return LrConditions(cond_a=lhs_a >= 0.0, cond_b=lhs_b >= 0.0, lhs_a=lhs_a, lhs_b=lhs_b)
@@ -122,7 +131,7 @@ def _gap_bound(c: float, e: float, gap0: float, T: int) -> GapBound:
     if c == 1.0:
         bound = gap0 + T * e
     else:
-        cT = c**T
+        cT = _power(c, T, "c**T")
         bound = cT * gap0 + (1.0 - cT) / (1.0 - c) * e
     return GapBound(c=c, e=e, bound=bound, contractive=abs(c) < 1.0)
 

@@ -17,14 +17,16 @@ comparisons), and writes:
 All output is byte-deterministic for a fixed config: every table cell is
 written with ``str``, which gives a Python or numpy float's shortest
 round-trip form, and JSON keys are sorted.  The runs are independent
-simulations and execute in parallel worker processes, at most one per usable
-CPU; since every draw is keyed, the files do not depend on that count.  Each file is written to a temporary name and renamed into place.
+simulations, run by the fork pool that maps any function, at most one worker
+per usable CPU; every draw is keyed, so the files do not depend on that count.
+Each file is written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -373,6 +375,7 @@ def emit_metrics(records: list[tuple[str, RunRecord]], output_dir: str,
     ``records`` is a list of (run_id, RunRecord).  An empty list still
     produces header-only tables.
     """
+    check_count(cadence, "cadence")
     os.makedirs(output_dir, exist_ok=True)
     written = []
 
@@ -403,7 +406,7 @@ def emit_metrics(records: list[tuple[str, RunRecord]], output_dir: str,
 
 
 def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np.ndarray],
-             task: tuple[int, str]) -> tuple[tuple[int, str], RunRecord]:
+             task: tuple[int, str]) -> RunRecord:
     rep, algorithm = task
     rec = federation.run(FedRunConfig(
         topology=cfg.topology,
@@ -419,14 +422,13 @@ def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np
         init_scale=cfg.init_scale,
     ))
     # the config holds every shard, which the parent already has
-    return task, rec._replace(config=None)
+    return rec._replace(config=None)
 
 
-# A worker's copy of the pool's stop event and the parent's (cfg, partitions,
-# test), set by the pool initializer.  The pool forks, so the event and the
-# shards reach the workers by inheritance; only (rep, algorithm) tasks and
-# RunRecord results are pickled.
-_worker_inputs: tuple = ()
+# A worker's copy of the pool's stop event and mapped function, set by the
+# pool initializer.  The pool forks, so both reach the workers by inheritance
+# (a closure works); only tasks and results are pickled.
+_worker_state: tuple = ()
 
 
 # OpenBLAS's thread-count setter under the names numpy's wheels and system builds export
@@ -463,21 +465,21 @@ def _single_blas_thread() -> None:
                 return
 
 
-def _init_worker(*inputs) -> None:
-    global _worker_inputs
-    _worker_inputs = inputs
+def _init_worker(stop, fn) -> None:
+    global _worker_state
+    _worker_state = stop, fn
     _single_blas_thread()
 
 
-def _run_in_worker(task: tuple[int, str]) -> tuple[tuple[int, str], RunRecord] | None:
-    """Run ``task``; once any run of the pool has raised, return None without simulating."""
-    stop, *inputs = _worker_inputs
+def _run_in_worker(task):
+    """Return ``(task, fn(task))``; once any task of the pool has raised, return None without running it."""
+    stop, fn = _worker_state
     if stop.is_set():
         return None
     try:
-        return _run_one(*inputs, task)
+        return task, fn(task)
     except BaseException:
-        # the parent cannot cancel the runs already in the pool's call queue, so the workers skip them
+        # the parent cannot cancel the tasks already in the pool's call queue, so the workers skip them
         stop.set()
         raise
 
@@ -493,19 +495,19 @@ def _worker_count(runs: int) -> int:
     return max(1, min(runs, _usable_cpus()))
 
 
-def _run_mapper(inputs: tuple, workers: int, tasks: list[tuple[int, str]]):
-    """Yield ``(task, RunRecord)`` for every task, in the order the runs finish.
+def _run_mapper(fn, tasks: list, workers: int):
+    """Yield ``(task, fn(task))`` for every task, in the order the tasks finish.
 
-    More than one worker runs the tasks in a fork pool; one worker, or a
-    platform without fork, runs them in this process.  A run that raises
+    More than one worker maps the tasks in a fork pool; one worker, or a
+    platform without fork, maps them in this process.  A task that raises
     stops the iteration with its own exception type; in the pool, it first
-    sets a shared event, so no run starts after it, and the running ones are
+    sets a shared event, so no task starts after it, and the running ones are
     drained, so their results are still yielded.  A worker that dies without
-    raising (killed, ``os._exit``) breaks the pool: the finished runs are
-    yielded, then a ``ChildProcessError`` names every unfinished one.
+    raising (killed, ``os._exit``) breaks the pool: the finished tasks are
+    yielded, then a ``ChildProcessError`` whose argument lists the unfinished ones.
     """
     if workers == 1 or not hasattr(os, "fork"):
-        yield from (_run_one(*inputs, task) for task in tasks)
+        yield from ((task, fn(task)) for task in tasks)
         return
     # imported here rather than with the package: they add about 1 MB to
     # every process that loads them, and single simulations never need them
@@ -513,7 +515,7 @@ def _run_mapper(inputs: tuple, workers: int, tasks: list[tuple[int, str]]):
     from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 
     context = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(workers, context, _init_worker, (context.Event(), *inputs))
+    pool = ProcessPoolExecutor(workers, context, _init_worker, (context.Event(), fn))
     lost, error = [], None
     try:
         futures = {pool.submit(_run_in_worker, task): task for task in tasks}
@@ -530,8 +532,7 @@ def _run_mapper(inputs: tuple, workers: int, tasks: list[tuple[int, str]]):
     if error is not None:
         raise error
     if lost:
-        names = ", ".join(f"{algorithm} rep {rep}" for rep, algorithm in sorted(lost))
-        raise ChildProcessError(f"a worker process died before these runs finished: {names}")
+        raise ChildProcessError(lost)
 
 
 def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
@@ -569,10 +570,15 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     run_ids = {(rep, alg): f"{alg}_s{cfg.seed}_r{rep:02d}" for rep, alg in tasks}
     run_paths = {task: os.path.join(cfg.output_dir, f"{run_id}_{chash}.csv") for task, run_id in run_ids.items()}
     finished: dict[tuple[int, str], RunRecord] = {}
-    with contextlib.closing(_run_mapper((cfg, partitions, test), _worker_count(len(tasks)), by_length)) as runs:
-        for task, rec in runs:
-            _write_table(run_paths[task], RUN_COLUMNS, _run_rows(run_ids[task], rec, cfg.metric_cadence))
-            finished[task] = rec
+    runs = _run_mapper(functools.partial(_run_one, cfg, partitions, test), by_length, _worker_count(len(tasks)))
+    try:
+        with contextlib.closing(runs):
+            for task, rec in runs:
+                _write_table(run_paths[task], RUN_COLUMNS, _run_rows(run_ids[task], rec, cfg.metric_cadence))
+                finished[task] = rec
+    except ChildProcessError as exc:
+        names = ", ".join(f"{algorithm} rep {rep}" for rep, algorithm in sorted(exc.args[0]))
+        raise ChildProcessError(f"a worker process died before these runs finished: {names}") from None
 
     # every table below is in (rep, algorithm) order, whatever order the runs finished in
     records = [(run_ids[task], finished[task]) for task in tasks]
@@ -590,12 +596,7 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     ]
     written = [run_paths[task] for task in tasks]
     written.extend(emit_metrics(records, cfg.output_dir, cfg.metric_cadence, cfg.raw))
-
-    manifest_path = os.path.join(cfg.output_dir, "runs.json")
-    _write_json(manifest_path, manifest)
-    written.append(manifest_path)
-
-    resolved_path = os.path.join(cfg.output_dir, "resolved_config.json")
-    _write_json(resolved_path, cfg.raw)
-    written.append(resolved_path)
+    for name, payload in (("runs.json", manifest), ("resolved_config.json", cfg.raw)):
+        written.append(os.path.join(cfg.output_dir, name))
+        _write_json(written[-1], payload)
     return written

@@ -38,6 +38,9 @@ def _ratios(plan: DeadlinePlan) -> tuple[float, float]:
     t = plan.times
     r = t.t_de / t.t_cp
     P = plan.deadline_s / (plan.rounds * t.t_cp) - t.t_ec / t.t_cp
+    if not math.isfinite(P):
+        raise ValueError(f"the deadline ratio deadline_s / (rounds * t_cp) = {plan.deadline_s!r} / "
+                         f"({plan.rounds} * {t.t_cp!r}) is too large for a float")
     return r, P
 
 

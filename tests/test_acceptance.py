@@ -33,7 +33,7 @@ from qhetfed.federation import (
     run,
     run_centralized_sgd,
 )
-from qhetfed.harness import run_experiment
+from qhetfed.harness import _run_mapper, _worker_count, run_experiment
 from qhetfed.models import (
     ModelSpec,
     finite_diff_gradient,
@@ -273,16 +273,24 @@ def test_gap_bound_holds_in_its_own_regime():
     assert conds.cond_a and conds.cond_b, "chosen mu violates the step-size conditions"
     assert analysis.baseline_lr_condition(params(1))[0], "chosen mu violates the baseline step-size condition"
 
+    def simulate(task):
+        algorithm, seed = task
+        rec = run(FedRunConfig(
+            topology=topo, schedule=Schedule(tau=tau, gamma=gamma, mu=mu, rounds=rounds, batch=batch),
+            model=model, shards=shards, q1=QuantizerSpec(levels=s1), q2=QuantizerSpec(levels=s2),
+            algorithm=algorithm, master_seed=seed, initial_params=np.zeros(D),
+        ))
+        return rec.diverged_at, rec.train_loss
+
+    # the seeded runs are independent, so the worker pool maps them; results are keyed by task
+    tasks = [(algorithm, seed) for algorithm in (QHETFED, HIER_LOCAL_QSGD) for seed in seeds]
+    results = dict(_run_mapper(simulate, tasks, _worker_count(len(tasks))))
     for algorithm, bound_of in ((QHETFED, analysis.qhetfed_gap_bound), (HIER_LOCAL_QSGD, analysis.baseline_gap_bound)):
         losses = []
         for seed in seeds:
-            rec = run(FedRunConfig(
-                topology=topo, schedule=Schedule(tau=tau, gamma=gamma, mu=mu, rounds=rounds, batch=batch),
-                model=model, shards=shards, q1=QuantizerSpec(levels=s1), q2=QuantizerSpec(levels=s2),
-                algorithm=algorithm, master_seed=seed, initial_params=np.zeros(D),
-            ))
-            assert rec.diverged_at is None
-            losses.append(rec.train_loss)
+            diverged_at, train_loss = results[algorithm, seed]
+            assert diverged_at is None
+            losses.append(train_loss)
         mean_gap = (np.array(losses) - f_star).mean(axis=0)
         for t in range(rounds):
             bound = bound_of(params(t + 1), gap0).bound
@@ -381,7 +389,8 @@ def test_criterion_08_quantization_direction_flip():
     topo = Topology((20, 20, 20))
     model = ModelSpec(kind="logistic", input_dim=200, num_classes=10)
 
-    def final_accuracy(seed, tau, gamma, device_levels):
+    def final_accuracy(task):
+        seed, tau, gamma, device_levels = task
         dataset = make_synthetic_dataset(
             10, 480, 200, stream(seed, "dataset"), separation=2.0, noise=1.5
         )
@@ -402,14 +411,12 @@ def test_criterion_08_quantization_direction_flip():
         ))
         return record.test_accuracy[-1]
 
-    high_tau_wins = sum(
-        final_accuracy(seed, 15, 5, 6) >= final_accuracy(seed, 10, 10, 6)
-        for seed in range(10)
-    )
-    low_tau_wins = sum(
-        final_accuracy(seed, 10, 10, 1) > final_accuracy(seed, 15, 5, 1)
-        for seed in range(10)
-    )
+    # each task builds its own data, so at most one dataset per worker is held at a time
+    tasks = [(seed, tau, gamma, levels) for seed in range(10)
+             for tau, gamma, levels in ((15, 5, 6), (10, 10, 6), (10, 10, 1), (15, 5, 1))]
+    acc = dict(_run_mapper(final_accuracy, tasks, _worker_count(len(tasks))))
+    high_tau_wins = sum(acc[seed, 15, 5, 6] >= acc[seed, 10, 10, 6] for seed in range(10))
+    low_tau_wins = sum(acc[seed, 10, 10, 1] > acc[seed, 15, 5, 1] for seed in range(10))
     assert high_tau_wins >= 7, f"fine quantization: (15,5) won only {high_tau_wins}/10"
     assert low_tau_wins >= 7, f"coarse quantization: (10,10) won only {low_tau_wins}/10"
     assert time.monotonic() - started < 900.0
@@ -427,7 +434,8 @@ def test_criterion_09_heterogeneity_robustness():
     t_fed = int(math.floor(wall / timing.iteration_delay(tau + gamma, tau, times)))
     t_base = int(math.floor(wall / timing.iteration_delay(tau * gamma, tau, times)))
 
-    def final_pair(seed, scheme_kind):
+    def final_pair(task):
+        seed, scheme_kind = task
         dataset = make_synthetic_dataset(
             10, 480, 20, stream(seed, "dataset"), separation=3.0, noise=1.0
         )
@@ -448,14 +456,10 @@ def test_criterion_09_heterogeneity_robustness():
             algorithm=HIER_LOCAL_QSGD, **common))
         return fed.test_accuracy[-1], base.test_accuracy[-1]
 
-    het_wins = 0
-    iid_gaps = []
-    for seed in range(10):
-        acc_fed, acc_base = final_pair(seed, NONIID2)
-        if acc_fed >= acc_base:
-            het_wins += 1
-        acc_fed, acc_base = final_pair(seed, IID)
-        iid_gaps.append(abs(acc_fed - acc_base))
+    tasks = [(seed, scheme_kind) for seed in range(10) for scheme_kind in (NONIID2, IID)]
+    pairs = dict(_run_mapper(final_pair, tasks, _worker_count(len(tasks))))
+    het_wins = sum(pairs[seed, NONIID2][0] >= pairs[seed, NONIID2][1] for seed in range(10))
+    iid_gaps = [abs(pairs[seed, IID][0] - pairs[seed, IID][1]) for seed in range(10)]
     assert het_wins >= 8, f"qhetfed won only {het_wins}/10 under noniid2"
     assert all(g <= 0.03 for g in iid_gaps), f"iid accuracy gaps: {iid_gaps}"
     assert time.monotonic() - started < 1200.0

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -10,7 +11,7 @@ from qhetfed.analysis import (
 from qhetfed.checks import NON_NEGATIVE, POSITIVE, check_count, check_number, is_count
 from qhetfed.datagen import DeviceShard, PartitionScheme, make_synthetic_dataset, partition, split_dataset
 from qhetfed.federation import CENTRALIZED_SGD, FedRunConfig, Schedule, Topology, run_centralized_sgd
-from qhetfed.harness import ConfigError, resolved_config
+from qhetfed.harness import ConfigError, emit_metrics, resolved_config
 from qhetfed.models import ModelSpec, finite_diff_gradient
 from qhetfed.planner import DeadlinePlan, grid_search_schedule, optimize_schedule
 from qhetfed.quantizer import QuantizerSpec, estimate_variance_factor
@@ -29,6 +30,8 @@ THEORY = TheoryParams(L=1.0, delta=1.0, sigma2=1.0, batch=1, G2=1.0, q1=1.0, q2=
                       mu=0.01, tau=2, gamma=2, T=10, devices_per_set=(2,))
 LOGISTIC = ModelSpec("logistic", 2, 2)
 SAMPLES = (np.zeros((4, 2)), np.array([0, 1, 0, 1]))
+# a directory that cannot be made: a call that got past its checks would fail there with an OSError
+NO_DIR = os.path.join(os.devnull, "out")
 
 
 def _config(**fields):
@@ -177,6 +180,11 @@ BOUNDARY_CASES = {
     "finite_diff_gradient.h=[1e-6, nan]": (
         lambda: finite_diff_gradient(ModelSpec("quadratic", 2), np.zeros(2), SAMPLES, [1e-6, math.nan]),
         f"h must be a finite positive number, got {np.float64(math.nan)!r}"),
+    "emit_metrics.cadence=0": (lambda: emit_metrics([], NO_DIR, cadence=0), "cadence must be >= 1"),
+    "emit_metrics.cadence=-1": (lambda: emit_metrics([], NO_DIR, cadence=-1), "cadence must be >= 1"),
+    "emit_metrics.cadence=1.5": (lambda: emit_metrics([], NO_DIR, cadence=1.5), "cadence must be an integer, got 1.5"),
+    "emit_metrics.cadence=True": (lambda: emit_metrics([], NO_DIR, cadence=True),
+                                  "cadence must be an integer, got True"),
 }
 
 

@@ -226,33 +226,37 @@ def test_non_finite_numbers_are_usage_errors(capsys, command, flag, value):
     assert f"{flag}: expected a finite number, got {value!r}" in captured.err
 
 
-@pytest.mark.parametrize("command,overrides", [
-    ("plan", ["--num-devices", "0"]),
-    ("plan", ["--num-sets", "0"]),
-    ("plan", ["--q1", "-5"]),
-    ("plan", ["--num-sets", "70", "--num-devices", "60"]),
-    ("plan-link", ["--num-sets", "70"]),
-    ("plan", ["--rounds", "0"]),
-    ("bounds", ["--rounds", "0"]),
-    ("bounds", ["--q1", "-1"]),
-    ("bounds", ["--gap0", "-1"]),
-    # a float overflows on the way: c**T with c = -3999, L**2, floor(inf)
-    ("bounds", ["--mu", "100", "--tau", "20", "--gamma", "20", "--rounds", "1000"]),
-    ("bounds", ["--L", "1e200"]),
+@pytest.mark.parametrize("command,overrides,names", [
+    ("plan", ["--num-devices", "0"], "num_devices must be >= 1"),
+    ("plan", ["--num-sets", "0"], "num_sets must be >= 1"),
+    ("plan", ["--q1", "-5"], "q1 must be a finite non-negative number, got -5.0"),
+    ("plan", ["--num-sets", "70", "--num-devices", "60"], "got 70 sets and 60 devices"),
+    ("plan-link", ["--num-sets", "70"], "got 70 sets and 60 devices"),
+    ("plan", ["--rounds", "0"], "rounds must be >= 1"),
+    ("bounds", ["--rounds", "0"], "T must be >= 1"),
+    ("bounds", ["--q1", "-1"], "q1 must be a finite non-negative number, got -1.0"),
+    ("bounds", ["--gap0", "-1"], "gap0 must be a finite non-negative number, got -1.0"),
+    # a float overflows on the way: c**T with c = -3999, L**2, mu**2, the deadline ratio
+    ("bounds", ["--mu", "100", "--tau", "20", "--gamma", "20", "--rounds", "1000"],
+     "c**T = (-3999.0)**1000 is too large for a float"),
+    ("bounds", ["--L", "1e200"], "L**2 = (1e+200)**2 is too large for a float"),
+    ("bounds", ["--mu", "1e200"], "mu**2 = (1e+200)**2 is too large for a float"),
     ("plan", ["--deadline", "1e300", "--rounds", "1", "--q1", "1e300", "--num-sets", "1", "--num-devices", "1",
-              "--t-cp", "1e-300", "--t-de", "1", "--t-ec", "1"]),
+              "--t-cp", "1e-300", "--t-de", "1", "--t-ec", "1"],
+     "the deadline ratio deadline_s / (rounds * t_cp) = 1e+300 / (1 * 1e-300) is too large for a float"),
     # the quantizer's own count rule decides, before any row is printed
-    ("quantizer-table", ["--levels", "4,0"]),
-    ("quantizer-table", ["--dim", "0"]),
-    ("quantizer-table", ["--trials", "0"]),
+    ("quantizer-table", ["--levels", "4,0"], "levels must be >= 1"),
+    ("quantizer-table", ["--dim", "0"], "d must be >= 1"),
+    ("quantizer-table", ["--trials", "0"], "trials must be >= 1"),
 ])
-def test_out_of_range_numbers_exit_1_with_one_error_line(capsys, command, overrides):
+def test_out_of_range_numbers_exit_1_with_one_error_line(capsys, command, overrides, names):
     # a repeated option overrides the earlier one
     assert main(NUMERIC_COMMANDS[command] + overrides) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+    assert names in captured.err
 
 
 def _outcome(capsys, argv):

@@ -27,9 +27,11 @@ from qhetfed.harness import (
     resolved_config,
     run_experiment,
 )
-from qhetfed.streams import derive_seed
+from qhetfed.datagen import DeviceShard
+from qhetfed.models import ModelSpec
+from qhetfed.streams import derive_seed, stream
 from qhetfed.timing import LinkComputeParams, compute_times
-from qhetfed.quantizer import IDENTITY
+from qhetfed.quantizer import IDENTITY, QuantizerSpec
 
 
 LINK_BLOCK = {
@@ -590,6 +592,32 @@ def test_pool_and_in_process_runs_write_identical_files(tmp_path, monkeypatch):
     assert len(pids[1]) == len(pids[2]) == 6
     assert set(pids[1]) == {str(os.getpid())}
     assert str(os.getpid()) not in pids[2]
+
+
+@needs_fork
+def test_mapped_simulations_do_not_depend_on_the_worker_count():
+    topology, model, data = federation.Topology((2, 2)), ModelSpec("logistic", 4, 3), stream(5, "mapper-data")
+    shards = [DeviceShard(l, n, (data.standard_normal((6, 4)), data.integers(0, 3, 6)))
+              for l in range(2) for n in range(2)]
+
+    def simulate(task):
+        algorithm, seed = task
+        rec = federation.run(federation.FedRunConfig(
+            topology, federation.Schedule(tau=2, gamma=2, mu=0.05, rounds=3, batch=3), model, shards,
+            QuantizerSpec(levels=4), QuantizerSpec(levels=8), algorithm=algorithm, master_seed=seed,
+        ))
+        return os.getpid(), rec.param_hash
+
+    tasks = [(algorithm, seed) for algorithm in ("qhetfed", "hier_local_qsgd") for seed in range(3)]
+    hashes, pids = {}, {}
+    for workers in (1, 2):
+        results = dict(harness._run_mapper(simulate, tasks, workers))
+        hashes[workers] = {task: param_hash for task, (_, param_hash) in results.items()}
+        pids[workers] = {pid for pid, _ in results.values()}
+    assert hashes[2] == hashes[1]
+    assert sorted(hashes[1]) == sorted(tasks) and all(len(h) == 3 for h in hashes[1].values())
+    # the closure ran in this process alone, then in forked workers only
+    assert pids[1] == {os.getpid()} and os.getpid() not in pids[2]
 
 
 def test_blas_cap_loads_an_openblas_whose_path_holds_a_space(monkeypatch):
