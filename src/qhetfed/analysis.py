@@ -48,6 +48,8 @@ class TheoryParams(namedtuple("TheoryParams", "L delta sigma2 batch G2 q1 q2 mu 
         self = super().__new__(cls, *args, **kwargs)
         for name in ("batch", "tau", "gamma", "T"):
             check_count(getattr(self, name), name)
+            if getattr(self, name) > 2**53:  # the bounds mix the counts with floats
+                raise ValueError(f"{name} must be at most 2**53, up to which a float holds every integer exactly")
         for name in ("L", "delta", "sigma2", "G2", "q1", "q2"):
             check_number(getattr(self, name), name, NON_NEGATIVE)
         check_number(self.mu, "mu", POSITIVE)
@@ -106,9 +108,10 @@ def check_lr_conditions(p: TheoryParams) -> LrConditions:
 def baseline_lr_condition(p: TheoryParams) -> tuple[bool, float]:
     """Single learning-rate condition for the model-averaging baseline."""
     L, mu, tau, gamma = p.L, p.mu, p.tau, p.gamma
+    L2, mu2 = _power(L, 2, "L**2"), _power(mu, 2, "mu**2")
     lhs = (
         1.0
-        - L**2 * mu**2 * (gamma * (gamma - 1) / 2.0 + gamma * tau * (tau * (tau - 1) / 2.0 + p.q1 * tau))
+        - L2 * mu2 * (gamma * (gamma - 1) / 2.0 + gamma * tau * (tau * (tau - 1) / 2.0 + p.q1 * tau))
         - L * mu * (1.0 + p.q2) * (gamma * tau + p.q1 * gamma / p.N)
     )
     return lhs >= 0.0, lhs

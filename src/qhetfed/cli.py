@@ -116,15 +116,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _times_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> timing.PhaseTimes:
     direct = [args.t_cp, args.t_de, args.t_ec]
-    link_given = args.bandwidth_hz is not None
-    if link_given and any(v is not None for v in direct):
+    # link mode is any link option given; LinkComputeParams fills in the rest's defaults
+    link = {name: getattr(args, name) for name in timing.LINK_KEYS if getattr(args, name) is not None}
+    if link and any(v is not None for v in direct):
         parser.error("give either --t-cp/--t-de/--t-ec or the link parameters, not both")
-    if link_given:
-        missing = [name for name, required in harness.LINK_KEYS.items() if required and getattr(args, name) is None]
+    if link:
+        missing = [name for name, required in timing.LINK_KEYS.items() if required and name not in link]
         if missing:
             parser.error(f"link mode needs --{missing[0].replace('_', '-')}")
-        lp = timing.LinkComputeParams(**{name: getattr(args, name) for name in harness.LINK_KEYS})
-        return timing.compute_times(lp)
+        return timing.compute_times(timing.LinkComputeParams(**link))
     if any(v is None for v in direct):
         parser.error("need all of --t-cp, --t-de, --t-ec (or the link parameters)")
     return timing.PhaseTimes(args.t_cp, args.t_de, args.t_ec)
@@ -219,10 +219,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--t-cp", type=_finite, help="per-local-iteration compute time, seconds")
     p_plan.add_argument("--t-de", type=_finite, help="device-to-edge upload time, seconds")
     p_plan.add_argument("--t-ec", type=_finite, help="edge-to-cloud time, seconds")
-    # one option per timing.LinkComputeParams field; link mode requires those without a default
-    for name in harness.LINK_KEYS:
-        default = timing.LinkComputeParams._field_defaults.get(name)
-        p_plan.add_argument(f"--{name.replace('_', '-')}", type=_finite, default=default)
+    # one option per timing.LinkComputeParams field
+    for name in timing.LINK_KEYS:
+        p_plan.add_argument(f"--{name.replace('_', '-')}", type=_finite)
 
     p_bounds = sub.add_parser("bounds", help="evaluate the convergence-bound calculators")
     p_bounds.add_argument("--L", type=_finite, required=True, help="smoothness constant")
@@ -267,8 +266,9 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # an ArithmeticError: a value outgrew a float on the way, as in c**T, L**2 or floor(inf)
-    except (planner.InfeasibleScheduleError, ValueError, ArithmeticError, OSError) as exc:
+    # an ArithmeticError: a value outgrew a float on the way, as in c**T, L**2 or floor(inf);
+    # a MemoryError: numpy could not allocate an array, as for quantizer-table --dim 10**17
+    except (planner.InfeasibleScheduleError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

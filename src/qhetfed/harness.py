@@ -42,7 +42,7 @@ from .federation import ALGORITHMS, FedRunConfig, RunRecord, Schedule, Topology
 from .models import ModelSpec
 from .quantizer import IDENTITY, STOCHASTIC, QuantizerSpec, identity_spec
 from .streams import derive_seed, stream
-from .timing import LinkComputeParams, PhaseTimes, compute_times
+from .timing import LINK_KEYS, LinkComputeParams, PhaseTimes, compute_times
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -90,9 +90,6 @@ DEFAULTS: dict = {
         "t_ec": 1.7629143438888213,
     },
 }
-
-# physical-link alternative to the "runtime" block; mutually exclusive with it.  key -> required
-LINK_KEYS = {name: name not in LinkComputeParams._field_defaults for name in LinkComputeParams._fields}
 
 
 class ConfigError(ValueError):

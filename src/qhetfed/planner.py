@@ -190,24 +190,17 @@ class GridResult(NamedTuple):
     j_value: float
 
 
-def grid_search_schedule(
-    plan: DeadlinePlan, q1: float, C: int, N: int, tau_max: int | None = None
-) -> GridResult:
-    """Exhaustive integer-tau oracle over the feasible range.
+def grid_search_schedule(plan: DeadlinePlan, q1: float, C: int, N: int) -> GridResult:
+    """Exhaustive integer-tau oracle over the feasible range ``1..floor(max_feasible_tau(plan))``.
 
     Evaluates the same deadline-pinned objective as ``objective_J``; gamma in
-    the result is the real-valued deadline gamma at the winning tau.
+    the result is the real-valued deadline gamma at the winning tau.  An empty
+    range is an ``InfeasibleScheduleError``.
     """
     check_objective_inputs(q1, C, N)
-    if tau_max is None:
-        tau_max = math.floor(max_feasible_tau(plan))
-    # no minimum: a tau_max below 1 is an infeasible search, reported as such below
-    check_count(tau_max, "tau_max", None)
-    if tau_max < 1:
-        raise InfeasibleScheduleError("no integer tau with gamma >= 1 fits the deadline")
     best_tau = None
     best_j = math.inf
-    for ti in range(1, tau_max + 1):
+    for ti in range(1, math.floor(max_feasible_tau(plan)) + 1):
         if gamma_from_tau(float(ti), plan) < 1.0 - _GAMMA_EPS:
             break
         j = objective_J(float(ti), plan, q1, C, N)

@@ -94,18 +94,15 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, rng: np.random.Generator) -> np
     return out
 
 
-def estimate_variance_factor(
-    levels: int | QuantizerSpec,
-    d: int,
-    trials: int,
-    rng: np.random.Generator,
-    *,
-    probes: int = 32,
-) -> float:
+# standard-normal probe vectors per variance-factor estimate
+PROBES = 32
+
+
+def estimate_variance_factor(levels: int | QuantizerSpec, d: int, trials: int, rng: np.random.Generator) -> float:
     """Empirically estimate the variance factor q for dimension ``d``.
 
-    Draws ``probes`` standard-normal probe vectors and, for each, averages
-    ||Q(x) - x||^2 / ||x||^2 over ``trials // probes`` repeated quantizations.
+    Draws ``PROBES`` (32) standard-normal probe vectors and, for each, averages
+    ||Q(x) - x||^2 / ||x||^2 over ``max(1, trials // PROBES)`` repeated quantizations.
     Returns the maximum of the per-probe means, which is the conservative
     choice for a factor that must bound the expectation from above.
 
@@ -113,13 +110,13 @@ def estimate_variance_factor(
     and to fall roughly like 1/s^2 at fixed dimension.
     """
     spec = levels if isinstance(levels, QuantizerSpec) else QuantizerSpec(levels=levels)
-    for name, count in (("d", d), ("trials", trials), ("probes", probes)):
+    for name, count in (("d", d), ("trials", trials)):
         check_count(count, name)
     if spec.mode == IDENTITY:
         return 0.0
-    reps = max(1, trials // probes)
+    reps = max(1, trials // PROBES)
     worst = 0.0
-    for _ in range(probes):
+    for _ in range(PROBES):
         x = rng.standard_normal(d)
         norm_sq = float(x @ x)
         if norm_sq == 0.0:

@@ -48,6 +48,11 @@ class LinkComputeParams(namedtuple("LinkComputeParams", (
         return self
 
 
+# link field -> required (it has no default); the fields name the config's ``link``
+# keys and ``qhetfed plan``'s link options
+LINK_KEYS = {name: name not in LinkComputeParams._field_defaults for name in LinkComputeParams._fields}
+
+
 def compute_times(lp: LinkComputeParams) -> PhaseTimes:
     """Phase times from the link budget: t_cp = c*D/f, t_de from the channel rate."""
     t_cp = lp.cycles_per_bit * lp.bits_per_local_iter / lp.cpu_hz

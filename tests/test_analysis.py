@@ -188,6 +188,8 @@ def test_tau_preference_threshold():
     *[(name, bad) for name in ("batch", "tau", "gamma", "T") for bad in (2.5, 2.0, True, "2")],
     *[("devices_per_set", (2, bad)) for bad in (2.5, 2.0, True, "2")],
     *[(name, bad) for name in ("L", "delta", "sigma2", "G2", "q1", "q2", "mu") for bad in (True, "1", np.nan, np.inf)],
+    # a float holds every integer up to 2**53 exactly, and the bounds mix the counts with floats
+    *[(name, 2**53 + 1) for name in ("batch", "tau", "gamma", "T")],
 ])
 def test_theory_params_reject_non_finite(name, bad):
     base = dict(L=1, delta=1, sigma2=1, batch=1, G2=1, q1=0, q2=0,
@@ -224,3 +226,14 @@ def test_theory_params_store_any_sequence_of_counts_as_a_tuple_of_ints(counts):
     assert type(p.devices_per_set) is tuple and all(type(n) is int for n in p.devices_per_set)
     with pytest.raises(ValueError, match="devices_per_set must not be empty"):
         TheoryParams(**base, devices_per_set=np.array([], dtype=int))
+
+
+@pytest.mark.parametrize("name", ["L", "mu"])
+def test_baseline_condition_names_a_square_too_large_for_a_float(name):
+    p = TheoryParams(**{**REF._asdict(), name: 1e200})
+    message = rf"^{name}\*\*2 = \(1e\+200\)\*\*2 is too large for a float$"
+    with pytest.raises(ValueError, match=message):
+        baseline_lr_condition(p)
+    # the same words as the scheme's own conditions
+    with pytest.raises(ValueError, match=message):
+        check_lr_conditions(p)

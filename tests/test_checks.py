@@ -60,8 +60,6 @@ COUNT_FIELDS = {
     "estimate_variance_factor.levels": (lambda v: estimate_variance_factor(v, 8, 64, stream(0, "v")), "levels"),
     "estimate_variance_factor.d": (lambda v: estimate_variance_factor(2, v, 64, stream(0, "v")), "d"),
     "estimate_variance_factor.trials": (lambda v: estimate_variance_factor(2, 8, v, stream(0, "v")), "trials"),
-    "estimate_variance_factor.probes": (
-        lambda v: estimate_variance_factor(2, 8, 64, stream(0, "v"), probes=v), "probes"),
     "ModelSpec.input_dim": (lambda v: ModelSpec("logistic", v, 10), "input_dim"),
     "ModelSpec.num_classes": (lambda v: ModelSpec("logistic", 20, v), "num_classes"),
     "ModelSpec.hidden_width": (lambda v: ModelSpec("mlp", 20, 10, v), "hidden_width"),
@@ -76,7 +74,6 @@ COUNT_FIELDS = {
     "optimize_schedule.N": (lambda v: optimize_schedule(PLAN, 1.0, 3, v), "num_devices"),
     "grid_search_schedule.C": (lambda v: grid_search_schedule(PLAN, 1.0, v, 60), "num_sets"),
     "grid_search_schedule.N": (lambda v: grid_search_schedule(PLAN, 1.0, 3, v), "num_devices"),
-    "grid_search_schedule.tau_max": (lambda v: grid_search_schedule(PLAN, 1.0, 3, 60, tau_max=v), "tau_max"),
     "tau_preference.N": (lambda v: tau_preference(1.0, v, 3), "num_devices"),
     "tau_preference.C": (lambda v: tau_preference(1.0, 60, v), "num_sets"),
     "resolved_config.seed": (lambda v: resolved_config({"seed": v}), "seed"),

@@ -181,6 +181,24 @@ def test_plan_rejects_mixed_time_modes(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("link_option", [["--cpu-hz", "1e9"], ["--edge-cloud-ratio", "5"], ["--edge-cloud-time", "7"]])
+def test_plan_rejects_any_link_option_beside_the_direct_times(capsys, link_option):
+    with pytest.raises(SystemExit) as exc:
+        main(NUMERIC_COMMANDS["plan"] + link_option)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "give either --t-cp/--t-de/--t-ec or the link parameters, not both" in captured.err
+
+
+def test_plan_link_mode_names_a_missing_link_field(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["plan", "--deadline", "15600", "--rounds", "100", "--q1", "1", "--num-sets", "3", "--num-devices", "60",
+              "--cpu-hz", "1e9"])
+    assert exc.value.code == 2
+    assert "link mode needs --bandwidth-hz" in capsys.readouterr().err
+
+
 NUMERIC_COMMANDS = {
     "plan": [
         "plan", "--deadline", "15600", "--rounds", "100", "--q1", "1",
@@ -248,6 +266,9 @@ def test_non_finite_numbers_are_usage_errors(capsys, command, flag, value):
     ("quantizer-table", ["--levels", "4,0"], "levels must be >= 1"),
     ("quantizer-table", ["--dim", "0"], "d must be >= 1"),
     ("quantizer-table", ["--trials", "0"], "trials must be >= 1"),
+    # a count above 2**53 would reach the bounds' float arithmetic inexact or not at all
+    ("bounds", ["--gamma", "1" + "0" * 160], "gamma must be at most 2**53"),
+    ("bounds", ["--batch", str(2**53 + 1)], "batch must be at most 2**53"),
 ])
 def test_out_of_range_numbers_exit_1_with_one_error_line(capsys, command, overrides, names):
     # a repeated option overrides the earlier one
@@ -257,6 +278,30 @@ def test_out_of_range_numbers_exit_1_with_one_error_line(capsys, command, overri
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert names in captured.err
+
+
+def test_counts_at_2_53_reach_the_bounds_and_an_overflow_is_named(capsys):
+    # a float holds every count up to 2**53, so the bounds are evaluated; here c**T outgrows a float
+    counts = [token for flag in ("--batch", "--tau", "--gamma", "--rounds") for token in (flag, str(2**53))]
+    assert main(NUMERIC_COMMANDS["bounds"] + counts) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: c**T = (-180143985094818.84)**9007199254740992 is too large for a float\n"
+
+
+# 10**17 float64 entries: more than any 57-bit address space, so no setting lets the allocation start
+@pytest.mark.parametrize("argv", [
+    ["quantizer-table", "--dim", str(10**17), "--levels", "1", "--trials", "1"],
+    ["run", "--repeats", "1", "--set", f"dataset.per_class={10**15}"],
+], ids=["quantizer-table", "run"])
+def test_an_allocation_failure_exits_1_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Unable to allocate") and captured.err.count("\n") == 1
+    # run's default output directory is not created
+    assert list(tmp_path.iterdir()) == []
 
 
 def _outcome(capsys, argv):
