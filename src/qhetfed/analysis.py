@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import NamedTuple
 
-from .checks import NON_NEGATIVE, POSITIVE, check_count, check_number
+from .checks import NON_NEGATIVE, POSITIVE, check_float_count, check_number
 from .federation import Topology
 from .planner import check_objective_inputs, raw_objective
 
@@ -47,9 +47,7 @@ class TheoryParams(namedtuple("TheoryParams", "L delta sigma2 batch G2 q1 q2 mu 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name in ("batch", "tau", "gamma", "T"):
-            check_count(getattr(self, name), name)
-            if getattr(self, name) > 2**53:  # the bounds mix the counts with floats
-                raise ValueError(f"{name} must be at most 2**53, up to which a float holds every integer exactly")
+            check_float_count(getattr(self, name), name)  # the bounds mix the counts with floats
         for name in ("L", "delta", "sigma2", "G2", "q1", "q2"):
             check_number(getattr(self, name), name, NON_NEGATIVE)
         check_number(self.mu, "mu", POSITIVE)

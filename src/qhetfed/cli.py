@@ -86,7 +86,7 @@ def _read_config_file(path: str) -> dict:
     return user
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     user: dict = {}
     if args.config:
         user = _read_config_file(args.config)
@@ -250,19 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse requires one of these subcommands, so every parsed command has a handler
+_COMMANDS = {"run": _cmd_run, "plan": _cmd_plan, "bounds": _cmd_bounds, "quantizer-table": _cmd_quantizer_table}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "plan":
-            return _cmd_plan(args, parser)
-        if args.command == "bounds":
-            return _cmd_bounds(args, parser)
-        if args.command == "quantizer-table":
-            return _cmd_quantizer_table(args, parser)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args, parser)
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -271,7 +267,6 @@ def main(argv=None) -> int:
     except (planner.InfeasibleScheduleError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import models as _models
-from .checks import check_count, check_finite, check_number
+from .checks import check_count, check_finite, check_number, read_only
 from .models import ModelSpec
 
 IID = "iid"
@@ -37,23 +37,33 @@ _CLASSES_PER_DEVICE = {NONIID1: 2, NONIID2: 1}
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-class DeviceShard:
-    """One device's local dataset as stacked ``features`` and ``labels`` arrays.
+class DeviceShard(namedtuple("DeviceShard", "set_index device_index features labels")):
+    """One device's local dataset as stacked, read-only ``features`` and ``labels`` arrays.
 
     ``samples`` is an ``(X, y)`` pair; it is unpacked into the two fields and
     not kept.
     """
 
-    def __init__(self, set_index: int, device_index: int, samples: tuple[np.ndarray, np.ndarray]) -> None:
+    __slots__ = ()
+
+    def __new__(cls, set_index: int, device_index: int, samples: tuple[np.ndarray, np.ndarray]):
         check_count(set_index, "set_index", 0)
         check_count(device_index, "device_index", 0)
-        self.set_index = set_index
-        self.device_index = device_index
-        self.features, self.labels = check_samples(samples)
+        return super().__new__(cls, set_index, device_index, *map(read_only, check_samples(samples)))
+
+    def __getnewargs__(self):
+        # an unpickled array is writable, so unpickling goes through the constructor again
+        return self.set_index, self.device_index, (self.features, self.labels)
 
     @property
     def size(self) -> int:
         return len(self.labels)
+
+
+def _sealed(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mark a pair of arrays this module has just indexed, and so shares with no one, read-only."""
+    X.flags.writeable = y.flags.writeable = False
+    return X, y
 
 
 def check_samples(samples, name: str = "", model: ModelSpec | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +160,8 @@ def split_dataset(
         raise ValueError(f"test_fraction {test_fraction} leaves none of the {len(y)} rows for testing")
     order = rng.permutation(len(y))
     test, train = order[:n_test], order[n_test:]
-    return (X[train], y[train]), (X[test], y[test])
+    # handed over read-only, so a shard or config built from them copies neither
+    return _sealed(X[train], y[train]), _sealed(X[test], y[test])
 
 
 def partition(
@@ -194,7 +205,7 @@ def partition(
                 chosen = rng.choice(present, size=_CLASSES_PER_DEVICE[rule], replace=False)
                 pool = np.concatenate([by_class[k] for k in np.sort(chosen)])
             idx = rng.choice(pool, size=size, replace=size > len(pool))
-            shards.append(DeviceShard(l, n, (X[idx], labels[idx])))
+            shards.append(DeviceShard(l, n, _sealed(X[idx], labels[idx])))
     return shards
 
 

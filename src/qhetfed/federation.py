@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import models as _models
-from .checks import POSITIVE, check_count, check_finite, check_number
+from .checks import POSITIVE, check_count, check_finite, check_number, read_only
 from .datagen import DeviceShard, check_samples, global_loss
 from .models import ModelSpec
 from .quantizer import NonFiniteInputError, QuantizerSpec, identity_spec, quantize
@@ -104,12 +104,20 @@ class Schedule(namedtuple("Schedule", "tau gamma mu rounds batch")):
         return self
 
 
+# the largest parameter norm a run may reach; an iterate past it, or not finite, ends the run
+NORM_GUARD = 1e9
+
+
 class FedRunConfig(namedtuple("FedRunConfig", (
         "topology", "schedule", "model", "shards", "q1", "q2", "algorithm", "master_seed", "test_samples", "times",
-        "initial_params", "init_scale", "keep_snapshots", "norm_guard"),
-        defaults=(identity_spec(), identity_spec(), QHETFED, 0, None, PhaseTimes(1.0, 0.1, 1.0), None, 0.1, False,
-                  1e9))):
-    """One simulation's inputs, checked once at construction; ``shards`` is kept as a tuple in (set, device) order."""
+        "initial_params", "init_scale", "keep_snapshots"),
+        defaults=(identity_spec(), identity_spec(), QHETFED, 0, None, PhaseTimes(1.0, 0.1, 1.0), None, 0.1, False))):
+    """One simulation's inputs, checked once at construction; ``shards`` is kept as a tuple in (set, device) order.
+
+    Every array it holds is read-only, so nothing can change it after the
+    checks.  Every run stops at its first iterate whose norm is not at most
+    ``NORM_GUARD``.
+    """
 
     __slots__ = ()
 
@@ -119,24 +127,23 @@ class FedRunConfig(namedtuple("FedRunConfig", (
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         check_count(self.master_seed, "master_seed", 0)
         check_number(self.init_scale, "init_scale")
-        # +inf turns the divergence guard off; a NaN would too, without a word
-        if self.norm_guard != np.inf:
-            check_number(self.norm_guard, "norm_guard", POSITIVE)
         topology, model, shards = self.topology, self.model, self.shards
         if len(shards) != topology.num_devices:
             raise ValueError(f"{len(shards)} shards for {topology.num_devices} devices")
-        if self.initial_params is not None:
-            w0 = np.asarray(self.initial_params, dtype=float)
+        w0, test = self.initial_params, self.test_samples
+        if w0 is not None:
+            w0 = read_only(np.asarray(w0, dtype=float))
             if w0.shape != (model.dim,):
                 raise ValueError(f"initial_params must be a vector of length {model.dim}, got shape {w0.shape}")
             check_finite(w0, "initial_params")
         # the gradient kernel checks no data, so it is checked here, once per run
         for s in shards:
             check_samples((s.features, s.labels), f"shard ({s.set_index}, {s.device_index})", model)
-        if self.test_samples is not None:
-            check_samples(self.test_samples, "test_samples", model)
+        if test is not None:
+            test = tuple(map(read_only, check_samples(test, "test_samples", model)))
         # _replace builds the tuple without coming back through these checks
-        return self._replace(shards=tuple(s for row in _shard_grid(shards, topology) for s in row))
+        return self._replace(shards=tuple(s for row in _shard_grid(shards, topology) for s in row),
+                             initial_params=w0, test_samples=test)
 
 
 def _shard_grid(shards, topology: Topology) -> list[list[DeviceShard]]:
@@ -293,15 +300,17 @@ def _set_model(config: FedRunConfig, phases, steps: int, w: np.ndarray, l: int, 
 def _train(config: FedRunConfig, delay: float, advance) -> RunRecord:
     """The loop every algorithm shares: ``w = advance(w, t)`` for t < rounds, each iterate recorded.
 
-    It stops before the first diverged iterate (a non-finite quantizer input or
-    entry, or a norm above ``norm_guard``), whose index goes to ``diverged_at``;
-    ``final_params`` is the last recorded iterate, or the start point.
+    It stops before the first diverged iterate, whose index goes to
+    ``diverged_at``: ``advance`` met a non-finite quantizer input, or the
+    iterate's norm is not at most ``NORM_GUARD`` (a NaN or infinite entry makes
+    the norm NaN or inf, which fails the same test).  ``final_params`` is the
+    last recorded iterate, or the start point.
     """
     train_loss, test_accuracy, runtime_s, param_hash = [], [], [], []
     snapshots = [] if config.keep_snapshots else None
     diverged_at = None
     if config.initial_params is not None:
-        w = np.array(config.initial_params, dtype=float)
+        w = config.initial_params.copy()
     elif config.model.kind == _models.MLP:
         w = _models.init_params(config.model, stream(config.master_seed, "init"), scale=config.init_scale)
     else:
@@ -313,7 +322,7 @@ def _train(config: FedRunConfig, delay: float, advance) -> RunRecord:
             w_next = advance(w, t)
         except NonFiniteInputError:
             w_next = None
-        if w_next is None or not np.all(np.isfinite(w_next)) or float(np.linalg.norm(w_next)) > config.norm_guard:
+        if w_next is None or not float(np.linalg.norm(w_next)) <= NORM_GUARD:
             diverged_at = t
             break
         w = w_next

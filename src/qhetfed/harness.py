@@ -40,7 +40,7 @@ from .checks import check_count, check_number
 from .datagen import PartitionScheme, split_dataset
 from .federation import ALGORITHMS, FedRunConfig, RunRecord, Schedule, Topology
 from .models import ModelSpec
-from .quantizer import IDENTITY, STOCHASTIC, QuantizerSpec, identity_spec
+from .quantizer import QuantizerSpec
 from .streams import derive_seed, stream
 from .timing import LINK_KEYS, LinkComputeParams, PhaseTimes, compute_times
 
@@ -221,12 +221,8 @@ def parse_config(user: dict) -> ExperimentConfig:
         schedule = Schedule(**dict(cfg["schedule"], mu=float(cfg["schedule"]["mu"])))
 
     quantizers = cfg["quantizers"]
-    if quantizers["mode"] == IDENTITY:
-        q1, q2 = identity_spec(), identity_spec()
-    elif quantizers["mode"] == STOCHASTIC:
-        q1, q2 = (QuantizerSpec(levels=quantizers[key], mode=STOCHASTIC) for key in ("levels_device", "levels_edge"))
-    else:
-        raise ConfigError(f"quantizers.mode must be '{STOCHASTIC}' or '{IDENTITY}'")
+    with _checked("quantizers"):
+        q1, q2 = (QuantizerSpec(quantizers[key], quantizers["mode"]) for key in ("levels_device", "levels_edge"))
 
     if "link" in cfg:
         with _checked("link"):

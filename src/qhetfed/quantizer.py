@@ -19,7 +19,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .checks import check_count
+from .checks import check_count, check_float_count
 
 STOCHASTIC = "stochastic"
 IDENTITY = "identity"
@@ -45,8 +45,9 @@ class QuantizerSpec(namedtuple("QuantizerSpec", "levels mode", defaults=(1, STOC
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.mode not in (STOCHASTIC, IDENTITY):
-            raise ValueError(f"unknown quantizer mode {self.mode!r}")
-        check_count(self.levels, "levels")
+            raise ValueError(f"quantizer mode must be '{STOCHASTIC}' or '{IDENTITY}', got {self.mode!r}")
+        # quantize mixes the level count with floats
+        check_float_count(self.levels, "levels")
         return self
 
 

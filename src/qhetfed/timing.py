@@ -31,11 +31,12 @@ class PhaseTimes(namedtuple("PhaseTimes", "t_cp t_de t_ec")):
 
 class LinkComputeParams(namedtuple("LinkComputeParams", (
         "bandwidth_hz", "power_w", "noise_w", "channel_gain", "cycles_per_bit", "cpu_hz", "bits_per_local_iter",
-        "model_bits", "edge_cloud_time", "edge_cloud_ratio"), defaults=(None, 10.0))):
+        "model_bits", "edge_cloud_time", "edge_cloud_ratio"), defaults=(None, None))):
     """Physical link and CPU parameters from which the phase times derive.
 
-    ``edge_cloud_time`` gives t_ec directly; when it is None, t_ec is
-    ``edge_cloud_ratio`` times the device-edge upload time.
+    ``edge_cloud_time`` gives t_ec directly; otherwise t_ec is
+    ``edge_cloud_ratio`` times the device-edge upload time, a ratio of 10 when
+    neither is given.  Giving both is an error.
     """
 
     __slots__ = ()
@@ -43,8 +44,13 @@ class LinkComputeParams(namedtuple("LinkComputeParams", (
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         for name, value in zip(self._fields, self):
-            if not (name == "edge_cloud_time" and value is None):
+            if not (name in cls._field_defaults and value is None):
                 check_number(value, name, POSITIVE)
+        if self.edge_cloud_time is not None and self.edge_cloud_ratio is not None:
+            raise ValueError("give edge_cloud_time or edge_cloud_ratio, not both")
+        if self.edge_cloud_time is None and self.edge_cloud_ratio is None:
+            # _replace builds the tuple without coming back through these checks
+            return self._replace(edge_cloud_ratio=10.0)
         return self
 
 

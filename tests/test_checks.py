@@ -24,7 +24,7 @@ NOT_NUMBERS = (True, "1", math.nan, math.inf)
 SCHEDULE = dict(tau=2, gamma=1, mu=0.1, rounds=3, batch=2)
 TIMES = dict(t_cp=1.0, t_de=0.1, t_ec=1.0)
 LINK = dict(bandwidth_hz=1e6, power_w=0.5, noise_w=1e-10, channel_gain=1e-8, cycles_per_bit=20.0,
-            cpu_hz=1e9, bits_per_local_iter=1e8, model_bits=1e6, edge_cloud_time=2.0, edge_cloud_ratio=10.0)
+            cpu_hz=1e9, bits_per_local_iter=1e8, model_bits=1e6, edge_cloud_ratio=10.0)
 PLAN = DeadlinePlan(deadline_s=15600.0, rounds=100, times=PhaseTimes(2.0, 0.2, 1.8))
 THEORY = TheoryParams(L=1.0, delta=1.0, sigma2=1.0, batch=1, G2=1.0, q1=1.0, q2=1.0,
                       mu=0.01, tau=2, gamma=2, T=10, devices_per_set=(2,))
@@ -86,8 +86,9 @@ COUNT_FIELDS = {
 NUMBER_FIELDS = {
     "Schedule.mu": (lambda v: Schedule(**{**SCHEDULE, "mu": v}), "mu"),
     **{f"PhaseTimes.{name}": ((lambda v, name=name: PhaseTimes(**{**TIMES, name: v})), name) for name in TIMES},
+    # each value is checked before the rule that edge_cloud_time and edge_cloud_ratio exclude each other
     **{f"LinkComputeParams.{name}": ((lambda v, name=name: LinkComputeParams(**{**LINK, name: v})), name)
-       for name in LINK},
+       for name in LinkComputeParams._fields},
     "DeadlinePlan.deadline_s": (lambda v: DeadlinePlan(v, 100, PhaseTimes(**TIMES)), "deadline_s"),
     "optimize_schedule.q1": (lambda v: optimize_schedule(PLAN, v, 3, 60), "q1"),
     "grid_search_schedule.q1": (lambda v: grid_search_schedule(PLAN, v, 3, 60), "q1"),
@@ -122,8 +123,8 @@ def test_every_count_and_number_is_checked_by_its_rule_and_never_cast(entry, bad
     assert re.fullmatch(rf"{re.escape(field)}(\[\d\])? must be {wording}, got {re.escape(repr(bad))}", str(exc.value))
 
 
-# values the tables above cannot state: a count's minimum, a guard that allows +inf, a False
-# count or fraction, and the data a run trains and tests on
+# values the tables above cannot state: a count's minimum or maximum, a False count or fraction,
+# a pair of options that exclude each other, and the data a run trains and tests on
 BOUNDARY_CASES = {
     "DeviceShard.set_index=-1": (lambda: DeviceShard(-1, 0, SAMPLES), "set_index must be >= 0"),
     "DeviceShard.device_index=False": (lambda: DeviceShard(0, False, SAMPLES),
@@ -164,12 +165,10 @@ BOUNDARY_CASES = {
     "FedRunConfig.initial_params=(dim, 2)": (lambda: _config(initial_params=np.zeros((1, 2))),
                                              "initial_params must be a vector of length 1, got shape (1, 2)"),
     "FedRunConfig.master_seed=-1": (lambda: _config(master_seed=-1), "master_seed must be >= 0"),
-    "FedRunConfig.norm_guard=nan": (lambda: _config(norm_guard=math.nan),
-                                    "norm_guard must be a finite positive number, got nan"),
-    "FedRunConfig.norm_guard=True": (lambda: _config(norm_guard=True),
-                                     "norm_guard must be a finite positive number, got True"),
-    "FedRunConfig.norm_guard=0.0": (lambda: _config(norm_guard=0.0),
-                                    "norm_guard must be a finite positive number, got 0.0"),
+    "LinkComputeParams.edge_cloud_time+edge_cloud_ratio": (lambda: LinkComputeParams(**LINK, edge_cloud_time=2.0),
+                                                           "give edge_cloud_time or edge_cloud_ratio, not both"),
+    "QuantizerSpec.levels=2**53+1": (lambda: QuantizerSpec(levels=2**53 + 1),
+                                     "levels must be at most 2**53, up to which a float holds every integer exactly"),
     "ModelSpec.hidden_width=7 (logistic)": (lambda: ModelSpec("logistic", 4, 3, 7),
                                             "hidden_width must be 0 for the logistic kind, got 7"),
     "split_dataset.test_fraction=False": (lambda: split_dataset(SAMPLES, False, stream(0, "s")),

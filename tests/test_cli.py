@@ -269,6 +269,11 @@ def test_non_finite_numbers_are_usage_errors(capsys, command, flag, value):
     # a count above 2**53 would reach the bounds' float arithmetic inexact or not at all
     ("bounds", ["--gamma", "1" + "0" * 160], "gamma must be at most 2**53"),
     ("bounds", ["--batch", str(2**53 + 1)], "batch must be at most 2**53"),
+    # the quantizer divides by its level count as a float
+    ("quantizer-table", ["--levels", "1" + "0" * 400], "levels must be at most 2**53"),
+    # both set t_ec, so neither is dropped in silence
+    ("plan-link", ["--edge-cloud-time", "7", "--edge-cloud-ratio", "5"],
+     "give edge_cloud_time or edge_cloud_ratio, not both"),
 ])
 def test_out_of_range_numbers_exit_1_with_one_error_line(capsys, command, overrides, names):
     # a repeated option overrides the earlier one
@@ -489,3 +494,57 @@ def test_data_the_config_rules_out_is_a_config_error(tmp_path, capsys, update, m
     assert code == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_diverged_run_exits_1_and_names_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY)
+    code = main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out"), "--set", "schedule.mu=1e12"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == "diverged runs: qhetfed_s7_r00, hier_local_qsgd_s7_r00\n"
+    # every table is still written
+    assert "runs.json" in captured.out
+
+
+def test_run_seed_reaches_the_run_files(tmp_path):
+    cfg = write_config(tmp_path, TINY)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out"), "--seed", "3"]) == 0
+    with open(tmp_path / "out" / "runs.json", encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    assert [m["run_id"] for m in manifest] == ["qhetfed_s3_r00", "hier_local_qsgd_s3_r00"]
+    assert all(m["file"].startswith(f"{m['run_id']}_") and (tmp_path / "out" / m["file"]).exists() for m in manifest)
+
+
+def test_a_set_value_that_is_not_json_is_kept_as_a_string(tmp_path):
+    cfg = write_config(tmp_path, TINY)
+    assert main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out"), "--set", "partition.scheme=noniid1"]) == 0
+    with open(tmp_path / "out" / "resolved_config.json", encoding="utf-8") as fh:
+        assert json.load(fh)["partition"]["scheme"] == "noniid1"
+
+
+BOTH_EDGE_CLOUD = dict(bandwidth_hz=1e6, power_w=0.5, noise_w=1e-10, channel_gain=1e-8, cycles_per_bit=20.0,
+                       cpu_hz=1e9, bits_per_local_iter=1e8, model_bits=1e6, edge_cloud_time=7.0, edge_cloud_ratio=5.0)
+
+
+@pytest.mark.parametrize("assignment, message", [
+    ("schedule.rounds", "--set expects key.path=value, got 'schedule.rounds'"),
+    ("seed.x=1", "--set path 'seed.x' crosses a non-table key"),
+    ("quantizers.mode=exact", "quantizers: quantizer mode must be 'stochastic' or 'identity', got 'exact'"),
+    (f"quantizers.levels_device={10**400}",
+     "quantizers: levels must be at most 2**53, up to which a float holds every integer exactly"),
+    (f"link={json.dumps(BOTH_EDGE_CLOUD)}", "link: give edge_cloud_time or edge_cloud_ratio, not both"),
+], ids=["no-equals", "through-a-number", "quantizer-mode", "levels-above-2**53", "edge-cloud-pair"])
+def test_run_config_errors_exit_2_with_one_line_and_no_directory(tmp_path, capsys, monkeypatch, assignment, message):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, TINY)
+    assert main(["run", "--config", cfg, "--set", assignment]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"config error: {message}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+def test_quantizer_table_rejects_a_level_list_that_is_not_integers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["quantizer-table", "--levels", "1,x"])
+    assert exc.value.code == 2
+    assert "--levels expects a comma-separated integer list" in capsys.readouterr().err

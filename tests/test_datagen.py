@@ -12,7 +12,7 @@ from qhetfed.datagen import (
     partition,
     split_dataset,
 )
-from qhetfed.federation import Topology
+from qhetfed.federation import FedRunConfig, Schedule, Topology
 from qhetfed.models import ModelSpec
 from qhetfed.streams import stream
 
@@ -258,3 +258,18 @@ def test_unsigned_labels_that_fit_int64_pass_unchanged():
     shard = DeviceShard(0, 0, (np.zeros((3, 2)), labels))
     assert shard.labels.dtype == np.int64
     assert shard.labels.tolist() == [0, 7, 2**63 - 1]
+
+
+def test_split_and_partition_hand_over_read_only_arrays_that_no_config_copies():
+    topo = Topology((2, 1))
+    train, test = split_dataset(make_synthetic_dataset(3, 20, 4, stream(3, "dataset")), 0.25, stream(3, "split"))
+    shards = partition(train, topo, PartitionScheme(), stream(3, "partition"))
+    arrays = [*train, *test, *(a for s in shards for a in (s.features, s.labels))]
+    assert not any(a.flags.writeable for a in arrays)
+    assert all(a.base is None for a in arrays)
+    cfg = FedRunConfig(topo, Schedule(1, 1, 0.1, 1, 5), ModelSpec("logistic", 4, 3), shards, test_samples=test)
+    # the run path keeps the very arrays datagen built: no shard or test array is copied
+    assert all(a is b for a, b in zip(cfg.test_samples, test))
+    assert all(a is b for a, b in zip(cfg.shards, shards))
+    again = DeviceShard(0, 0, (shards[0].features, shards[0].labels))
+    assert again.features is shards[0].features and again.labels is shards[0].labels

@@ -11,6 +11,7 @@ from qhetfed.federation import (
     CENTRALIZED_SGD,
     FedRunConfig,
     HIER_LOCAL_QSGD,
+    NORM_GUARD,
     QHETFED,
     QHETFED_GAMMA1,
     Schedule,
@@ -26,7 +27,7 @@ from qhetfed.federation import (
     steps_per_round,
 )
 from qhetfed.models import LOGISTIC, MLP, ModelSpec, QUADRATIC, gradient
-from qhetfed.quantizer import QuantizerSpec, identity_spec, quantize
+from qhetfed.quantizer import NonFiniteInputError, QuantizerSpec, identity_spec, quantize
 from qhetfed.streams import stream
 from qhetfed.timing import PhaseTimes, iteration_delay
 
@@ -246,7 +247,7 @@ def test_config_and_record_fields_are_read_only():
     cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=2)
     rec = run(cfg)
     # a field assigned after construction would skip the checks, and the engine would run on unchecked inputs
-    for obj, count in ((cfg, 14), (rec, 10)):
+    for obj, count in ((cfg, 13), (rec, 10)):
         assert len(obj._fields) == count
         for name in obj._fields:
             with pytest.raises(AttributeError):
@@ -273,6 +274,34 @@ def test_pickled_config_unpickles_through_its_checks():
                          (cfg._replace(shards=cfg.shards[:1]), "1 shards for 2 devices")):
         with pytest.raises(ValueError, match=message):
             pickle.loads(pickle.dumps(bad))
+
+
+def test_a_checked_configs_arrays_cannot_be_written():
+    # a write after the checks would reach the run unchecked: it ended a run at diverged_at = 0
+    X, y, w0 = np.ones((2, 1)), np.zeros(2, dtype=int), np.zeros(1)
+    view = X[:]
+    view.flags.writeable = False
+    cfg = FedRunConfig(Topology((2,)), Schedule(2, 1, 0.1, 3, 2), ModelSpec(QUADRATIC, 1),
+                       [DeviceShard(0, 0, (X, y)), DeviceShard(0, 1, (view, y))], test_samples=(X, y),
+                       initial_params=w0)
+    shard = cfg.shards[0]
+    for array, index in ((shard.features, (0, 0)), (shard.labels, 0), (cfg.initial_params, 0),
+                         (cfg.test_samples[0], (0, 0)), (cfg.test_samples[1], 0), (cfg.shards[1].features, (0, 0))):
+        with pytest.raises(ValueError, match="read-only"):
+            array[index] = 7
+    # nor can a shard's fields be replaced by arrays the config never checked
+    for name in shard._fields:
+        with pytest.raises(AttributeError):
+            setattr(shard, name, np.full((2, 1), np.inf))
+    # a writable array, or a read-only view of one, is copied; the caller's arrays stay as they were
+    held = [shard.features, shard.labels, cfg.shards[1].features, cfg.initial_params, *cfg.test_samples]
+    assert X.flags.writeable and y.flags.writeable and w0.flags.writeable
+    assert not any(np.shares_memory(a, b) for a in held for b in (X, y, w0))
+    assert len(run(cfg).train_loss) == 3
+    # an unpickled array is writable: the shards and the config unpickle through their constructors
+    back = pickle.loads(pickle.dumps(cfg))
+    assert not any(a.flags.writeable for s in back.shards for a in (s.features, s.labels))
+    assert not back.initial_params.flags.writeable and not back.test_samples[0].flags.writeable
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -563,7 +592,7 @@ def test_different_seed_changes_stochastic_run():
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_divergence_guard_stops_run(algorithm):
     cfg = quadratic_config(
-        [1], [[[1.0]]], tau=2, gamma=1, mu=5.0, rounds=50, norm_guard=100.0,
+        [1], [[[1.0]]], tau=2, gamma=1, mu=5.0, rounds=50,
         algorithm=algorithm, keep_snapshots=True,
     )
     rec = run(cfg)
@@ -572,7 +601,7 @@ def test_divergence_guard_stops_run(algorithm):
         assert len(values) == rec.diverged_at
     # the diverged iterate is never handed out: the run ends on its last recorded one
     assert np.array_equal(rec.final_params, rec.snapshots[-1])
-    assert np.linalg.norm(rec.final_params) <= cfg.norm_guard
+    assert np.linalg.norm(rec.final_params) <= NORM_GUARD
 
 
 @pytest.mark.parametrize("steps", [0, -1, 2.5, 2.0, True, "2"])
@@ -582,13 +611,22 @@ def test_oracle_rejects_a_step_count_that_is_not_a_positive_integer(steps):
         run_centralized_sgd(cfg, steps_per_iteration=steps)
 
 
-def test_divergence_guard_catches_nonfinite_gradients():
-    cfg = quadratic_config(
-        [1], [[[1.0]]], tau=2, gamma=1, mu=1e200, rounds=50, norm_guard=float("inf"),
-    )
+def test_divergence_guard_catches_nonfinite_gradients(monkeypatch):
+    raised = []
+
+    def recording_quantize(*args):
+        try:
+            return quantize(*args)
+        except NonFiniteInputError:
+            raised.append(True)
+            raise
+
+    monkeypatch.setattr(federation, "quantize", recording_quantize)
+    cfg = quadratic_config([1], [[[1.0]]], tau=2, gamma=1, mu=1e200, rounds=50)
     with np.errstate(over="ignore", invalid="ignore"):
         rec = run(cfg)
-    assert rec.diverged_at is not None
+    # the local phase hands the quantizer a NaN delta in round 0, before any norm is tested
+    assert rec.diverged_at == 0 and raised == [True]
 
 
 def test_accuracy_column_defaults_to_zero_without_test_samples():

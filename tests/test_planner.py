@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -53,6 +54,17 @@ def test_compute_times_direct_edge_cloud():
         edge_cloud_time=3.5,
     )
     assert compute_times(lp).t_ec == 3.5
+
+
+def test_edge_cloud_ratio_reads_as_10_only_without_a_direct_time():
+    # giving both is a test_checks.py BOUNDARY_CASES entry
+    plain = dict(LINK._asdict(), edge_cloud_ratio=None)
+    assert LinkComputeParams(**plain) == LINK
+    direct = LinkComputeParams(**dict(plain, edge_cloud_time=3.5))
+    assert direct.edge_cloud_ratio is None
+    for lp in (LINK, direct):
+        assert LinkComputeParams(**lp._asdict()) == lp
+        assert pickle.loads(pickle.dumps(lp)) == lp
 
 
 @pytest.mark.parametrize("power_w, noise_w, rate", [(1e-200, 1e200, "0.0"), (1e200, 1e-200, "inf")])
