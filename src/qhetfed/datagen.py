@@ -133,13 +133,15 @@ def make_synthetic_dataset(
     directions = rng.standard_normal((num_classes, input_dim))
     directions /= np.linalg.norm(directions, axis=1, keepdims=True)
     means = separation * directions
-    # each class block is drawn into its place in X: one copy of the data, never two
+    # each class block is drawn into its place in X: one copy of the data, never two.  A noise
+    # that overflows gives inf features, which check_samples, the one finite-features rule, rejects
     X = np.empty((num_classes * per_class, input_dim))
-    for k in range(num_classes):
-        block = X[k * per_class : (k + 1) * per_class]
-        rng.standard_normal(out=block)
-        block *= noise
-        block += means[k]
+    with np.errstate(over="ignore"):
+        for k in range(num_classes):
+            block = X[k * per_class : (k + 1) * per_class]
+            rng.standard_normal(out=block)
+            block *= noise
+            block += means[k]
     return X, np.repeat(np.arange(num_classes), per_class)
 
 

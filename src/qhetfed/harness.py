@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import contextlib
 import copy
-import functools
 import hashlib
 import json
+import math
 import os
 from collections import namedtuple
 from typing import NamedTuple
@@ -38,11 +38,11 @@ import numpy as np
 from . import datagen, federation
 from .checks import check_count, check_number
 from .datagen import PartitionScheme, split_dataset
-from .federation import ALGORITHMS, FedRunConfig, RunRecord, Schedule, Topology
+from .federation import ALGORITHMS, CENTRALIZED_SGD, FedRunConfig, RunRecord, Schedule, Topology
 from .models import ModelSpec
 from .quantizer import QuantizerSpec
 from .streams import derive_seed, stream
-from .timing import LINK_KEYS, LinkComputeParams, PhaseTimes, compute_times
+from .timing import LINK_KEYS, LinkComputeParams, PhaseTimes, compute_times, iteration_delay
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -230,6 +230,16 @@ def parse_config(user: dict) -> ExperimentConfig:
     else:
         with _checked("runtime"):
             times = PhaseTimes(**{name: float(value) for name, value in cfg["runtime"].items()})
+    # a run stamps iteration t with t times its delay, and the tables write every stamp
+    with _checked("link" if "link" in cfg else "runtime"):
+        for alg in algorithms:
+            delay = times.t_cp if alg == CENTRALIZED_SGD else iteration_delay(
+                federation.steps_per_round(alg, schedule), schedule.tau, times)
+            try:
+                last = schedule.rounds * delay
+            except OverflowError:  # a round count beyond any float
+                last = math.inf
+            check_number(last, f"{alg}'s modeled runtime after {schedule.rounds} rounds")
 
     return ExperimentConfig(
         seed=cfg["seed"],
@@ -398,26 +408,6 @@ def emit_metrics(records: list[tuple[str, RunRecord]], output_dir: str,
 # experiment driver
 
 
-def _run_one(cfg: ExperimentConfig, partitions: list, test: tuple[np.ndarray, np.ndarray],
-             task: tuple[int, str]) -> RunRecord:
-    rep, algorithm = task
-    rec = federation.run(FedRunConfig(
-        topology=cfg.topology,
-        schedule=cfg.schedule,
-        model=cfg.model,
-        shards=partitions[rep],
-        q1=cfg.q1,
-        q2=cfg.q2,
-        algorithm=algorithm,
-        master_seed=derive_seed(cfg.seed, "run", rep),
-        test_samples=test,
-        times=cfg.times,
-        init_scale=cfg.init_scale,
-    ))
-    # the config holds every shard, which the parent already has
-    return rec._replace(config=None)
-
-
 # A worker's copy of the pool's stop event and mapped function, set by the
 # pool initializer.  The pool forks, so both reach the workers by inheritance
 # (a closure works); only tasks and results are pickled.
@@ -536,9 +526,10 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     depend on that count or on the order in which runs finish.  Each per-run
     CSV is written as soon as its run returns, so a run that raises, or a
     worker that dies (a ``ChildProcessError`` naming the unfinished runs),
-    leaves the finished runs' files behind.  Data the config rules out (no
-    training row, too few classes for the scheme) is a ``ConfigError`` before
-    any file.
+    leaves the finished runs' files behind.  Every run's ``FedRunConfig`` is
+    built, and so checked, before the output directory exists, so data the
+    config rules out (no training row, too few classes for the scheme,
+    features that overflow to inf) is a ``ConfigError`` before any file.
     """
     if isinstance(cfg, dict):
         cfg = parse_config(cfg)
@@ -554,16 +545,28 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
             datagen.partition(train, cfg.topology, cfg.scheme, stream(cfg.seed, "partition", rep))
             for rep in range(cfg.repeats)
         ]
+    tasks = [(rep, algorithm) for rep in range(cfg.repeats) for algorithm in cfg.algorithms]
+    # every run's inputs are checked here, before any file: a worker only runs a checked config
+    with _checked("dataset"):
+        configs = {
+            (rep, algorithm): FedRunConfig(
+                topology=cfg.topology, schedule=cfg.schedule, model=cfg.model, shards=partitions[rep],
+                q1=cfg.q1, q2=cfg.q2, algorithm=algorithm, master_seed=derive_seed(cfg.seed, "run", rep),
+                test_samples=test, times=cfg.times, init_scale=cfg.init_scale,
+            )
+            for rep, algorithm in tasks
+        }
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     chash = config_hash(cfg)
-    tasks = [(rep, algorithm) for rep in range(cfg.repeats) for algorithm in cfg.algorithms]
     # longest runs first, so two long ones do not end up queued on one worker
     by_length = sorted(tasks, key=lambda task: -federation.steps_per_round(task[1], cfg.schedule))
     run_ids = {(rep, alg): f"{alg}_s{cfg.seed}_r{rep:02d}" for rep, alg in tasks}
     run_paths = {task: os.path.join(cfg.output_dir, f"{run_id}_{chash}.csv") for task, run_id in run_ids.items()}
     finished: dict[tuple[int, str], RunRecord] = {}
-    runs = _run_mapper(functools.partial(_run_one, cfg, partitions, test), by_length, _worker_count(len(tasks)))
+    # the workers inherit ``configs`` by fork; a record's config holds every shard, which the parent already has
+    runs = _run_mapper(lambda task: federation.run(configs[task])._replace(config=None), by_length,
+                       _worker_count(len(tasks)))
     try:
         with contextlib.closing(runs):
             for task, rec in runs:

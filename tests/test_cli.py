@@ -485,8 +485,9 @@ def test_run_rejects_bad_config_shape(tmp_path, capsys, monkeypatch, update, key
           "partition": {"scheme": "mixed", "size_min": 5, "size_max": 10},
           "topology": {"num_sets": 3, "devices_per_set": 2}},
          "partition: scheme 'mixed' needs 2 classes per device but the dataset has only 1"),
+        ({"dataset": dict(TINY["dataset"], noise=1e308)}, "dataset: shard (0, 0) features must be finite numbers, got -inf"),
     ],
-    ids=["mixed-two-sets", "no-training-row", "no-test-row", "mixed-one-class"],
+    ids=["mixed-two-sets", "no-training-row", "no-test-row", "mixed-one-class", "features-overflow"],
 )
 def test_data_the_config_rules_out_is_a_config_error(tmp_path, capsys, update, message):
     cfg = write_config(tmp_path, dict(TINY, **update))
@@ -524,6 +525,8 @@ def test_a_set_value_that_is_not_json_is_kept_as_a_string(tmp_path):
 
 BOTH_EDGE_CLOUD = dict(bandwidth_hz=1e6, power_w=0.5, noise_w=1e-10, channel_gain=1e-8, cycles_per_bit=20.0,
                        cpu_hz=1e9, bits_per_local_iter=1e8, model_bits=1e6, edge_cloud_time=7.0, edge_cloud_ratio=5.0)
+# a compute step of 1e308 s: finite, but qhetfed's 3 steps an iteration are not
+SLOW_CPU_LINK = {**{k: v for k, v in BOTH_EDGE_CLOUD.items() if k != "edge_cloud_ratio"}, "cpu_hz": 2e-299}
 
 
 @pytest.mark.parametrize("assignment, message", [
@@ -533,7 +536,10 @@ BOTH_EDGE_CLOUD = dict(bandwidth_hz=1e6, power_w=0.5, noise_w=1e-10, channel_gai
     (f"quantizers.levels_device={10**400}",
      "quantizers: levels must be at most 2**53, up to which a float holds every integer exactly"),
     (f"link={json.dumps(BOTH_EDGE_CLOUD)}", "link: give edge_cloud_time or edge_cloud_ratio, not both"),
-], ids=["no-equals", "through-a-number", "quantizer-mode", "levels-above-2**53", "edge-cloud-pair"])
+    ("runtime.t_cp=1e308", "runtime: qhetfed's modeled runtime after 3 rounds must be a finite number, got inf"),
+    (f"link={json.dumps(SLOW_CPU_LINK)}", "link: qhetfed's modeled runtime after 3 rounds must be a finite number, got inf"),
+], ids=["no-equals", "through-a-number", "quantizer-mode", "levels-above-2**53", "edge-cloud-pair", "runtime-clock",
+        "link-clock"])
 def test_run_config_errors_exit_2_with_one_line_and_no_directory(tmp_path, capsys, monkeypatch, assignment, message):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, TINY)

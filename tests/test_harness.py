@@ -286,6 +286,13 @@ def test_out_of_range_nested_values_are_config_errors(user, key):
         ({"link": dict(LINK_BLOCK, edge_cloud_time="x")}, "link.edge_cloud_time must be a finite number, got 'x'"),
         ({"link": dict(LINK_BLOCK, noise_w=float("nan"))}, "link.noise_w must be a finite number, got nan"),
         ({"link": {k: v for k, v in LINK_BLOCK.items() if k != "cpu_hz"}}, "link: missing keys: cpu_hz"),
+        # each delay is a finite number, but qhetfed's last stamp, 2 iterations of them, is not
+        ({"runtime": {"t_cp": 1e308}, "schedule": {"rounds": 2}},
+         "runtime: qhetfed's modeled runtime after 2 rounds must be a finite number, got inf"),
+        ({"runtime": {"t_ec": 1e308}, "schedule": {"rounds": 2}},
+         "runtime: qhetfed's modeled runtime after 2 rounds must be a finite number, got inf"),
+        ({"link": dict(LINK_BLOCK, cpu_hz=2e-299), "schedule": {"rounds": 2}},
+         "link: qhetfed's modeled runtime after 2 rounds must be a finite number, got inf"),
     ],
     ids=lambda v: json.dumps(v)[:60] if isinstance(v, dict) else "",
 )
@@ -361,6 +368,16 @@ def test_numpy_scalars_in_a_dict_config_are_written_as_their_values(tmp_path):
     assert config_hash(numpy_cfg) == config_hash(plain_cfg)
     harness._write_json(str(tmp_path / "config.json"), numpy_cfg.raw)
     assert json.loads((tmp_path / "config.json").read_text(encoding="utf-8")) == plain_cfg.raw
+
+
+def test_the_clock_check_reads_the_delay_each_algorithm_stamps():
+    # the oracle's iteration is one compute step: an upload delay is not in its clock
+    oracle = {"algorithms": ["centralized_sgd"], "runtime": {"t_de": 1e307}, "schedule": {"rounds": 2}}
+    assert parse_config(oracle).times.t_de == 1e307
+    with pytest.raises(ConfigError, match=r"^runtime: qhetfed's modeled runtime after 2 rounds"):
+        parse_config(dict(oracle, algorithms=["centralized_sgd", "qhetfed"]))
+    with pytest.raises(ConfigError, match=r"^runtime: qhetfed's modeled runtime after 1000"):
+        parse_config({"schedule": {"rounds": 10**400}})
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +559,33 @@ def test_no_temporary_file_left_behind(tmp_path):
     assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in written)
 
 
+def test_a_dataset_that_overflows_is_a_config_error_before_any_file(tmp_path, monkeypatch):
+    # noise * N(0, 1) overflows to inf features without a warning, which the tests turn into an
+    # error; every run's config rejects them before the directory exists, and no run starts
+    monkeypatch.setattr(federation, "run", lambda config: pytest.fail("a run started"))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match=r"^dataset: shard \(0, 0\) features must be finite numbers, got -inf$"):
+        run_experiment(dict(TINY, output_dir=str(out), dataset=dict(TINY["dataset"], noise=1e308)))
+    assert not out.exists()
+
+
+def test_a_failed_rename_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.csv"
+    path.write_bytes(b"old\n")
+    renamed = []
+
+    def replace(src, dst):
+        renamed.append(os.path.basename(src))
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", replace)
+    with pytest.raises(OSError, match=f"^cannot write metrics file {re.escape(str(path))}: "):
+        harness._write_table(str(path), ("t",), [(1,)])
+    assert renamed == [f".metrics.csv.{os.getpid()}.tmp"]
+    assert path.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["metrics.csv"]
+
+
 # ---------------------------------------------------------------------------
 # worker processes
 
@@ -618,6 +662,21 @@ def test_mapped_simulations_do_not_depend_on_the_worker_count():
     assert sorted(hashes[1]) == sorted(tasks) and all(len(h) == 3 for h in hashes[1].values())
     # the closure ran in this process alone, then in forked workers only
     assert pids[1] == {os.getpid()} and os.getpid() not in pids[2]
+
+
+@needs_fork
+def test_mapper_without_fork_maps_in_the_calling_process(monkeypatch):
+    tasks, calls = list(range(5)), []
+
+    def square(task):
+        calls.append(task)  # a forked worker appends to its own copy of the list
+        return task * task
+
+    pooled = sorted(harness._run_mapper(square, tasks, 2))
+    assert calls == [] and pooled == [(task, task * task) for task in tasks]
+    monkeypatch.delattr(os, "fork")
+    assert list(harness._run_mapper(square, tasks, 2)) == pooled
+    assert calls == tasks
 
 
 def test_blas_cap_loads_an_openblas_whose_path_holds_a_space(monkeypatch):
