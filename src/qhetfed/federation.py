@@ -303,8 +303,8 @@ def _train(config: FedRunConfig, delay: float, advance) -> RunRecord:
     It stops before the first diverged iterate, whose index goes to
     ``diverged_at``: ``advance`` met a non-finite quantizer input, or the
     iterate's norm is not at most ``NORM_GUARD`` (a NaN or infinite entry makes
-    the norm NaN or inf, which fails the same test).  ``final_params`` is the
-    last recorded iterate, or the start point.
+    the norm NaN or inf, which fails the same test), with no numpy overflow
+    warning.  ``final_params`` is the last recorded iterate, or the start point.
     """
     train_loss, test_accuracy, runtime_s, param_hash = [], [], [], []
     snapshots = [] if config.keep_snapshots else None
@@ -312,17 +312,22 @@ def _train(config: FedRunConfig, delay: float, advance) -> RunRecord:
     if config.initial_params is not None:
         w = config.initial_params.copy()
     elif config.model.kind == _models.MLP:
-        w = _models.init_params(config.model, stream(config.master_seed, "init"), scale=config.init_scale)
+        # a start point that overflows diverges in round 0, as an overflowing iterate does below
+        with np.errstate(over="ignore"):
+            w = _models.init_params(config.model, stream(config.master_seed, "init"), scale=config.init_scale)
     else:
         w = _models.init_params(config.model)
     # an (X, y) pair is truthy even with no rows, so count its labels
     has_test = config.test_samples is not None and len(config.test_samples[1]) > 0
     for t in range(config.schedule.rounds):
-        try:
-            w_next = advance(w, t)
-        except NonFiniteInputError:
-            w_next = None
-        if w_next is None or not float(np.linalg.norm(w_next)) <= NORM_GUARD:
+        # an overflowing iterate is a diverged run, which the norm test reports; numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                w_next = advance(w, t)
+            except NonFiniteInputError:
+                w_next = None
+            diverged = w_next is None or not float(np.linalg.norm(w_next)) <= NORM_GUARD
+        if diverged:
             diverged_at = t
             break
         w = w_next

@@ -473,23 +473,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(runs: int) -> int:
-    """Processes for an experiment of ``runs`` simulations: one per run, at most one per usable CPU."""
-    return max(1, min(runs, _usable_cpus()))
-
-
-def _run_mapper(fn, tasks: list, workers: int):
+def _run_mapper(fn, tasks: list):
     """Yield ``(task, fn(task))`` for every task, in the order the tasks finish.
 
-    More than one worker maps the tasks in a fork pool; one worker, or a
-    platform without fork, maps them in this process.  A task that raises
+    The tasks go to ``min(len(tasks), usable CPUs)`` processes: a fork pool
+    when that is two or more, else this process, which also maps them on a
+    platform without fork.  A task that raises
     stops the iteration with its own exception type; in the pool, it first
     sets a shared event, so no task starts after it, and the running ones are
     drained, so their results are still yielded.  A worker that dies without
     raising (killed, ``os._exit``) breaks the pool: the finished tasks are
     yielded, then a ``ChildProcessError`` whose argument lists the unfinished ones.
     """
-    if workers == 1 or not hasattr(os, "fork"):
+    workers = min(len(tasks), _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork"):
         yield from ((task, fn(task)) for task in tasks)
         return
     # imported here rather than with the package: they add about 1 MB to
@@ -565,8 +562,7 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     run_paths = {task: os.path.join(cfg.output_dir, f"{run_id}_{chash}.csv") for task, run_id in run_ids.items()}
     finished: dict[tuple[int, str], RunRecord] = {}
     # the workers inherit ``configs`` by fork; a record's config holds every shard, which the parent already has
-    runs = _run_mapper(lambda task: federation.run(configs[task])._replace(config=None), by_length,
-                       _worker_count(len(tasks)))
+    runs = _run_mapper(lambda task: federation.run(configs[task])._replace(config=None), by_length)
     try:
         with contextlib.closing(runs):
             for task, rec in runs:

@@ -33,7 +33,7 @@ from qhetfed.federation import (
     run,
     run_centralized_sgd,
 )
-from qhetfed.harness import _run_mapper, _worker_count, run_experiment
+from qhetfed.harness import _run_mapper, run_experiment
 from qhetfed.models import (
     ModelSpec,
     finite_diff_gradient,
@@ -284,7 +284,7 @@ def test_gap_bound_holds_in_its_own_regime():
 
     # the seeded runs are independent, so the worker pool maps them; results are keyed by task
     tasks = [(algorithm, seed) for algorithm in (QHETFED, HIER_LOCAL_QSGD) for seed in seeds]
-    results = dict(_run_mapper(simulate, tasks, _worker_count(len(tasks))))
+    results = dict(_run_mapper(simulate, tasks))
     for algorithm, bound_of in ((QHETFED, analysis.qhetfed_gap_bound), (HIER_LOCAL_QSGD, analysis.baseline_gap_bound)):
         losses = []
         for seed in seeds:
@@ -414,7 +414,7 @@ def test_criterion_08_quantization_direction_flip():
     # each task builds its own data, so at most one dataset per worker is held at a time
     tasks = [(seed, tau, gamma, levels) for seed in range(10)
              for tau, gamma, levels in ((15, 5, 6), (10, 10, 6), (10, 10, 1), (15, 5, 1))]
-    acc = dict(_run_mapper(final_accuracy, tasks, _worker_count(len(tasks))))
+    acc = dict(_run_mapper(final_accuracy, tasks))
     high_tau_wins = sum(acc[seed, 15, 5, 6] >= acc[seed, 10, 10, 6] for seed in range(10))
     low_tau_wins = sum(acc[seed, 10, 10, 1] > acc[seed, 15, 5, 1] for seed in range(10))
     assert high_tau_wins >= 7, f"fine quantization: (15,5) won only {high_tau_wins}/10"
@@ -457,7 +457,7 @@ def test_criterion_09_heterogeneity_robustness():
         return fed.test_accuracy[-1], base.test_accuracy[-1]
 
     tasks = [(seed, scheme_kind) for seed in range(10) for scheme_kind in (NONIID2, IID)]
-    pairs = dict(_run_mapper(final_pair, tasks, _worker_count(len(tasks))))
+    pairs = dict(_run_mapper(final_pair, tasks))
     het_wins = sum(pairs[seed, NONIID2][0] >= pairs[seed, NONIID2][1] for seed in range(10))
     iid_gaps = [abs(pairs[seed, IID][0] - pairs[seed, IID][1]) for seed in range(10)]
     assert het_wins >= 8, f"qhetfed won only {het_wins}/10 under noniid2"

@@ -497,9 +497,17 @@ def test_data_the_config_rules_out_is_a_config_error(tmp_path, capsys, update, m
     assert not (tmp_path / "out").exists()
 
 
-def test_a_diverged_run_exits_1_and_names_it(tmp_path, capsys):
+@pytest.mark.parametrize("overrides", [
+    ["schedule.mu=1e12"],
+    # iterates that overflow end the same way, with no numpy warning on stderr
+    ["schedule.mu=1e308"],
+    ["quantizers.mode=identity", "schedule.mu=1e308"],
+    ["model.kind=mlp", "model.init_scale=1e308"],
+], ids=["mu_1e12", "mu_1e308", "identity_mu_1e308", "mlp_init_scale_1e308"])
+def test_a_diverged_run_exits_1_and_names_it(tmp_path, capsys, overrides):
     cfg = write_config(tmp_path, TINY)
-    code = main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out"), "--set", "schedule.mu=1e12"])
+    sets = [arg for assignment in overrides for arg in ("--set", assignment)]
+    code = main(["run", "--config", cfg, "--output-dir", str(tmp_path / "out"), *sets])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.err == "diverged runs: qhetfed_s7_r00, hier_local_qsgd_s7_r00\n"

@@ -629,6 +629,15 @@ def test_divergence_guard_catches_nonfinite_gradients(monkeypatch):
     assert rec.diverged_at == 0 and raised == [True]
 
 
+@pytest.mark.parametrize("make_config", [
+    lambda: quadratic_config([1], [[[1.0]]], tau=2, gamma=1, mu=1e200, rounds=50),
+    lambda: synthetic_config(QHETFED, MLP, init_scale=1e308),
+], ids=["quadratic_mu_1e200", "mlp_init_scale_1e308"])
+def test_an_overflow_ends_the_run_without_a_numpy_warning(make_config):
+    # the suite turns every warning into an error, so a numpy warning from the engine fails here
+    assert run(make_config()).diverged_at == 0
+
+
 def test_accuracy_column_defaults_to_zero_without_test_samples():
     cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=3)
     rec = run(cfg)

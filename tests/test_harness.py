@@ -8,6 +8,7 @@ import os
 import re
 import signal
 import time
+from concurrent import futures
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -616,7 +617,7 @@ def test_pool_and_in_process_runs_write_identical_files(tmp_path, monkeypatch):
     user = dict(TINY, output_dir=str(out), algorithms=["qhetfed", "hier_local_qsgd", "qhetfed_gamma1"])
     outputs, pids = {}, {}
     for workers in (2, 1):
-        monkeypatch.setattr(harness, "_worker_count", lambda runs, n=workers: min(n, runs))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
         log = tmp_path / f"pids-{workers}.txt"
         _record_pids(monkeypatch, log)
         written = run_experiment(user)
@@ -639,7 +640,7 @@ def test_pool_and_in_process_runs_write_identical_files(tmp_path, monkeypatch):
 
 
 @needs_fork
-def test_mapped_simulations_do_not_depend_on_the_worker_count():
+def test_mapped_simulations_do_not_depend_on_the_pool_size(monkeypatch):
     topology, model, data = federation.Topology((2, 2)), ModelSpec("logistic", 4, 3), stream(5, "mapper-data")
     shards = [DeviceShard(l, n, (data.standard_normal((6, 4)), data.integers(0, 3, 6)))
               for l in range(2) for n in range(2)]
@@ -655,7 +656,8 @@ def test_mapped_simulations_do_not_depend_on_the_worker_count():
     tasks = [(algorithm, seed) for algorithm in ("qhetfed", "hier_local_qsgd") for seed in range(3)]
     hashes, pids = {}, {}
     for workers in (1, 2):
-        results = dict(harness._run_mapper(simulate, tasks, workers))
+        monkeypatch.setattr(harness, "_usable_cpus", lambda n=workers: n)
+        results = dict(harness._run_mapper(simulate, tasks))
         hashes[workers] = {task: param_hash for task, (_, param_hash) in results.items()}
         pids[workers] = {pid for pid, _ in results.values()}
     assert hashes[2] == hashes[1]
@@ -672,10 +674,11 @@ def test_mapper_without_fork_maps_in_the_calling_process(monkeypatch):
         calls.append(task)  # a forked worker appends to its own copy of the list
         return task * task
 
-    pooled = sorted(harness._run_mapper(square, tasks, 2))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+    pooled = sorted(harness._run_mapper(square, tasks))
     assert calls == [] and pooled == [(task, task * task) for task in tasks]
     monkeypatch.delattr(os, "fork")
-    assert list(harness._run_mapper(square, tasks, 2)) == pooled
+    assert list(harness._run_mapper(square, tasks)) == pooled
     assert calls == tasks
 
 
@@ -698,11 +701,26 @@ def test_blas_cap_loads_an_openblas_whose_path_holds_a_space(monkeypatch):
     assert loaded == [path] and threads == [1]
 
 
-def test_worker_count_is_capped_by_runs_and_cpus(monkeypatch):
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 64)
-    assert [harness._worker_count(runs) for runs in (1, 2, 4, 20, 64, 100)] == [1, 2, 4, 20, 64, 64]
-    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
-    assert harness._worker_count(20) == 1
+@needs_fork
+def test_mapper_pool_is_capped_by_tasks_and_cpus(monkeypatch):
+    sizes = []
+
+    class CountingPool(futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args)
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", CountingPool)
+    # (usable CPUs, tasks, pool size); no task, one task or one CPU forks nothing
+    for cpus, count, pool in ((3, 0, None), (3, 1, None), (3, 2, 2), (3, 3, 3), (3, 5, 3), (1, 5, None)):
+        monkeypatch.setattr(harness, "_usable_cpus", lambda n=cpus: n)
+        sizes.clear()
+        pids = dict(harness._run_mapper(lambda task: os.getpid(), list(range(count))))
+        assert sorted(pids) == list(range(count))
+        if pool is None:
+            assert sizes == [] and set(pids.values()) <= {os.getpid()}
+        else:
+            assert sizes == [pool] and os.getpid() not in pids.values()
     monkeypatch.undo()
     assert 1 <= harness._usable_cpus() <= (os.cpu_count() or 1)
 
@@ -732,7 +750,7 @@ def test_failing_run_raises_its_own_type_and_keeps_finished_runs(tmp_path, monke
         return real_run(config)
 
     monkeypatch.setattr(federation, "run", run)
-    monkeypatch.setattr(harness, "_worker_count", lambda runs: min(workers, runs))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: workers)
     with pytest.raises(RunFailed, match="r01 failed"):
         run_experiment(dict(TINY, output_dir=str(out)))
     kept = sorted(os.listdir(out))
@@ -766,7 +784,7 @@ def test_failing_run_drains_the_running_ones_and_keeps_their_files(tmp_path, mon
         return real_run(config)
 
     monkeypatch.setattr(federation, "run", run)
-    monkeypatch.setattr(harness, "_worker_count", lambda runs: min(2, runs))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     with _hard_timeout(60), pytest.raises(RunFailed, match="r00 failed"):
         run_experiment(dict(TINY, output_dir=str(out)))
     assert sorted(log.read_text(encoding="utf-8").split()) == ["qhetfed", "qhetfed"]
@@ -807,7 +825,7 @@ def test_dead_worker_fails_the_experiment_and_names_the_unfinished_runs(tmp_path
         return real_run(config)
 
     monkeypatch.setattr(federation, "run", run)
-    monkeypatch.setattr(harness, "_worker_count", lambda runs: min(2, runs))
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
     user = dict(TINY, output_dir=str(out))
     with _hard_timeout(60):
         if entry == "cli":
