@@ -18,15 +18,14 @@ gamma = 1, runs gradient rounds k = 0..tau and reads no ``schedule.gamma``.
 ``centralized_sgd`` is the single-worker oracle the degenerate topologies are
 checked against.
 
-``run(config)`` is the one entry point: it runs the algorithm that
-``config.algorithm`` names.  The phase list is all a hierarchical algorithm
-is: ``steps_per_round`` counts its compute steps (one per gradient round,
-gamma per local phase), which size the batch draws and give every iteration
-the one delay ``timing.iteration_delay(steps, tau, times)``.
-``run_centralized_sgd`` stays callable on its own for its
-``steps_per_iteration`` alignment.  Every algorithm, the oracle
-included, is one ``advance(w, t)`` step inside one loop that records each
-iterate and stops before the first diverged one.  The three aggregation
+``iterates(config)`` is the engine: it yields the start point, then each
+accepted global iterate of the algorithm ``config.algorithm`` names,
+read-only, and stops before the first diverged one; every algorithm, the
+oracle included, is one ``advance(w, t)`` step of its one loop.  ``run``
+is the stream's one reader, which records it.  The phase list is all a
+hierarchical algorithm is: ``steps_per_round`` counts its compute steps (one
+per gradient round, gamma per local phase), which size the batch draws and
+give every iteration the delay ``seconds_per_round``.  The three aggregation
 steps (edge gradients, edge models, cloud) are one quantized average,
 QSGD-style (Alistarh et al., arXiv:1610.02132), over one checked loop: at
 least one message, every message of the model's length, one generator per
@@ -110,8 +109,8 @@ NORM_GUARD = 1e9
 
 class FedRunConfig(namedtuple("FedRunConfig", (
         "topology", "schedule", "model", "shards", "q1", "q2", "algorithm", "master_seed", "test_samples", "times",
-        "initial_params", "init_scale", "keep_snapshots"),
-        defaults=(identity_spec(), identity_spec(), QHETFED, 0, None, PhaseTimes(1.0, 0.1, 1.0), None, 0.1, False))):
+        "initial_params", "init_scale"),
+        defaults=(identity_spec(), identity_spec(), QHETFED, 0, None, PhaseTimes(1.0, 0.1, 1.0), None, 0.1))):
     """One simulation's inputs, checked once at construction; ``shards`` is kept as a tuple in (set, device) order.
 
     Every array it holds is read-only, so nothing can change it after the
@@ -161,12 +160,14 @@ def _shard_grid(shards, topology: Topology) -> list[list[DeviceShard]]:
 
 
 class RunRecord(NamedTuple):
-    """Per-global-iteration metrics plus the configuration that produced them.
+    """Per-global-iteration metrics of one run.
 
     All lists have one entry per recorded global iteration, and ``final_params``
     is the last recorded iterate.  A run that trips the divergence guard stops
     before the offending iteration and stores its index in ``diverged_at``;
-    otherwise the lists have exactly ``schedule.rounds`` entries.
+    otherwise the lists have exactly ``schedule.rounds`` entries.  Nothing in
+    the package sets ``snapshots`` or ``config``: they stay only because the
+    benchmark's micro timings build records with those two keywords.
     """
 
     algorithm: str
@@ -177,8 +178,8 @@ class RunRecord(NamedTuple):
     param_hash: list[str]
     final_params: np.ndarray
     diverged_at: int | None
-    snapshots: list[np.ndarray] | None
-    config: FedRunConfig | None
+    snapshots: list[np.ndarray] | None = None
+    config: FedRunConfig | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -297,94 +298,96 @@ def _set_model(config: FedRunConfig, phases, steps: int, w: np.ndarray, l: int, 
     return w_set
 
 
-def _train(config: FedRunConfig, delay: float, advance) -> RunRecord:
-    """The loop every algorithm shares: ``w = advance(w, t)`` for t < rounds, each iterate recorded.
+def iterates(config: FedRunConfig, steps_per_iteration: int = 1):
+    """A generator of ``(t, w)``: the start point at t = 0, then each accepted global iterate up to
+    t = ``schedule.rounds``, every ``w`` read-only.
 
-    It stops before the first diverged iterate, whose index goes to
-    ``diverged_at``: ``advance`` met a non-finite quantizer input, or the
-    iterate's norm is not at most ``NORM_GUARD`` (a NaN or infinite entry makes
-    the norm NaN or inf, which fails the same test), with no numpy overflow
-    warning.  ``final_params`` is the last recorded iterate, or the start point.
+    The stream stops before the first diverged iterate, so one that ends at
+    t < rounds diverged in iteration t: ``advance`` met a non-finite quantizer
+    input, or the iterate's norm is not at most ``NORM_GUARD`` (a NaN or
+    infinite entry makes the norm NaN or inf, which fails the same test), with
+    no numpy overflow warning.  ``steps_per_iteration`` SGD steps of the
+    oracle make one iteration, to align it with a federated run's descent
+    steps; a hierarchical config takes only 1.  The checks and set-up run at
+    the call, so a bad call raises there and not at the first ``next``.
     """
-    train_loss, test_accuracy, runtime_s, param_hash = [], [], [], []
-    snapshots = [] if config.keep_snapshots else None
-    diverged_at = None
+    check_count(steps_per_iteration, "steps_per_iteration")
+    sched, topo, seed = config.schedule, config.topology, config.master_seed
+    if config.algorithm == CENTRALIZED_SGD:
+        # plain mini-batch SGD on the pooled data
+        pooled_X = np.concatenate([s.features for s in config.shards])
+        pooled_y = np.concatenate([s.labels for s in config.shards])
+        pooled_size = len(pooled_y)
+
+        def advance(w: np.ndarray, t: int) -> np.ndarray:
+            for k in range(steps_per_iteration):
+                if sched.batch >= pooled_size:
+                    X, y = pooled_X, pooled_y
+                else:
+                    idx = stream(seed, "batch", 0, 0, t, k).integers(0, pooled_size, size=sched.batch)
+                    X, y = pooled_X[idx], pooled_y[idx]
+                w = w - sched.mu * _models.gradient(config.model, w, (X, y))
+            return w
+    elif steps_per_iteration != 1:
+        raise ValueError(f"a {config.algorithm!r} config takes steps_per_iteration 1, got {steps_per_iteration}")
+    else:
+        phases = _phases(config.algorithm, sched)
+        steps = steps_per_round(config.algorithm, sched)
+        sets = _shard_grid(config.shards, topo)
+
+        def advance(w: np.ndarray, t: int) -> np.ndarray:
+            set_models = [_set_model(config, phases, steps, w, l, devices, t) for l, devices in enumerate(sets)]
+            rngs = [stream(seed, "q2", l, t) for l in range(topo.num_sets)]
+            return cloud_aggregate(set_models, w, topo, config.q2, rngs)
+
     if config.initial_params is not None:
-        w = config.initial_params.copy()
+        w = config.initial_params
     elif config.model.kind == _models.MLP:
-        # a start point that overflows diverges in round 0, as an overflowing iterate does below
+        # a start point that overflows diverges in round 0, as an overflowing iterate does
         with np.errstate(over="ignore"):
-            w = _models.init_params(config.model, stream(config.master_seed, "init"), scale=config.init_scale)
+            w = _models.init_params(config.model, stream(seed, "init"), scale=config.init_scale)
     else:
         w = _models.init_params(config.model)
-    # an (X, y) pair is truthy even with no rows, so count its labels
-    has_test = config.test_samples is not None and len(config.test_samples[1]) > 0
-    for t in range(config.schedule.rounds):
-        # an overflowing iterate is a diverged run, which the norm test reports; numpy need not warn of it
+    return _advanced(w, advance, sched.rounds)
+
+
+def _advanced(w: np.ndarray, advance, rounds: int):
+    """``(0, w)``, then ``(t + 1, advance(w, t))`` while accepted, each ``w`` read-only: a reader that
+    wrote into one would steer the next iteration, which ``advance`` computes from it."""
+    w.flags.writeable = False
+    yield 0, w
+    for t in range(rounds):
+        # an overflowing iterate is a diverged run, which the norm test reports; numpy need not warn of it.
+        # The yield stays outside this block, so a reader's own overflow still warns.
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                w_next = advance(w, t)
+                w = advance(w, t)
             except NonFiniteInputError:
-                w_next = None
-            diverged = w_next is None or not float(np.linalg.norm(w_next)) <= NORM_GUARD
-        if diverged:
-            diverged_at = t
-            break
-        w = w_next
-        train_loss.append(global_loss(config.shards, config.model, w))
-        test_accuracy.append(_models.accuracy(config.model, w, config.test_samples) if has_test else 0.0)
-        runtime_s.append((t + 1) * delay)
-        param_hash.append(hashlib.sha256(w.tobytes()).hexdigest())
-        if snapshots is not None:
-            snapshots.append(w.copy())
-    return RunRecord(config.algorithm, config.master_seed, train_loss, test_accuracy, runtime_s, param_hash,
-                     final_params=w, diverged_at=diverged_at, snapshots=snapshots, config=config)
-
-
-def run_centralized_sgd(config: FedRunConfig, steps_per_iteration: int = 1) -> RunRecord:
-    """Plain mini-batch SGD on the pooled data; the degenerate-case oracle.
-
-    ``steps_per_iteration`` sets how many SGD steps count as one recorded
-    iteration, so the oracle can be aligned with a federated run that takes
-    several descent steps per global iteration.
-    """
-    if config.algorithm != CENTRALIZED_SGD:
-        raise ValueError(f"a {CENTRALIZED_SGD!r} run got a {config.algorithm!r} config")
-    check_count(steps_per_iteration, "steps_per_iteration")
-    sched, seed = config.schedule, config.master_seed
-    pooled_X = np.concatenate([s.features for s in config.shards])
-    pooled_y = np.concatenate([s.labels for s in config.shards])
-    pooled_size = len(pooled_y)
-
-    def advance(w: np.ndarray, t: int) -> np.ndarray:
-        for k in range(steps_per_iteration):
-            if sched.batch >= pooled_size:
-                X, y = pooled_X, pooled_y
-            else:
-                idx = stream(seed, "batch", 0, 0, t, k).integers(0, pooled_size, size=sched.batch)
-                X, y = pooled_X[idx], pooled_y[idx]
-            w = w - sched.mu * _models.gradient(config.model, w, (X, y))
-        return w
-
-    return _train(config, steps_per_iteration * config.times.t_cp, advance)
+                return
+            if not float(np.linalg.norm(w)) <= NORM_GUARD:
+                return
+        w.flags.writeable = False
+        yield t + 1, w
 
 
 def run(config: FedRunConfig) -> RunRecord:
-    """Run the simulation ``config.algorithm`` names: the centralized oracle, or global iterations of a
-    hierarchical algorithm, in which every set runs its phases and then the cloud aggregates."""
-    if config.algorithm == CENTRALIZED_SGD:
-        return run_centralized_sgd(config)
-    sched, topo = config.schedule, config.topology
-    phases = _phases(config.algorithm, sched)
-    steps = steps_per_round(config.algorithm, sched)
-    sets = _shard_grid(config.shards, topo)
+    """Run the simulation ``config.algorithm`` names and record each iterate of ``iterates(config)``.
 
-    def advance(w: np.ndarray, t: int) -> np.ndarray:
-        set_models = [_set_model(config, phases, steps, w, l, devices, t) for l, devices in enumerate(sets)]
-        rngs = [stream(config.master_seed, "q2", l, t) for l in range(topo.num_sets)]
-        return cloud_aggregate(set_models, w, topo, config.q2, rngs)
-
-    return _train(config, iteration_delay(steps, sched.tau, config.times), advance)
+    A stream that ends before ``schedule.rounds`` gives its last t as
+    ``diverged_at``; ``final_params`` is the last iterate, or the start point.
+    """
+    delay = seconds_per_round(config.algorithm, config.schedule, config.times)
+    # an (X, y) pair is truthy even with no rows, so count its labels
+    has_test = config.test_samples is not None and len(config.test_samples[1]) > 0
+    train_loss, test_accuracy, runtime_s, param_hash = [], [], [], []
+    for t, w in iterates(config):
+        if t:
+            train_loss.append(global_loss(config.shards, config.model, w))
+            test_accuracy.append(_models.accuracy(config.model, w, config.test_samples) if has_test else 0.0)
+            runtime_s.append(t * delay)
+            param_hash.append(hashlib.sha256(w.tobytes()).hexdigest())
+    return RunRecord(config.algorithm, config.master_seed, train_loss, test_accuracy, runtime_s, param_hash,
+                     final_params=w, diverged_at=None if t == config.schedule.rounds else t)
 
 
 def steps_per_round(algorithm: str, schedule: Schedule) -> int:
@@ -397,3 +400,14 @@ def steps_per_round(algorithm: str, schedule: Schedule) -> int:
     if algorithm == CENTRALIZED_SGD:
         return 1
     return sum(1 if kind == GRAD else schedule.gamma for kind, _, _ in _phases(algorithm, schedule))
+
+
+def seconds_per_round(algorithm: str, schedule: Schedule, times: PhaseTimes) -> float:
+    """Modeled seconds of one global iteration of ``algorithm``, the step of every runtime stamp.
+
+    The oracle's one step on the pooled data takes ``t_cp``; a hierarchical
+    iteration takes ``timing.iteration_delay`` of its compute steps and tau uploads.
+    """
+    if algorithm == CENTRALIZED_SGD:
+        return times.t_cp
+    return iteration_delay(steps_per_round(algorithm, schedule), schedule.tau, times)

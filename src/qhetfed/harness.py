@@ -38,11 +38,11 @@ import numpy as np
 from . import datagen, federation
 from .checks import check_count, check_number
 from .datagen import PartitionScheme, split_dataset
-from .federation import ALGORITHMS, CENTRALIZED_SGD, FedRunConfig, RunRecord, Schedule, Topology
+from .federation import ALGORITHMS, FedRunConfig, RunRecord, Schedule, Topology
 from .models import ModelSpec
 from .quantizer import QuantizerSpec
 from .streams import derive_seed, stream
-from .timing import LINK_KEYS, LinkComputeParams, PhaseTimes, compute_times, iteration_delay
+from .timing import LINK_KEYS, LinkComputeParams, PhaseTimes, compute_times
 
 DEFAULTS: dict = {
     "seed": 0,
@@ -233,8 +233,7 @@ def parse_config(user: dict) -> ExperimentConfig:
     # a run stamps iteration t with t times its delay, and the tables write every stamp
     with _checked("link" if "link" in cfg else "runtime"):
         for alg in algorithms:
-            delay = times.t_cp if alg == CENTRALIZED_SGD else iteration_delay(
-                federation.steps_per_round(alg, schedule), schedule.tau, times)
+            delay = federation.seconds_per_round(alg, schedule, times)
             try:
                 last = schedule.rounds * delay
             except OverflowError:  # a round count beyond any float
@@ -561,8 +560,8 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     run_ids = {(rep, alg): f"{alg}_s{cfg.seed}_r{rep:02d}" for rep, alg in tasks}
     run_paths = {task: os.path.join(cfg.output_dir, f"{run_id}_{chash}.csv") for task, run_id in run_ids.items()}
     finished: dict[tuple[int, str], RunRecord] = {}
-    # the workers inherit ``configs`` by fork; a record's config holds every shard, which the parent already has
-    runs = _run_mapper(lambda task: federation.run(configs[task])._replace(config=None), by_length)
+    # the workers inherit ``configs`` by fork, so only tasks and records are pickled
+    runs = _run_mapper(lambda task: federation.run(configs[task]), by_length)
     try:
         with contextlib.closing(runs):
             for task, rec in runs:

@@ -30,8 +30,8 @@ from qhetfed.federation import (
     QHETFED_GAMMA1,
     Schedule,
     Topology,
+    iterates,
     run,
-    run_centralized_sgd,
 )
 from qhetfed.harness import _run_mapper, run_experiment
 from qhetfed.models import (
@@ -140,20 +140,19 @@ def test_criterion_03_degenerate_equivalence():
             q2=identity_spec(),
             algorithm=algorithm,
             master_seed=42,
-            keep_snapshots=True,
         )
 
-    fed = run(cfg(QHETFED))
-    oracle_fed = run_centralized_sgd(cfg(CENTRALIZED_SGD), steps_per_iteration=tau + gamma)
-    assert len(fed.snapshots) == rounds
-    for t in range(rounds):
-        diff = np.max(np.abs(fed.snapshots[t] - oracle_fed.snapshots[t]))
+    fed = [w for _, w in iterates(cfg(QHETFED))]
+    oracle_fed = [w for _, w in iterates(cfg(CENTRALIZED_SGD), steps_per_iteration=tau + gamma)]
+    assert len(fed) == rounds + 1
+    for t in range(1, rounds + 1):
+        diff = np.max(np.abs(fed[t] - oracle_fed[t]))
         assert diff <= 1e-12, f"qhetfed deviates at t={t}: {diff:.2e}"
 
-    base = run(cfg(HIER_LOCAL_QSGD))
-    oracle_base = run_centralized_sgd(cfg(CENTRALIZED_SGD), steps_per_iteration=tau * gamma)
-    for t in range(rounds):
-        diff = np.max(np.abs(base.snapshots[t] - oracle_base.snapshots[t]))
+    base = [w for _, w in iterates(cfg(HIER_LOCAL_QSGD))]
+    oracle_base = [w for _, w in iterates(cfg(CENTRALIZED_SGD), steps_per_iteration=tau * gamma)]
+    for t in range(1, rounds + 1):
+        diff = np.max(np.abs(base[t] - oracle_base[t]))
         assert diff <= 1e-12, f"baseline deviates at t={t}: {diff:.2e}"
 
 
@@ -172,13 +171,12 @@ def test_criterion_04_single_local_step_equivalence():
             q2=identity_spec(),
             algorithm=algorithm,
             master_seed=7,
-            keep_snapshots=True,
         )
 
-    general = run(cfg(QHETFED))
-    reduced = run(cfg(QHETFED_GAMMA1))
-    for t in range(10):
-        diff = np.max(np.abs(general.snapshots[t] - reduced.snapshots[t]))
+    general = [w for _, w in iterates(cfg(QHETFED))]
+    reduced = [w for _, w in iterates(cfg(QHETFED_GAMMA1))]
+    for t in range(1, 11):
+        diff = np.max(np.abs(general[t] - reduced[t]))
         assert diff <= 1e-10, f"t={t}: {diff:.2e}"
 
 

@@ -10,7 +10,7 @@ from qhetfed.analysis import (
 )
 from qhetfed.checks import NON_NEGATIVE, POSITIVE, check_count, check_number, is_count
 from qhetfed.datagen import DeviceShard, PartitionScheme, make_synthetic_dataset, partition, split_dataset
-from qhetfed.federation import CENTRALIZED_SGD, FedRunConfig, Schedule, Topology, run_centralized_sgd
+from qhetfed.federation import CENTRALIZED_SGD, FedRunConfig, Schedule, Topology, iterates
 from qhetfed.harness import ConfigError, emit_metrics, resolved_config
 from qhetfed.models import ModelSpec, finite_diff_gradient
 from qhetfed.planner import DeadlinePlan, grid_search_schedule, optimize_schedule
@@ -45,7 +45,7 @@ def _classifier_config(labels=(0, 1), feature=0.0, test=(np.zeros((1, 2)), np.ar
 
 
 def _oracle(steps):
-    return run_centralized_sgd(_config(algorithm=CENTRALIZED_SGD), steps)
+    return iterates(_config(algorithm=CENTRALIZED_SGD), steps)
 
 
 # entry -> (call with the value under test, the name its message gives that value)
@@ -55,7 +55,7 @@ COUNT_FIELDS = {
     "DeviceShard.device_index": (lambda v: DeviceShard(0, v, SAMPLES), "device_index"),
     **{f"Schedule.{name}": ((lambda v, name=name: Schedule(**{**SCHEDULE, name: v})), name)
        for name in ("tau", "gamma", "rounds", "batch")},
-    "run_centralized_sgd.steps_per_iteration": (_oracle, "steps_per_iteration"),
+    "iterates.steps_per_iteration": (_oracle, "steps_per_iteration"),
     "QuantizerSpec.levels": (lambda v: QuantizerSpec(levels=v), "levels"),
     "estimate_variance_factor.levels": (lambda v: estimate_variance_factor(v, 8, 64, stream(0, "v")), "levels"),
     "estimate_variance_factor.d": (lambda v: estimate_variance_factor(2, v, 64, stream(0, "v")), "d"),

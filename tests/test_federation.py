@@ -22,8 +22,9 @@ from qhetfed.federation import (
     cloud_aggregate,
     edge_aggregate_gradients,
     edge_aggregate_models,
+    iterates,
     run,
-    run_centralized_sgd,
+    seconds_per_round,
     steps_per_round,
 )
 from qhetfed.models import LOGISTIC, MLP, ModelSpec, QUADRATIC, gradient
@@ -234,7 +235,6 @@ def test_schedule_validation():
 def test_run_record_survives_a_pickle_round_trip():
     # the experiment pool's workers send their records to the parent pickled
     rec = run(quadratic_config([2], [[[1.0, 2.0], [3.0]]], tau=2, gamma=2, mu=0.1, rounds=3))
-    rec = rec._replace(config=None)
     back = pickle.loads(pickle.dumps(rec))
     assert type(back) is federation.RunRecord
     for name in ("algorithm", "master_seed", "train_loss", "test_accuracy", "runtime_s", "param_hash",
@@ -247,7 +247,7 @@ def test_config_and_record_fields_are_read_only():
     cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=2)
     rec = run(cfg)
     # a field assigned after construction would skip the checks, and the engine would run on unchecked inputs
-    for obj, count in ((cfg, 13), (rec, 10)):
+    for obj, count in ((cfg, 12), (rec, 10)):
         assert len(obj._fields) == count
         for name in obj._fields:
             with pytest.raises(AttributeError):
@@ -357,24 +357,25 @@ def test_centralized_matches_closed_form():
         [1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=10,
         algorithm=CENTRALIZED_SGD,
     )
-    rec = run_centralized_sgd(cfg)
+    rec = run(cfg)
     assert abs(rec.final_params[0] - (1.0 - 0.9 ** 10)) < 1e-12
 
 
-def test_centralized_snapshots_follow_closed_form():
+def test_centralized_iterates_follow_closed_form():
     cfg = quadratic_config(
         [1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=8,
-        algorithm=CENTRALIZED_SGD, keep_snapshots=True,
+        algorithm=CENTRALIZED_SGD,
     )
-    rec = run_centralized_sgd(cfg)
-    for t, w in enumerate(rec.snapshots):
-        assert abs(w[0] - (1.0 - 0.9 ** (t + 1))) < 1e-12
+    ws = [w for _, w in iterates(cfg)]
+    assert len(ws) == 9
+    for t, w in enumerate(ws):
+        assert abs(w[0] - (1.0 - 0.9 ** t)) < 1e-12
 
 
 def test_centralized_full_batch_ignores_seed():
     kw = dict(tau=1, gamma=1, mu=0.1, rounds=5, algorithm=CENTRALIZED_SGD)
-    a = run_centralized_sgd(quadratic_config([1], [[[1.0, 3.0]]], master_seed=1, **kw))
-    b = run_centralized_sgd(quadratic_config([1], [[[1.0, 3.0]]], master_seed=2, **kw))
+    a = run(quadratic_config([1], [[[1.0, 3.0]]], master_seed=1, **kw))
+    b = run(quadratic_config([1], [[[1.0, 3.0]]], master_seed=2, **kw))
     assert a.param_hash == b.param_hash
 
 
@@ -530,16 +531,11 @@ def test_single_device_identity_collapses_to_centralized():
     base = run(
         quadratic_config([1], values, algorithm=HIER_LOCAL_QSGD, **kw)
     )
-    central_fed = run_centralized_sgd(
-        quadratic_config([1], values, algorithm=CENTRALIZED_SGD, **kw),
-        steps_per_iteration=2 + 3,
-    )
-    central_base = run_centralized_sgd(
-        quadratic_config([1], values, algorithm=CENTRALIZED_SGD, **kw),
-        steps_per_iteration=2 * 3,
-    )
-    assert np.max(np.abs(fed.final_params - central_fed.final_params)) < 1e-12
-    assert np.max(np.abs(base.final_params - central_base.final_params)) < 1e-12
+    oracle = quadratic_config([1], values, algorithm=CENTRALIZED_SGD, **kw)
+    central_fed = [w for _, w in iterates(oracle, steps_per_iteration=2 + 3)][-1]
+    central_base = [w for _, w in iterates(oracle, steps_per_iteration=2 * 3)][-1]
+    assert np.max(np.abs(fed.final_params - central_fed)) < 1e-12
+    assert np.max(np.abs(base.final_params - central_base)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +558,36 @@ def test_runtime_column_is_iteration_times_delay():
     rec_b = run(cfg_b)
     delay_b = iteration_delay(3 * 2, 3, times)
     assert rec_b.runtime_s == [(t + 1) * delay_b for t in range(4)]
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_runtime_stamps_step_by_seconds_per_round(algorithm):
+    # parse_config checks the last stamp through seconds_per_round, so the stamps must come from it too
+    times = PhaseTimes(2.0, 0.25, 1.5)
+    cfg = quadratic_config([2], [[[1.0], [3.0]]], tau=3, gamma=2, mu=0.1, rounds=4, times=times,
+                           algorithm=algorithm)
+    delay = seconds_per_round(algorithm, cfg.schedule, times)
+    assert run(cfg).runtime_s == [t * delay for t in range(1, 5)]
+    if algorithm == CENTRALIZED_SGD:
+        assert delay == times.t_cp
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_iterates_are_read_only(algorithm):
+    # advance reads w after the reader resumes the stream, so a write into w would steer the next iteration
+    cfg = quadratic_config([2], [[[1.0], [3.0]]], tau=2, gamma=2, mu=0.1, rounds=3, algorithm=algorithm)
+    for _, w in iterates(cfg):
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 7.0
+    assert not run(cfg).final_params.flags.writeable
+
+
+def test_a_readers_own_overflow_still_warns():
+    # the engine silences overflow only around its own step: a reader's arithmetic between yields still warns
+    cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=3)
+    for _, w in iterates(cfg):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            np.full(1, 1e308) * 10
 
 
 def test_rerun_is_bit_identical():
@@ -593,14 +619,15 @@ def test_different_seed_changes_stochastic_run():
 def test_divergence_guard_stops_run(algorithm):
     cfg = quadratic_config(
         [1], [[[1.0]]], tau=2, gamma=1, mu=5.0, rounds=50,
-        algorithm=algorithm, keep_snapshots=True,
+        algorithm=algorithm,
     )
     rec = run(cfg)
     assert rec.diverged_at is not None and rec.diverged_at >= 1
-    for values in (rec.train_loss, rec.test_accuracy, rec.runtime_s, rec.param_hash, rec.snapshots):
+    ws = [w for t, w in iterates(cfg) if t]
+    for values in (rec.train_loss, rec.test_accuracy, rec.runtime_s, rec.param_hash, ws):
         assert len(values) == rec.diverged_at
     # the diverged iterate is never handed out: the run ends on its last recorded one
-    assert np.array_equal(rec.final_params, rec.snapshots[-1])
+    assert np.array_equal(rec.final_params, ws[-1])
     assert np.linalg.norm(rec.final_params) <= NORM_GUARD
 
 
@@ -608,7 +635,7 @@ def test_divergence_guard_stops_run(algorithm):
 def test_oracle_rejects_a_step_count_that_is_not_a_positive_integer(steps):
     cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=1, algorithm=CENTRALIZED_SGD)
     with pytest.raises(ValueError, match="steps_per_iteration must be (an integer|>= 1)"):
-        run_centralized_sgd(cfg, steps_per_iteration=steps)
+        iterates(cfg, steps_per_iteration=steps)
 
 
 def test_divergence_guard_catches_nonfinite_gradients(monkeypatch):
@@ -644,12 +671,13 @@ def test_accuracy_column_defaults_to_zero_without_test_samples():
     assert rec.test_accuracy == [0.0, 0.0, 0.0]
 
 
-def test_runners_reject_another_algorithms_config():
+def test_only_the_oracle_takes_several_steps_per_iteration():
     for other in ALGORITHMS:
         if other != CENTRALIZED_SGD:
             cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=1, algorithm=other)
-            with pytest.raises(ValueError, match=f"{CENTRALIZED_SGD!r} run got a {other!r} config"):
-                run_centralized_sgd(cfg)
+            # the call raises, not the first next()
+            with pytest.raises(ValueError, match=f"a {other!r} config takes steps_per_iteration 1, got 2"):
+                iterates(cfg, steps_per_iteration=2)
 
 
 def test_dispatcher_routes_every_algorithm():
@@ -663,13 +691,14 @@ def test_dispatcher_routes_every_algorithm():
         assert len(rec.train_loss) == 2
 
 
-def test_snapshots_match_param_hashes():
+def test_iterates_match_param_hashes():
     cfg = quadratic_config(
-        [1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=3, keep_snapshots=True,
+        [1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=3,
     )
     rec = run(cfg)
-    assert len(rec.snapshots) == 3
-    for w, h in zip(rec.snapshots, rec.param_hash):
+    ws = [w for t, w in iterates(cfg) if t]
+    assert len(ws) == 3
+    for w, h in zip(ws, rec.param_hash):
         assert hashlib.sha256(w.tobytes()).hexdigest() == h
 
 

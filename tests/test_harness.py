@@ -74,6 +74,14 @@ TINY_TABLE_DIGESTS = {
     "runs.json": "f29713682fa2b4db23d62d8380e9e053a5854fa6a45be9f60c718505e9c0ed3d",
 }
 
+# the same, for TINY with every algorithm, the centralized_sgd oracle included
+ALL_ALGORITHMS_TABLE_DIGESTS = {
+    "metrics.csv": "c294dac6b3204699936dbe2bf66da76c957da236afdb1d6935cbdd251bd53e52",
+    "aggregate.csv": "ae7e817a4e2cf325b4e93d4a81c2b06d1e0522e92e3185558d9e5c2b82a93d5c",
+    "aggregate.json": "217c01aac671e93c75e835172c899d2dbd3feb7c8f72bc6eb2da074222ef3f6a",
+    "runs.json": "76da27ee3ddc4564e8ee95efcb5dcca898c0438babf54a850ca7d9cf4638553e",
+}
+
 
 def make_record(algorithm, losses, accs=None, delay=2.0):
     n = len(losses)
@@ -86,8 +94,6 @@ def make_record(algorithm, losses, accs=None, delay=2.0):
         param_hash=["0" * 64] * n,
         final_params=np.zeros(1),
         diverged_at=None,
-        snapshots=None,
-        config=None,
     )
 
 
@@ -502,6 +508,14 @@ def test_run_experiment_tables_match_pinned_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     run_experiment(dict(TINY, output_dir="out"))
     for name, digest in TINY_TABLE_DIGESTS.items():
+        assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_run_experiment_with_every_algorithm_matches_pinned_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_experiment(dict(TINY, output_dir="out",
+                        algorithms=["qhetfed", "hier_local_qsgd", "qhetfed_gamma1", "centralized_sgd"]))
+    for name, digest in ALL_ALGORITHMS_TABLE_DIGESTS.items():
         assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
 
 

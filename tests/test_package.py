@@ -77,7 +77,7 @@ def test_read_only_specs_reject_assignment_and_unpickle_through_their_checks(spe
 
 
 # names kept in the package with no reader there: the validation oracles, and the version
-READ_ELSEWHERE = {"finite_diff_gradient", "grid_search_schedule", "run_centralized_sgd", "__version__"}
+READ_ELSEWHERE = {"finite_diff_gradient", "grid_search_schedule", "__version__"}
 
 
 def _defined_names(statement) -> list[str]:
