@@ -88,7 +88,8 @@ def _read_config_file(path: str) -> dict:
 
 def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     user: dict = {}
-    if args.config:
+    # an empty path, as from an unset shell variable, is a missing file, not "no file"
+    if args.config is not None:
         user = _read_config_file(args.config)
     for assignment in args.set or []:
         _set_override(user, assignment)

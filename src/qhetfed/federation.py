@@ -18,18 +18,19 @@ gamma = 1, runs gradient rounds k = 0..tau and reads no ``schedule.gamma``.
 ``centralized_sgd`` is the single-worker oracle the degenerate topologies are
 checked against.
 
-``iterates(config)`` is the engine: it yields the start point, then each
-accepted global iterate of the algorithm ``config.algorithm`` names,
-read-only, and stops before the first diverged one; every algorithm, the
-oracle included, is one ``advance(w, t)`` step of its one loop.  ``run``
-is the stream's one reader, which records it.  The phase list is all a
-hierarchical algorithm is: ``steps_per_round`` counts its compute steps (one
-per gradient round, gamma per local phase), which size the batch draws and
-give every iteration the delay ``seconds_per_round``.  The three aggregation
-steps (edge gradients, edge models, cloud) are one quantized average,
-QSGD-style (Alistarh et al., arXiv:1610.02132), over one checked loop: at
-least one message, every message of the model's length, one generator per
-message.
+``iterates(config)`` is the engine: it picks the start point
+(``initial_params`` if given, else ``init_scale`` times a Gaussian draw for
+the mlp and zeros for the other kinds) and yields it, then each accepted
+global iterate of the algorithm ``config.algorithm`` names, read-only, and
+stops before the first diverged one; every algorithm, the oracle included,
+is one ``advance(w, t)`` step of its one loop.  ``run`` is the stream's one
+reader, which records it.  The phase list is all a hierarchical algorithm
+is: ``steps_per_round`` counts its compute steps (one per gradient round,
+gamma per local phase), which size the batch draws and give every iteration
+the delay ``seconds_per_round``.  The three aggregation steps (edge
+gradients, edge models, cloud) are one quantized average, QSGD-style
+(Alistarh et al., arXiv:1610.02132), over one checked loop: at least one
+message, every message of the model's length, one generator per message.
 
 Every random draw is keyed by (master seed, purpose, set, device, iteration,
 step) through :mod:`qhetfed.streams`, never by call order.  The batch step
@@ -343,11 +344,12 @@ def iterates(config: FedRunConfig, steps_per_iteration: int = 1):
     if config.initial_params is not None:
         w = config.initial_params
     elif config.model.kind == _models.MLP:
-        # a start point that overflows diverges in round 0, as an overflowing iterate does
+        # a Gaussian draw: the all-zeros point is a symmetric saddle where the hidden layer never
+        # receives a gradient.  A start point that overflows diverges in round 0, as an overflowing iterate does
         with np.errstate(over="ignore"):
-            w = _models.init_params(config.model, stream(seed, "init"), scale=config.init_scale)
+            w = config.init_scale * stream(seed, "init").standard_normal(config.model.dim)
     else:
-        w = _models.init_params(config.model)
+        w = np.zeros(config.model.dim)
     return _advanced(w, advance, sched.rounds)
 
 

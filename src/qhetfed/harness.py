@@ -527,7 +527,8 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     config rules out (no training row, too few classes for the scheme,
     features that overflow to inf) is a ``ConfigError`` before any file.
     """
-    if isinstance(cfg, dict):
+    # anything else, a list or a file name included, meets parse_config's "config root" rule
+    if not isinstance(cfg, ExperimentConfig):
         cfg = parse_config(cfg)
     ds = cfg.dataset
     with _checked("dataset"):
@@ -557,7 +558,9 @@ def run_experiment(cfg: ExperimentConfig | dict) -> list[str]:
     chash = config_hash(cfg)
     # longest runs first, so two long ones do not end up queued on one worker
     by_length = sorted(tasks, key=lambda task: -federation.steps_per_round(task[1], cfg.schedule))
-    run_ids = {(rep, alg): f"{alg}_s{cfg.seed}_r{rep:02d}" for rep, alg in tasks}
+    # rep is padded to one width, at least two digits, so the ids sort in rep order
+    width = max(2, len(str(cfg.repeats - 1)))
+    run_ids = {(rep, alg): f"{alg}_s{cfg.seed}_r{rep:0{width}d}" for rep, alg in tasks}
     run_paths = {task: os.path.join(cfg.output_dir, f"{run_id}_{chash}.csv") for task, run_id in run_ids.items()}
     finished: dict[tuple[int, str], RunRecord] = {}
     # the workers inherit ``configs`` by fork, so only tasks and records are pickled

@@ -18,15 +18,16 @@ datasets, splits and shards.  ``stack_batch`` checks a batch's shapes (width,
 one label per row), never its label values: ``FedRunConfig`` checks those of
 every shard and the test set once, at construction.
 
-``gradient``, ``loss`` and ``accuracy`` share one forward pass, ``_forward``.
-``gradient`` is the simulator's hot kernel.  It computes in place and writes
-each block into one fresh output vector, yet returns the same bytes as the
-formula written one numpy operation per term (kept in the tests as the
-oracle): the same gemm and reduction calls in the same order.  At the
-simulator's batch sizes each numpy call's fixed cost outweighs its
-arithmetic, so the kernel keeps only one thing between calls: the one-hot
-flat index base ``arange(0, n*K, K)`` of each batch shape, in a bounded
-cache of read-only arrays.
+``gradient``, ``loss`` and ``accuracy`` share one forward pass, ``_forward``,
+and one layout function, ``_blocks``, the only code that slices a flat vector
+into its blocks.  ``gradient`` is the simulator's hot kernel.  It computes in
+place and writes each block into its ``_blocks`` view of one fresh output
+vector, yet returns the same bytes as the formula written one numpy operation
+per term (kept in the tests as the oracle): the same gemm and reduction calls
+in the same order.  At the simulator's batch sizes each numpy call's fixed
+cost outweighs its arithmetic, so the kernel keeps only one thing between
+calls: the one-hot flat index base ``arange(0, n*K, K)`` of each batch shape,
+in a bounded cache of read-only arrays.
 """
 
 from __future__ import annotations
@@ -84,34 +85,20 @@ def stack_batch(spec: ModelSpec, batch) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def init_params(spec: ModelSpec, rng: np.random.Generator | None = None, scale: float = 0.1) -> np.ndarray:
-    """Zeros by default; Gaussian of the given scale when an rng is supplied.
-
-    The mlp kind requires an rng: the all-zeros point is a symmetric saddle
-    where the hidden layer never receives a gradient.
-    """
-    if rng is None:
-        if spec.kind == MLP:
-            raise ValueError("mlp initialization needs an rng to break symmetry")
-        return np.zeros(spec.dim)
-    return scale * rng.standard_normal(spec.dim)
-
-
 # ---------------------------------------------------------------------------
 # parameter vector layouts
 
 
-def _mlp_unpack(spec: ModelSpec, w: np.ndarray):
-    H, D, K = spec.hidden_width, spec.input_dim, spec.num_classes
-    i = 0
-    W1 = w[i : i + H * D].reshape(H, D)
-    i += H * D
-    b1 = w[i : i + H]
-    i += H
-    W2 = w[i : i + K * H].reshape(K, H)
-    i += K * H
-    b2 = w[i : i + K]
-    return W1, b1, W2, b2
+def _blocks(spec: ModelSpec, w: np.ndarray):
+    """Views ``(W1, b1, W, b)`` of a classifier's flat vector ``w`` in the layouts above: the hidden layer,
+    None for the logistic kind, then the softmax output layer."""
+    # sliced from the sizes, not through spec.dim, whose fixed cost is a measurable share of a small batch
+    K, D, H = spec.num_classes, spec.input_dim, spec.hidden_width
+    W1 = b1 = None
+    if spec.kind == MLP:
+        W1, b1, w = w[: H * D].reshape(H, D), w[H * D : H * (D + 1)], w[H * (D + 1) :]
+        D = H
+    return W1, b1, w[: K * D].reshape(K, D), w[K * D :]
 
 
 def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
@@ -124,13 +111,10 @@ def _cross_entropy(logits: np.ndarray, y: np.ndarray) -> float:
 def _forward(spec: ModelSpec, w: np.ndarray, X: np.ndarray):
     """``(inputs, W, logits)`` of the softmax output layer, whose inputs are ``X`` itself for
     logistic and ``tanh(X W1^T + b1)``, computed in place, for the mlp; ``logits`` is a fresh array."""
-    if spec.kind == LOGISTIC:
-        # the blocks are sliced here, not through spec.dim, whose fixed cost
-        # is a measurable share of a small batch
-        K, D = spec.num_classes, spec.input_dim
-        inputs, W, b = X, w[: K * D].reshape(K, D), w[K * D :]
+    W1, b1, W, b = _blocks(spec, w)
+    if W1 is None:
+        inputs = X
     else:
-        W1, b1, W, b = _mlp_unpack(spec, w)
         inputs = np.dot(X, W1.T)
         inputs += b1
         np.tanh(inputs, out=inputs)
@@ -159,12 +143,8 @@ def gradient(spec: ModelSpec, w: np.ndarray, batch) -> np.ndarray:
         return w - X.mean(axis=0)
     inputs, W, resid = _forward(spec, w, X)
     n, K = resid.shape
-    if spec.kind == LOGISTIC:
-        out = head = np.empty(W.size + K)
-    else:
-        H, D = spec.hidden_width, spec.input_dim
-        out = np.empty(spec.dim)
-        head = out[H * (D + 1) :]
+    out = np.empty(len(w))  # not spec.dim, for the reason _blocks gives
+    G1, g1, G, g = _blocks(spec, out)
     # resid = (softmax(logits) - onehot(y)) / n, all in the logits array;
     # the reductions take axis and keepdims positionally (axis, dtype, out, keepdims)
     resid -= np.maximum.reduce(resid, 1, None, None, True)
@@ -172,14 +152,14 @@ def gradient(spec: ModelSpec, w: np.ndarray, batch) -> np.ndarray:
     resid /= np.add.reduce(resid, 1, None, None, True)
     resid.ravel()[_onehot_base(n, K) + y] -= 1.0
     resid /= n
-    np.dot(resid.T, inputs, out=head[: W.size].reshape(W.shape))
-    np.add.reduce(resid, 0, None, head[W.size :])
-    if spec.kind == MLP:
+    np.dot(resid.T, inputs, out=G)
+    np.add.reduce(resid, 0, None, g)
+    if G1 is not None:
         back = np.dot(resid, W)
         inputs *= inputs
         back *= np.subtract(1.0, inputs, out=inputs)
-        np.dot(back.T, X, out=out[: H * D].reshape(H, D))
-        np.add.reduce(back, 0, None, out[H * D : H * (D + 1)])
+        np.dot(back.T, X, out=G1)
+        np.add.reduce(back, 0, None, g1)
     return out
 
 

@@ -38,7 +38,6 @@ from qhetfed.models import (
     ModelSpec,
     finite_diff_gradient,
     gradient,
-    init_params,
 )
 from qhetfed.quantizer import (
     QuantizerSpec,

@@ -390,6 +390,16 @@ def test_missing_config_file_fails(tmp_path, capsys):
     assert "missing.json" in capsys.readouterr().err
 
 
+def test_an_empty_config_path_fails_as_a_missing_file(tmp_path, capsys, monkeypatch):
+    # an unset shell variable in --config "$CFG" gives the empty path, which must not mean "no file"
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--config", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("content", [b'{"seed": 7,', b"\xff{}"], ids=["text", "not_utf8"])
 def test_malformed_config_json_is_a_config_error(tmp_path, capsys, content):
     path = tmp_path / "config.json"

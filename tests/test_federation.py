@@ -702,6 +702,23 @@ def test_iterates_match_param_hashes():
         assert hashlib.sha256(w.tobytes()).hexdigest() == h
 
 
+@pytest.mark.parametrize("kind", [LOGISTIC, MLP, QUADRATIC])
+def test_the_engine_picks_the_start_point(kind, monkeypatch):
+    # zeros, but for the mlp, whose zero point is a saddle: init_scale times one draw from the "init" stream
+    if kind == QUADRATIC:
+        cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=1)
+    else:
+        cfg = synthetic_config(QHETFED, kind, init_scale=0.3)
+    purposes = []
+    monkeypatch.setattr(federation, "stream", lambda *key, **kw: purposes.append(key[1]) or stream(*key, **kw))
+    w0 = next(iterates(cfg))[1]
+    if kind == MLP:
+        assert np.array_equal(w0, 0.3 * stream(cfg.master_seed, "init").standard_normal(cfg.model.dim))
+    else:
+        assert np.array_equal(w0, np.zeros(cfg.model.dim))
+    assert purposes == (["init"] if kind == MLP else [])
+
+
 # ---------------------------------------------------------------------------
 # byte-level pins on synthetic data
 

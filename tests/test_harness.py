@@ -584,6 +584,26 @@ def test_a_dataset_that_overflows_is_a_config_error_before_any_file(tmp_path, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("user", [[1], "cfg.json"], ids=["list", "file-name"])
+def test_a_config_that_is_not_an_object_is_a_config_error_before_any_file(tmp_path, monkeypatch, user):
+    monkeypatch.chdir(tmp_path)
+    for entry_point in (resolved_config, parse_config, run_experiment):
+        with pytest.raises(ConfigError, match="^config root must be a JSON object$"):
+            entry_point(user)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_ids_keep_rep_order_past_two_digits(tmp_path, monkeypatch):
+    # ids padded to two digits alone would sort r10, r100, r11
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+    out = tmp_path / "out"
+    run_experiment(dict(TINY, output_dir=str(out), repeats=101, algorithms=["centralized_sgd"],
+                        schedule=dict(TINY["schedule"], rounds=1)))
+    header, rows = read_csv(out / "metrics.csv")
+    ids = list(dict.fromkeys(row[header.index("run_id")] for row in rows))
+    assert ids == [f"centralized_sgd_s7_r{rep:03d}" for rep in range(101)]
+
+
 def test_a_failed_rename_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
     path = tmp_path / "metrics.csv"
     path.write_bytes(b"old\n")

@@ -11,7 +11,6 @@ from qhetfed.models import (
     accuracy,
     finite_diff_gradient,
     gradient,
-    init_params,
     loss,
     stack_batch,
 )
@@ -118,17 +117,6 @@ def test_batch_needs_a_feature_matrix_and_one_label_per_row(fn, X, y, shapes):
         fn(spec, w, (X, y))
 
 
-def test_init_params():
-    spec = ModelSpec(kind="logistic", input_dim=3, num_classes=2)
-    assert np.array_equal(init_params(spec), np.zeros(spec.dim))
-    mspec = ModelSpec(kind="mlp", input_dim=3, num_classes=2, hidden_width=4)
-    with pytest.raises(ValueError):
-        init_params(mspec)
-    w = init_params(mspec, stream(1, "init"), scale=0.1)
-    assert w.shape == (mspec.dim,)
-    assert 0.0 < np.std(w) < 0.3
-
-
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(kind="logistic", input_dim=2, num_classes=1)
@@ -168,7 +156,7 @@ def _reference_gradient(spec, w, batch):
         gW = resid.T @ X
         gb = resid.sum(axis=0)
         return np.concatenate([gW.ravel(), gb])
-    W1, b1, W2, b2 = models._mlp_unpack(spec, w)
+    W1, b1, W2, b2 = models._blocks(spec, w)
     pre = X @ W1.T + b1
     hidden = np.tanh(pre)
     logits = hidden @ W2.T + b2
@@ -208,7 +196,7 @@ def _reference_logits(spec, w, X):
         K, D = spec.num_classes, spec.input_dim
         W, b = w[: K * D].reshape(K, D), w[K * D :]
         return X @ W.T + b
-    W1, b1, W2, b2 = models._mlp_unpack(spec, w)
+    W1, b1, W2, b2 = models._blocks(spec, w)
     return np.tanh(X @ W1.T + b1) @ W2.T + b2
 
 
