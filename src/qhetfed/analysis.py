@@ -146,7 +146,7 @@ def qhetfed_error_floor(p: TheoryParams) -> float:
         + L * mu * gamma * (gamma - 1) / 2.0
         + (1.0 / p.N) * (tau + gamma) * (1.0 + p.q2) * (1.0 + p.q1)
     )
-    return (L * mu**2 / 2.0) * noise * inner + mu * (tau + gamma) * p.G2 / 2.0
+    return (L * _power(mu, 2, "mu**2") / 2.0) * noise * inner + mu * (tau + gamma) * p.G2 / 2.0
 
 
 def qhetfed_gap_bound(p: TheoryParams, gap0: float) -> GapBound:
@@ -163,7 +163,7 @@ def baseline_error_floor(p: TheoryParams) -> float:
         + L * mu * tau * gamma * (gamma - 1) / 2.0
         + (1.0 / p.N) * tau * gamma * (1.0 + p.q2) * (1.0 + p.q1)
     )
-    return (L * mu**2 / 2.0) * noise * inner + mu * tau * gamma * p.G2 / 2.0
+    return (L * _power(mu, 2, "mu**2") / 2.0) * noise * inner + mu * tau * gamma * p.G2 / 2.0
 
 
 def baseline_gap_bound(p: TheoryParams, gap0: float) -> GapBound:
@@ -189,15 +189,16 @@ def error_gap_decomposition(p: TheoryParams) -> GapDecomposition:
     L, mu, tau, gamma = p.L, p.mu, p.tau, p.gamma
     noise = p.sigma2 / p.batch
     excess_rounds = tau * gamma - tau - gamma
+    L2, mu2, mu3 = _power(L, 2, "L**2"), _power(mu, 2, "mu**2"), _power(mu, 3, "mu**3")
     d_q1 = (
-        (L**2 * mu**3 / (2.0 * p.N))
+        (L2 * mu3 / (2.0 * p.N))
         * noise
         * p.C
         * (1.0 + p.q1)
         * ((gamma**2 - 1.0) * tau * (tau - 1) / 2.0 - tau * gamma)
     )
-    d_q2 = (L * mu**2 / (2.0 * p.N)) * noise * (1.0 + p.q2) * (1.0 + p.q1) * excess_rounds
-    d_local = (L**2 * mu**3 / 2.0) * noise * (tau - 1) * gamma * (gamma - 1) / 2.0
+    d_q2 = (L * mu2 / (2.0 * p.N)) * noise * (1.0 + p.q2) * (1.0 + p.q1) * excess_rounds
+    d_local = (L2 * mu3 / 2.0) * noise * (tau - 1) * gamma * (gamma - 1) / 2.0
     d_het = (mu / 2.0) * p.G2 * excess_rounds
     return GapDecomposition(
         d_q1=d_q1, d_q2=d_q2, d_local=d_local, d_het=d_het, delta_total=d_q1 + d_q2 + d_local + d_het
@@ -211,7 +212,7 @@ def convergence_rate_bound(p: TheoryParams, gap0: float) -> float:
     noise = p.sigma2 / p.batch
     return (
         2.0 * gap0 / (mu * (tau + gamma) * T)
-        + (L**2 * mu**2 / 2.0) * noise * raw_objective(tau, gamma, p.q1, p.C, p.N)
+        + (_power(L, 2, "L**2") * _power(mu, 2, "mu**2") / 2.0) * noise * raw_objective(tau, gamma, p.q1, p.C, p.N)
         + L * mu * noise * (1.0 / p.N) * (1.0 + p.q2) * (1.0 + p.q1)
         + p.G2
     )

@@ -30,15 +30,9 @@ def _f(x: float) -> str:
 
 
 def _print_rows(rows) -> None:
-    """Print every row in one call, once all are computed, so a value the library rejects prints only its
-    error.  A ``(key, value)`` row prints as ``key: value``, a float value by ``_f``; a string row as it is."""
-    lines = []
-    for row in rows:
-        if not isinstance(row, str):
-            key, value = row
-            row = f"{key}: {_f(value) if isinstance(value, float) else value}"
-        lines.append(row)
-    print("\n".join(lines))
+    """Print every ``(key, value)`` row as ``key: value``, a float value by ``_f``, in one call once all
+    are computed, so a value the library rejects prints only its error."""
+    print("\n".join(f"{key}: {_f(value) if isinstance(value, float) else value}" for key, value in rows))
 
 
 # argparse takes "-1e6" or "-inf" after an option for another option unless it
@@ -53,6 +47,14 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type for ``--devices-per-set`` and ``--levels``: a comma-separated integer list."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a comma-separated integer list, got {text!r}") from None
 
 
 def _set_override(user: dict, assignment: str) -> None:
@@ -86,19 +88,16 @@ def _read_config_file(path: str) -> dict:
     return user
 
 
-def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     user: dict = {}
     # an empty path, as from an unset shell variable, is a missing file, not "no file"
     if args.config is not None:
         user = _read_config_file(args.config)
     for assignment in args.set or []:
         _set_override(user, assignment)
-    if args.output_dir is not None:
-        user["output_dir"] = args.output_dir
-    if args.seed is not None:
-        user["seed"] = args.seed
-    if args.repeats is not None:
-        user["repeats"] = args.repeats
+    for key in ("output_dir", "seed", "repeats"):
+        if getattr(args, key) is not None:
+            user[key] = getattr(args, key)
 
     cfg = harness.parse_config(user)
     written = harness.run_experiment(cfg)
@@ -115,24 +114,25 @@ def _cmd_run(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _times_from_args(args: argparse.Namespace, parser: argparse.ArgumentParser) -> timing.PhaseTimes:
+def _times_from_args(args: argparse.Namespace) -> timing.PhaseTimes:
     direct = [args.t_cp, args.t_de, args.t_ec]
     # link mode is any link option given; LinkComputeParams fills in the rest's defaults
     link = {name: getattr(args, name) for name in timing.LINK_KEYS if getattr(args, name) is not None}
+    # ``usage_error`` is plan's own parser's error, so each message follows plan's usage line
     if link and any(v is not None for v in direct):
-        parser.error("give either --t-cp/--t-de/--t-ec or the link parameters, not both")
+        args.usage_error("give either --t-cp/--t-de/--t-ec or the link parameters, not both")
     if link:
         missing = [name for name, required in timing.LINK_KEYS.items() if required and name not in link]
         if missing:
-            parser.error(f"link mode needs --{missing[0].replace('_', '-')}")
+            args.usage_error(f"link mode needs --{missing[0].replace('_', '-')}")
         return timing.compute_times(timing.LinkComputeParams(**link))
     if any(v is None for v in direct):
-        parser.error("need all of --t-cp, --t-de, --t-ec (or the link parameters)")
+        args.usage_error("need all of --t-cp, --t-de, --t-ec (or the link parameters)")
     return timing.PhaseTimes(args.t_cp, args.t_de, args.t_ec)
 
 
-def _cmd_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    times = _times_from_args(args, parser)
+def _cmd_plan(args: argparse.Namespace) -> int:
+    times = _times_from_args(args)
     plan = planner.DeadlinePlan(deadline_s=args.deadline, rounds=args.rounds, times=times)
     choice = planner.optimize_schedule(plan, args.q1, args.num_sets, args.num_devices)
     delay = timing.iteration_delay(choice.tau_int + choice.gamma_int, choice.tau_int, times)
@@ -148,15 +148,11 @@ def _cmd_plan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        devices = tuple(int(x) for x in args.devices_per_set.split(","))
-    except ValueError:
-        parser.error("--devices-per-set expects a comma-separated integer list")
+def _cmd_bounds(args: argparse.Namespace) -> int:
     p = analysis.TheoryParams(
         L=args.L, delta=args.delta, sigma2=args.sigma2, batch=args.batch,
         G2=args.G2, q1=args.q1, q2=args.q2, mu=args.mu,
-        tau=args.tau, gamma=args.gamma, T=args.rounds, devices_per_set=devices,
+        tau=args.tau, gamma=args.gamma, T=args.rounds, devices_per_set=args.devices_per_set,
     )
     conds = analysis.check_lr_conditions(p)
     base_ok, base_lhs = analysis.baseline_lr_condition(p)
@@ -179,20 +175,17 @@ def _cmd_bounds(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     return 0
 
 
-def _cmd_quantizer_table(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    try:
-        levels = [int(x) for x in args.levels.split(",")]
-    except ValueError:
-        parser.error("--levels expects a comma-separated integer list")
-    rows = ["levels,variance_factor,theory_cap"]
+def _cmd_quantizer_table(args: argparse.Namespace) -> int:
+    # as in _print_rows, every CSV line is computed before any prints
+    lines = ["levels,variance_factor,theory_cap"]
     d = args.dim
-    for s in levels:
+    for s in args.levels:
         spec = QuantizerSpec(levels=s)
         rng = stream(args.seed, "quantizer-table", s)
         q_hat = estimate_variance_factor(spec, d, args.trials, rng)
         cap = min(d / s**2, d**0.5 / s)
-        rows.append(f"{s},{_f(q_hat)},{_f(cap)}")
-    _print_rows(rows)
+        lines.append(f"{s},{_f(q_hat)},{_f(cap)}")
+    print("\n".join(lines))
     return 0
 
 
@@ -210,6 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--output-dir")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--repeats", type=int)
+    p_run.set_defaults(handler=_cmd_run)
 
     p_plan = sub.add_parser("plan", help="optimize (tau, gamma) under a deadline")
     p_plan.add_argument("--deadline", type=_finite, required=True, help="total time budget, seconds")
@@ -223,6 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     # one option per timing.LinkComputeParams field
     for name in timing.LINK_KEYS:
         p_plan.add_argument(f"--{name.replace('_', '-')}", type=_finite)
+    p_plan.set_defaults(handler=_cmd_plan, usage_error=p_plan.error)
 
     p_bounds = sub.add_parser("bounds", help="evaluate the convergence-bound calculators")
     p_bounds.add_argument("--L", type=_finite, required=True, help="smoothness constant")
@@ -236,30 +231,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--tau", type=int, required=True)
     p_bounds.add_argument("--gamma", type=int, required=True)
     p_bounds.add_argument("--rounds", type=int, required=True)
-    p_bounds.add_argument("--devices-per-set", required=True,
+    p_bounds.add_argument("--devices-per-set", type=_int_list, required=True,
                           help="comma-separated device counts, e.g. 20,20,20")
     p_bounds.add_argument("--gap0", type=_finite, default=1.0)
+    p_bounds.set_defaults(handler=_cmd_bounds)
 
     p_plan._negative_number_matcher = p_bounds._negative_number_matcher = _FLOAT_VALUE
 
     p_qt = sub.add_parser("quantizer-table", help="empirical variance factor per level count")
-    p_qt.add_argument("--levels", default="1,2,4,8,16")
+    # argparse passes a string default through the type too
+    p_qt.add_argument("--levels", type=_int_list, default="1,2,4,8,16")
     p_qt.add_argument("--dim", type=int, default=64)
     p_qt.add_argument("--trials", type=int, default=4096)
     p_qt.add_argument("--seed", type=int, default=0)
+    p_qt.set_defaults(handler=_cmd_quantizer_table)
 
     return parser
 
 
-# argparse requires one of these subcommands, so every parsed command has a handler
-_COMMANDS = {"run": _cmd_run, "plan": _cmd_plan, "bounds": _cmd_bounds, "quantizer-table": _cmd_quantizer_table}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # argparse requires a subcommand, and each sets its handler
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args, parser)
+        return args.handler(args)
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

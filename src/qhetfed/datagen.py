@@ -174,21 +174,21 @@ def partition(
 ) -> list[DeviceShard]:
     """Build one shard per device under the given scheme.
 
-    Draws are without replacement from the device's allowed pool; when the
-    pool is smaller than the drawn shard size, sampling falls back to
-    with-replacement.
+    A class-skewed device's pool is the rows of classes it draws from the
+    labels present, whatever their values.  Draws are without replacement
+    from the pool, or with replacement when the pool is smaller than the shard.
     """
     X, labels = check_samples(dataset)
-    num_classes = int(labels.max()) + 1
-    by_class = [np.flatnonzero(labels == k) for k in range(num_classes)]
-    present = [k for k in range(num_classes) if len(by_class[k])]
+    # one pool of row indices per label present, in label order
+    classes, inverse = np.unique(labels, return_inverse=True)
+    by_class = [np.flatnonzero(inverse == k) for k in range(len(classes))]
 
     # the mixed scheme gives some of its devices the noniid1 rule
     budget = _CLASSES_PER_DEVICE.get(NONIID1 if scheme.kind == MIXED else scheme.kind)
-    if budget is not None and budget > len(present):
+    if budget is not None and budget > len(classes):
         raise ValueError(
             f"scheme {scheme.kind!r} needs {budget} classes per device "
-            f"but the dataset has only {len(present)}"
+            f"but the dataset has only {len(classes)}"
         )
     if scheme.kind == MIXED and topology.num_sets != 3:
         raise ValueError("the mixed scheme is defined for exactly 3 device sets")
@@ -204,7 +204,7 @@ def partition(
             if rule == IID:
                 pool = all_indices
             else:
-                chosen = rng.choice(present, size=_CLASSES_PER_DEVICE[rule], replace=False)
+                chosen = rng.choice(len(classes), size=_CLASSES_PER_DEVICE[rule], replace=False)
                 pool = np.concatenate([by_class[k] for k in np.sort(chosen)])
             idx = rng.choice(pool, size=size, replace=size > len(pool))
             shards.append(DeviceShard(l, n, _sealed(X[idx], labels[idx])))

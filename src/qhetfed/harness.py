@@ -342,7 +342,7 @@ def _write_atomic(path: str, text: str) -> None:
     """Write ``text`` to a temporary file beside ``path``, then rename it over ``path``.
 
     Readers, and a later run after a crash, see the old file or the whole new
-    one, never a partial file.
+    one, never a partial file.  A failed write is an ``OSError`` that names ``path``.
     """
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -350,19 +350,18 @@ def _write_atomic(path: str, text: str) -> None:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write metrics file {path}: {exc}") from exc
         raise
 
 
 def _write_table(path: str, columns: tuple, rows: list[tuple]) -> None:
     lines = [",".join(columns)]
     lines.extend(",".join(map(str, row)) for row in rows)
-    try:
-        _write_atomic(path, "\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"cannot write metrics file {path}: {exc}") from exc
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, payload) -> None:

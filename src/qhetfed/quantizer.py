@@ -23,10 +23,12 @@ from .checks import check_count, check_float_count
 
 STOCHASTIC = "stochastic"
 IDENTITY = "identity"
+_SMALLEST_NORM = math.sqrt(np.finfo(float).tiny)  # the least norm whose square is a normal float
 
 
 class NonFiniteInputError(ValueError):
-    """Raised when a vector handed to the quantizer has NaN or infinite entries.
+    """Raised when a vector handed to the quantizer has NaN or infinite entries,
+    or, in stochastic mode, finite entries whose norm is too large for a float.
 
     This almost always signals numerical blow-up upstream (a diverging
     training run), not a quantizer problem.
@@ -64,13 +66,14 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, rng: np.random.Generator) -> np
     exactly one uniform per component, whatever the values; the zero vector
     and identity mode return without drawing.  Callers that pass one shared
     generator to several calls rely on this: how far it advances depends on
-    which vectors are zero.
+    which vectors are zero.  A finite vector whose norm is too large for a
+    float is a ``NonFiniteInputError``; any other is quantized without bias.
     """
     x = np.asarray(x, dtype=float)
-    # np.linalg.norm(x) without its dispatch; a NaN or inf entry always makes
-    # the norm non-finite, so the entries are scanned only then
+    # np.linalg.norm(x) without its dispatch; vdot is x.dot's BLAS sum without its overflow warning.
+    # A NaN or inf entry always makes the norm non-finite, so the entries are scanned only then
     flat = x.ravel(order="K")
-    norm = math.sqrt(flat.dot(flat))
+    norm = math.sqrt(np.vdot(flat, flat))
     if not math.isfinite(norm) and not np.all(np.isfinite(x)):
         bad = int(np.count_nonzero(~np.isfinite(x)))
         raise NonFiniteInputError(
@@ -79,8 +82,16 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, rng: np.random.Generator) -> np
         )
     if spec.mode == IDENTITY:
         return x.copy()
-    if norm == 0.0:
-        return np.zeros_like(x)
+    # the square overflowed or lost bits below the normal floats: quantize x / max |x_i|,
+    # whose norm lies in [1, sqrt(x.size)], and scale the result back
+    if not _SMALLEST_NORM <= norm < math.inf:
+        largest = float(np.abs(flat).max(initial=0.0))
+        if largest == 0.0:
+            return np.zeros_like(x)
+        unit = x / largest
+        if largest * math.sqrt(np.vdot(unit, unit)) == math.inf:
+            raise NonFiniteInputError(f"quantize: a vector of size {x.size} has a norm too large for a float")
+        return largest * quantize(unit, spec, rng)
     s = spec.levels
     # sign(x) * (norm / s) * (lower + bump), evaluated in place in that order
     scaled = np.abs(x)

@@ -8,11 +8,13 @@ from qhetfed.analysis import (
     PREFER_LOW_TAU,
     TheoryParams,
     _gap_bound,
+    baseline_error_floor,
     baseline_gap_bound,
     baseline_lr_condition,
     check_lr_conditions,
     convergence_rate_bound,
     error_gap_decomposition,
+    qhetfed_error_floor,
     qhetfed_gap_bound,
     tau_preference,
 )
@@ -237,3 +239,13 @@ def test_baseline_condition_names_a_square_too_large_for_a_float(name):
     # the same words as the scheme's own conditions
     with pytest.raises(ValueError, match=message):
         check_lr_conditions(p)
+
+
+@pytest.mark.parametrize("bound", [
+    qhetfed_error_floor, baseline_error_floor, error_gap_decomposition, lambda p: convergence_rate_bound(p, 1.0),
+], ids=["qhetfed_error_floor", "baseline_error_floor", "error_gap_decomposition", "convergence_rate_bound"])
+def test_each_bound_names_a_float_power_that_overflows(bound):
+    # mu**2 = 1e310 and mu**3 = 1e465 both outgrow a float
+    p = TheoryParams(**{**REF._asdict(), "mu": 1e155})
+    with pytest.raises(ValueError, match=r"^mu\*\*[23] = \(1e\+155\)\*\*[23] is too large for a float$"):
+        bound(p)

@@ -571,4 +571,36 @@ def test_quantizer_table_rejects_a_level_list_that_is_not_integers(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["quantizer-table", "--levels", "1,x"])
     assert exc.value.code == 2
-    assert "--levels expects a comma-separated integer list" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "\nqhetfed quantizer-table: error: argument --levels: expects a comma-separated integer list, got '1,x'\n"
+    )
+
+
+PLAN_POINT = ["plan", "--deadline", "100", "--rounds", "10", "--q1", "1", "--num-sets", "2", "--num-devices", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    PLAN_POINT + ["--t-cp", "1.0"],
+    PLAN_POINT + ["--t-cp", "1.0", "--t-de", "0.2", "--t-ec", "1.0", "--bandwidth-hz", "1e6"],
+    PLAN_POINT + ["--cpu-hz", "1e9"],
+    NUMERIC_COMMANDS["bounds"] + ["--devices-per-set", "20,x"],
+    ["quantizer-table", "--levels", "1,x"],
+], ids=["plan-partial-times", "plan-mixed-modes", "plan-partial-link", "bounds-device-list", "quantizer-table-levels"])
+def test_a_usage_error_prints_its_own_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: qhetfed {argv[0]} ")
+    assert f"\nqhetfed {argv[0]}: error: " in captured.err
+
+
+def test_a_bound_whose_float_power_overflows_names_it(capsys):
+    argv = ["bounds", "--L", "1", "--delta", "1", "--sigma2", "1", "--batch", "1", "--G2", "1", "--q1", "1",
+            "--q2", "1", "--mu", "1e110", "--tau", "2", "--gamma", "2", "--rounds", "1", "--devices-per-set", "2,2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mu**3 = (1e+110)**3 is too large for a float\n"

@@ -1,3 +1,4 @@
+import time
 from typing import NamedTuple
 
 import numpy as np
@@ -128,6 +129,19 @@ def test_partition_falls_back_to_replacement_like_the_reference():
     shards = partition(pair, topo, scheme, stream(12, "p"))
     _assert_shards_equal(shards, _reference_partition(reference, topo, scheme, stream(12, "p")))
     assert all(len(_rows(s.features)) < s.size for s in shards)
+
+
+def test_partition_pools_only_the_labels_present_whatever_their_values():
+    X = np.arange(6.0).reshape(3, 2)
+    topo = Topology((2, 2))
+    start = time.perf_counter()
+    shards = partition((X, np.array([0, 1, 10**12])), topo, PartitionScheme("noniid1", (2, 3)), stream(0, "p"))
+    # one pool per label present, not one per integer up to the largest label
+    assert time.perf_counter() - start < 0.5
+    assert all(len(set(s.labels.tolist())) <= 2 and set(s.labels.tolist()) <= {0, 1, 10**12} for s in shards)
+    # a negative label is a class like any other
+    shards = partition((X, np.array([-1, -1, -1])), topo, PartitionScheme("noniid2", (2, 3)), stream(0, "p"))
+    assert all(s.labels.tolist() == [-1] * s.size for s in shards)
 
 
 def test_synthetic_dataset_shape_and_order():

@@ -604,8 +604,12 @@ def test_run_ids_keep_rep_order_past_two_digits(tmp_path, monkeypatch):
     assert ids == [f"centralized_sgd_s7_r{rep:03d}" for rep in range(101)]
 
 
-def test_a_failed_rename_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
-    path = tmp_path / "metrics.csv"
+@pytest.mark.parametrize("name, write", [
+    ("metrics.csv", lambda path: harness._write_table(path, ("t",), [(1,)])),
+    ("runs.json", lambda path: harness._write_json(path, [{"t": 1}])),
+], ids=["table", "json"])
+def test_a_failed_rename_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch, name, write):
+    path = tmp_path / name
     path.write_bytes(b"old\n")
     renamed = []
 
@@ -615,10 +619,10 @@ def test_a_failed_rename_keeps_the_old_file_and_leaves_no_temporary(tmp_path, mo
 
     monkeypatch.setattr(os, "replace", replace)
     with pytest.raises(OSError, match=f"^cannot write metrics file {re.escape(str(path))}: "):
-        harness._write_table(str(path), ("t",), [(1,)])
-    assert renamed == [f".metrics.csv.{os.getpid()}.tmp"]
+        write(str(path))
+    assert renamed == [f".{name}.{os.getpid()}.tmp"]
     assert path.read_bytes() == b"old\n"
-    assert os.listdir(tmp_path) == ["metrics.csv"]
+    assert os.listdir(tmp_path) == [name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -154,11 +156,16 @@ def test_variance_factor_rejects_fractional_levels():
 
 # The reference formula: sign(x) * (norm / s) * (lower + bump), one temporary
 # per step.  ``quantize`` must return the same bytes and consume the same draws.
+# A norm whose square overflows or falls below the normal floats is taken as
+# max |x_i| times the norm of x / max |x_i|, whose square does neither.
 def _reference_quantize(x, spec, rng):
     x = np.asarray(x, dtype=float)
     norm = float(np.linalg.norm(x))
-    if norm == 0.0:
-        return np.zeros_like(x)
+    if not math.sqrt(np.finfo(float).tiny) <= norm < math.inf:
+        largest = float(np.max(np.abs(x), initial=0.0))
+        if largest == 0.0:
+            return np.zeros_like(x)
+        return largest * _reference_quantize(x / largest, spec, rng)
     s = spec.levels
     scaled = np.abs(x) * (s / norm)
     lower = np.floor(scaled)
@@ -190,7 +197,7 @@ def _oracle_inputs(d):
         "tiny": base * 1e-160,
         "underflow": base * 1e-300,
         "huge": base * 1e150,
-        # finite entries whose norm overflows to inf: no error, NaN output
+        # finite entries whose squared norm overflows, and a norm that is still a float
         "overflow": base * 1e200,
         "mixed": mixed,
         "zeros": np.zeros(d),
@@ -211,6 +218,26 @@ def test_quantize_matches_reference_formula(d, s):
                 assert got.dtype == ref.dtype and got.shape == ref.shape, name
                 assert got.tobytes() == ref.tobytes(), name
                 assert got_rng.random() == ref_rng.random(), name
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_a_norm_whose_square_leaves_float_range_is_quantized_without_bias(scale):
+    # the square of 1e200 overflows and that of 1e-200 underflows to zero
+    spec = QuantizerSpec(levels=4)
+    x = np.array([scale, scale])
+    rng, unit_rng, fresh = stream(0, "q"), stream(0, "q"), stream(0, "q")
+    assert np.array_equal(quantize(x, spec, rng), scale * quantize(np.ones(2), spec, unit_rng))
+    # one uniform per entry
+    fresh.random(2)
+    assert rng.random() == fresh.random()
+    mean = np.mean([quantize(x, spec, rng) for _ in range(4000)], axis=0)
+    assert np.allclose(mean / scale, 1.0, rtol=0, atol=0.02)
+
+
+def test_a_finite_vector_whose_norm_is_too_large_for_a_float_raises():
+    x = np.array([1.5e308, 1.5e308])
+    with pytest.raises(NonFiniteInputError, match="^quantize: a vector of size 2 has a norm too large for a float$"):
+        quantize(x, QuantizerSpec(levels=4), stream(0, "q"))
 
 
 def test_identity_mode_draws_nothing():
