@@ -257,9 +257,10 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # a ValueError: a value the library rejects, planner.InfeasibleScheduleError included;
     # an ArithmeticError: a value outgrew a float on the way, as in c**T, L**2 or floor(inf);
     # a MemoryError: numpy could not allocate an array, as for quantizer-table --dim 10**17
-    except (planner.InfeasibleScheduleError, ValueError, ArithmeticError, OSError, MemoryError) as exc:
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -179,16 +179,18 @@ def partition(
     from the pool, or with replacement when the pool is smaller than the shard.
     """
     X, labels = check_samples(dataset)
-    # one pool of row indices per label present, in label order
-    classes, inverse = np.unique(labels, return_inverse=True)
-    by_class = [np.flatnonzero(inverse == k) for k in range(len(classes))]
+    # one pool of row indices per label present, in label order, each pool in row order:
+    # a stable sort, split where the sorted label changes
+    order = np.argsort(labels, kind="stable")
+    ordered = labels[order]
+    by_class = np.split(order, np.flatnonzero(ordered[1:] != ordered[:-1]) + 1)
 
     # the mixed scheme gives some of its devices the noniid1 rule
     budget = _CLASSES_PER_DEVICE.get(NONIID1 if scheme.kind == MIXED else scheme.kind)
-    if budget is not None and budget > len(classes):
+    if budget is not None and budget > len(by_class):
         raise ValueError(
             f"scheme {scheme.kind!r} needs {budget} classes per device "
-            f"but the dataset has only {len(classes)}"
+            f"but the dataset has only {len(by_class)}"
         )
     if scheme.kind == MIXED and topology.num_sets != 3:
         raise ValueError("the mixed scheme is defined for exactly 3 device sets")
@@ -204,7 +206,7 @@ def partition(
             if rule == IID:
                 pool = all_indices
             else:
-                chosen = rng.choice(len(classes), size=_CLASSES_PER_DEVICE[rule], replace=False)
+                chosen = rng.choice(len(by_class), size=_CLASSES_PER_DEVICE[rule], replace=False)
                 pool = np.concatenate([by_class[k] for k in np.sort(chosen)])
             idx = rng.choice(pool, size=size, replace=size > len(pool))
             shards.append(DeviceShard(l, n, _sealed(X[idx], labels[idx])))

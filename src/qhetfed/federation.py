@@ -19,18 +19,18 @@ gamma = 1, runs gradient rounds k = 0..tau and reads no ``schedule.gamma``.
 checked against.
 
 ``iterates(config)`` is the engine: it picks the start point
-(``initial_params`` if given, else ``init_scale`` times a Gaussian draw for
-the mlp and zeros for the other kinds) and yields it, then each accepted
-global iterate of the algorithm ``config.algorithm`` names, read-only, and
-stops before the first diverged one; every algorithm, the oracle included,
-is one ``advance(w, t)`` step of its one loop.  ``run`` is the stream's one
-reader, which records it.  The phase list is all a hierarchical algorithm
-is: ``steps_per_round`` counts its compute steps (one per gradient round,
-gamma per local phase), which size the batch draws and give every iteration
-the delay ``seconds_per_round``.  The three aggregation steps (edge
-gradients, edge models, cloud) are one quantized average, QSGD-style
-(Alistarh et al., arXiv:1610.02132), over one checked loop: at least one
-message, every message of the model's length, one generator per message.
+(``init_scale`` times a Gaussian draw for the mlp, zeros for the other kinds)
+and yields it, then each accepted global iterate of the algorithm
+``config.algorithm`` names, read-only, and stops before the first diverged
+one; every algorithm, the oracle included, is one ``advance(w, t)`` step of
+its one loop.  ``run`` is the stream's one reader, which records it.  The
+phase list is all a hierarchical algorithm is: ``steps_per_round`` counts
+its compute steps (one per gradient round, gamma per local phase), which size
+the batch draws and give every iteration the delay ``seconds_per_round``.
+The three aggregation steps (edge gradients, edge models, cloud) are one
+quantized average, QSGD-style (Alistarh et al., arXiv:1610.02132), over one
+checked loop: at least one message, every message of the model's length, one
+generator per message.
 
 Every random draw is keyed by (master seed, purpose, set, device, iteration,
 step) through :mod:`qhetfed.streams`, never by call order.  The batch step
@@ -51,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import models as _models
-from .checks import POSITIVE, check_count, check_finite, check_number, read_only
+from .checks import POSITIVE, check_count, check_number, read_only
 from .datagen import DeviceShard, check_samples, global_loss
 from .models import ModelSpec
 from .quantizer import NonFiniteInputError, QuantizerSpec, identity_spec, quantize
@@ -110,8 +110,8 @@ NORM_GUARD = 1e9
 
 class FedRunConfig(namedtuple("FedRunConfig", (
         "topology", "schedule", "model", "shards", "q1", "q2", "algorithm", "master_seed", "test_samples", "times",
-        "initial_params", "init_scale"),
-        defaults=(identity_spec(), identity_spec(), QHETFED, 0, None, PhaseTimes(1.0, 0.1, 1.0), None, 0.1))):
+        "init_scale"),
+        defaults=(identity_spec(), identity_spec(), QHETFED, 0, None, PhaseTimes(1.0, 0.1, 1.0), 0.1))):
     """One simulation's inputs, checked once at construction; ``shards`` is kept as a tuple in (set, device) order.
 
     Every array it holds is read-only, so nothing can change it after the
@@ -127,23 +127,16 @@ class FedRunConfig(namedtuple("FedRunConfig", (
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         check_count(self.master_seed, "master_seed", 0)
         check_number(self.init_scale, "init_scale")
-        topology, model, shards = self.topology, self.model, self.shards
+        topology, model, shards, test = self.topology, self.model, self.shards, self.test_samples
         if len(shards) != topology.num_devices:
             raise ValueError(f"{len(shards)} shards for {topology.num_devices} devices")
-        w0, test = self.initial_params, self.test_samples
-        if w0 is not None:
-            w0 = read_only(np.asarray(w0, dtype=float))
-            if w0.shape != (model.dim,):
-                raise ValueError(f"initial_params must be a vector of length {model.dim}, got shape {w0.shape}")
-            check_finite(w0, "initial_params")
         # the gradient kernel checks no data, so it is checked here, once per run
         for s in shards:
             check_samples((s.features, s.labels), f"shard ({s.set_index}, {s.device_index})", model)
         if test is not None:
             test = tuple(map(read_only, check_samples(test, "test_samples", model)))
         # _replace builds the tuple without coming back through these checks
-        return self._replace(shards=tuple(s for row in _shard_grid(shards, topology) for s in row),
-                             initial_params=w0, test_samples=test)
+        return self._replace(shards=tuple(s for row in _shard_grid(shards, topology) for s in row), test_samples=test)
 
 
 def _shard_grid(shards, topology: Topology) -> list[list[DeviceShard]]:
@@ -303,6 +296,9 @@ def iterates(config: FedRunConfig, steps_per_iteration: int = 1):
     """A generator of ``(t, w)``: the start point at t = 0, then each accepted global iterate up to
     t = ``schedule.rounds``, every ``w`` read-only.
 
+    The engine picks the start point, with no caller override: ``init_scale`` times the ``"init"``
+    draw for the mlp, zeros for the other kinds.
+
     The stream stops before the first diverged iterate, so one that ends at
     t < rounds diverged in iteration t: ``advance`` met a non-finite quantizer
     input, or the iterate's norm is not at most ``NORM_GUARD`` (a NaN or
@@ -341,9 +337,7 @@ def iterates(config: FedRunConfig, steps_per_iteration: int = 1):
             rngs = [stream(seed, "q2", l, t) for l in range(topo.num_sets)]
             return cloud_aggregate(set_models, w, topo, config.q2, rngs)
 
-    if config.initial_params is not None:
-        w = config.initial_params
-    elif config.model.kind == _models.MLP:
+    if config.model.kind == _models.MLP:
         # a Gaussian draw: the all-zeros point is a symmetric saddle where the hidden layer never
         # receives a gradient.  A start point that overflows diverges in round 0, as an overflowing iterate does
         with np.errstate(over="ignore"):

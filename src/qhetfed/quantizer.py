@@ -9,7 +9,7 @@ unbiasedness is extra variance, summarized by the factor q in
     E ||Q(x) - x||^2  <=  q * ||x||^2,
 
 which grows as the number of levels s shrinks and as the dimension grows.
-``estimate_variance_factor`` measures q empirically for a given (s, d).
+``estimate_variance_factor`` measures q empirically for a given spec and dimension d.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ def quantize(x: np.ndarray, spec: QuantizerSpec, rng: np.random.Generator) -> np
 PROBES = 32
 
 
-def estimate_variance_factor(levels: int | QuantizerSpec, d: int, trials: int, rng: np.random.Generator) -> float:
-    """Empirically estimate the variance factor q for dimension ``d``.
+def estimate_variance_factor(spec: QuantizerSpec, d: int, trials: int, rng: np.random.Generator) -> float:
+    """Empirically estimate the variance factor q of ``spec`` for dimension ``d``.
 
     Draws ``PROBES`` (32) standard-normal probe vectors and, for each, averages
     ||Q(x) - x||^2 / ||x||^2 over ``max(1, trials // PROBES)`` repeated quantizations.
@@ -121,7 +121,6 @@ def estimate_variance_factor(levels: int | QuantizerSpec, d: int, trials: int, r
     The estimate depends on d: expect q to grow with dimension at fixed s
     and to fall roughly like 1/s^2 at fixed dimension.
     """
-    spec = levels if isinstance(levels, QuantizerSpec) else QuantizerSpec(levels=levels)
     for name, count in (("d", d), ("trials", trials)):
         check_count(count, name)
     if spec.mode == IDENTITY:

@@ -275,7 +275,7 @@ def test_gap_bound_holds_in_its_own_regime():
         rec = run(FedRunConfig(
             topology=topo, schedule=Schedule(tau=tau, gamma=gamma, mu=mu, rounds=rounds, batch=batch),
             model=model, shards=shards, q1=QuantizerSpec(levels=s1), q2=QuantizerSpec(levels=s2),
-            algorithm=algorithm, master_seed=seed, initial_params=np.zeros(D),
+            algorithm=algorithm, master_seed=seed,
         ))
         return rec.diverged_at, rec.train_loss
 

@@ -57,9 +57,10 @@ COUNT_FIELDS = {
        for name in ("tau", "gamma", "rounds", "batch")},
     "iterates.steps_per_iteration": (_oracle, "steps_per_iteration"),
     "QuantizerSpec.levels": (lambda v: QuantizerSpec(levels=v), "levels"),
-    "estimate_variance_factor.levels": (lambda v: estimate_variance_factor(v, 8, 64, stream(0, "v")), "levels"),
-    "estimate_variance_factor.d": (lambda v: estimate_variance_factor(2, v, 64, stream(0, "v")), "d"),
-    "estimate_variance_factor.trials": (lambda v: estimate_variance_factor(2, 8, v, stream(0, "v")), "trials"),
+    "estimate_variance_factor.d": (
+        lambda v: estimate_variance_factor(QuantizerSpec(levels=2), v, 64, stream(0, "v")), "d"),
+    "estimate_variance_factor.trials": (
+        lambda v: estimate_variance_factor(QuantizerSpec(levels=2), 8, v, stream(0, "v")), "trials"),
     "ModelSpec.input_dim": (lambda v: ModelSpec("logistic", v, 10), "input_dim"),
     "ModelSpec.num_classes": (lambda v: ModelSpec("logistic", 20, v), "num_classes"),
     "ModelSpec.hidden_width": (lambda v: ModelSpec("mlp", 20, 10, v), "hidden_width"),
@@ -160,10 +161,6 @@ BOUNDARY_CASES = {
     "FedRunConfig.shard=(1, 0)": (
         lambda: FedRunConfig(Topology((1,)), Schedule(**SCHEDULE), LOGISTIC, [DeviceShard(1, 0, SAMPLES)]),
         "shard (1, 0) outside topology (1,)"),
-    "FedRunConfig.initial_params=[nan]": (lambda: _config(initial_params=np.array([math.nan])),
-                                          "initial_params must be finite numbers, got nan"),
-    "FedRunConfig.initial_params=(dim, 2)": (lambda: _config(initial_params=np.zeros((1, 2))),
-                                             "initial_params must be a vector of length 1, got shape (1, 2)"),
     "FedRunConfig.master_seed=-1": (lambda: _config(master_seed=-1), "master_seed must be >= 0"),
     "LinkComputeParams.edge_cloud_time+edge_cloud_ratio": (lambda: LinkComputeParams(**LINK, edge_cloud_time=2.0),
                                                            "give edge_cloud_time or edge_cloud_ratio, not both"),

@@ -144,6 +144,31 @@ def test_partition_pools_only_the_labels_present_whatever_their_values():
     assert all(s.labels.tolist() == [-1] * s.size for s in shards)
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+@pytest.mark.parametrize("kind", ["iid", "noniid1", "noniid2", "mixed"])
+@pytest.mark.parametrize("values", [
+    [-10, -9, -8, -7, -6],
+    [0, 10**12, 2 * 10**12, 3 * 10**12, 4 * 10**12],
+    [0, 1, 8, 27, 64],
+    [_INT64.min, -1, 0, 1, _INT64.max],
+], ids=["negative", "huge", "gapped", "int64_extremes"])
+def test_partition_pools_follow_label_order_and_row_order(kind, values):
+    # rows in shuffled order, labels relabelled by an increasing map: each class pool is still the
+    # reference's, in label order and each in row order, so the same draws pick the same rows
+    perm = stream(13, "perm").permutation(300)
+    X, y = make_synthetic_dataset(5, 60, 4, stream(11, "ds"))
+    reference = _reference_dataset(5, 60, 4, stream(11, "ds"))
+    relabel = np.array(values, dtype=np.int64)
+    topo = Topology((3, 4, 5))
+    scheme = PartitionScheme(kind=kind, size_range=(20, 40))
+    expected = [(l, n, X_ref, relabel[y_ref])
+                for l, n, X_ref, y_ref in _reference_partition([reference[i] for i in perm], topo, scheme,
+                                                                stream(11, kind))]
+    _assert_shards_equal(partition((X[perm], relabel[y[perm]]), topo, scheme, stream(11, kind)), expected)
+
+
 def test_synthetic_dataset_shape_and_order():
     X, y = make_synthetic_dataset(3, 20, 5, stream(0, "ds"))
     assert X.shape == (60, 5)

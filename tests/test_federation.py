@@ -188,11 +188,6 @@ def test_config_rejects_duplicate_and_missing_shards():
         )
 
 
-def test_config_rejects_initial_params_of_wrong_length():
-    with pytest.raises(ValueError):
-        quadratic_config([1], [[[1.0]]], 1, 1, 0.1, 1, initial_params=np.zeros(3))
-
-
 def test_config_rejects_test_samples_that_do_not_fit_the_model():
     X, y = make_synthetic_dataset(3, 2, 4, stream(5, "test"))
     # a copy with new test samples is built through the constructor, so it runs the checks
@@ -247,7 +242,7 @@ def test_config_and_record_fields_are_read_only():
     cfg = quadratic_config([1], [[[1.0]]], tau=1, gamma=1, mu=0.1, rounds=2)
     rec = run(cfg)
     # a field assigned after construction would skip the checks, and the engine would run on unchecked inputs
-    for obj, count in ((cfg, 12), (rec, 10)):
+    for obj, count in ((cfg, 11), (rec, 10)):
         assert len(obj._fields) == count
         for name in obj._fields:
             with pytest.raises(AttributeError):
@@ -278,14 +273,13 @@ def test_pickled_config_unpickles_through_its_checks():
 
 def test_a_checked_configs_arrays_cannot_be_written():
     # a write after the checks would reach the run unchecked: it ended a run at diverged_at = 0
-    X, y, w0 = np.ones((2, 1)), np.zeros(2, dtype=int), np.zeros(1)
+    X, y = np.ones((2, 1)), np.zeros(2, dtype=int)
     view = X[:]
     view.flags.writeable = False
     cfg = FedRunConfig(Topology((2,)), Schedule(2, 1, 0.1, 3, 2), ModelSpec(QUADRATIC, 1),
-                       [DeviceShard(0, 0, (X, y)), DeviceShard(0, 1, (view, y))], test_samples=(X, y),
-                       initial_params=w0)
+                       [DeviceShard(0, 0, (X, y)), DeviceShard(0, 1, (view, y))], test_samples=(X, y))
     shard = cfg.shards[0]
-    for array, index in ((shard.features, (0, 0)), (shard.labels, 0), (cfg.initial_params, 0),
+    for array, index in ((shard.features, (0, 0)), (shard.labels, 0),
                          (cfg.test_samples[0], (0, 0)), (cfg.test_samples[1], 0), (cfg.shards[1].features, (0, 0))):
         with pytest.raises(ValueError, match="read-only"):
             array[index] = 7
@@ -294,14 +288,14 @@ def test_a_checked_configs_arrays_cannot_be_written():
         with pytest.raises(AttributeError):
             setattr(shard, name, np.full((2, 1), np.inf))
     # a writable array, or a read-only view of one, is copied; the caller's arrays stay as they were
-    held = [shard.features, shard.labels, cfg.shards[1].features, cfg.initial_params, *cfg.test_samples]
-    assert X.flags.writeable and y.flags.writeable and w0.flags.writeable
-    assert not any(np.shares_memory(a, b) for a in held for b in (X, y, w0))
+    held = [shard.features, shard.labels, cfg.shards[1].features, *cfg.test_samples]
+    assert X.flags.writeable and y.flags.writeable
+    assert not any(np.shares_memory(a, b) for a in held for b in (X, y))
     assert len(run(cfg).train_loss) == 3
     # an unpickled array is writable: the shards and the config unpickle through their constructors
     back = pickle.loads(pickle.dumps(cfg))
     assert not any(a.flags.writeable for s in back.shards for a in (s.features, s.labels))
-    assert not back.initial_params.flags.writeable and not back.test_samples[0].flags.writeable
+    assert not back.test_samples[0].flags.writeable
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
@@ -387,7 +381,7 @@ def replay_qhetfed(cfg):
     """Straight-line reimplementation of the qhetfed iteration for comparison."""
     sched, topo, seed = cfg.schedule, cfg.topology, cfg.master_seed
     grid = _shard_grid(cfg.shards, cfg.topology)
-    w = np.array(cfg.initial_params, dtype=float)
+    w = np.zeros(cfg.model.dim)
     for t in range(sched.rounds):
         set_models = []
         for l in range(topo.num_sets):
@@ -431,7 +425,7 @@ def test_qhetfed_matches_reference_replay():
         [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]], [[4.0, 5.0, 6.0]]],
         tau=2, gamma=2, mu=0.05, rounds=3, batch=2,
         q1=QuantizerSpec(levels=4), q2=QuantizerSpec(levels=8),
-        master_seed=123, initial_params=np.array([0.25]),
+        master_seed=123,
     )
     rec = run(cfg)
     assert np.array_equal(rec.final_params, replay_qhetfed(cfg))
@@ -440,7 +434,7 @@ def test_qhetfed_matches_reference_replay():
 def replay_hier_local(cfg):
     sched, topo, seed = cfg.schedule, cfg.topology, cfg.master_seed
     grid = _shard_grid(cfg.shards, cfg.topology)
-    w = np.array(cfg.initial_params, dtype=float)
+    w = np.zeros(cfg.model.dim)
     for t in range(sched.rounds):
         set_models = []
         for l in range(topo.num_sets):
@@ -471,7 +465,7 @@ def test_hier_local_matches_reference_replay():
         [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]], [[4.0, 5.0, 6.0]]],
         tau=2, gamma=2, mu=0.05, rounds=3, batch=2,
         q1=QuantizerSpec(levels=4), q2=QuantizerSpec(levels=8),
-        master_seed=123, initial_params=np.array([0.25]),
+        master_seed=123,
         algorithm=HIER_LOCAL_QSGD,
     )
     rec = run(cfg)
@@ -485,7 +479,7 @@ def test_hier_local_matches_reference_replay():
 def test_gamma1_variant_matches_general_run():
     kw = dict(
         tau=3, gamma=1, mu=0.05, rounds=6, batch=2,
-        master_seed=11, initial_params=np.array([0.1]),
+        master_seed=11,
     )
     values = [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]], [[4.0, 5.0, 6.0]]]
     general = run(quadratic_config([2, 1], values, **kw))
@@ -498,7 +492,7 @@ def test_gamma1_variant_matches_general_run():
 def test_gamma1_equivalence_survives_stochastic_quantization():
     kw = dict(
         tau=3, gamma=1, mu=0.05, rounds=6, batch=2,
-        master_seed=11, initial_params=np.array([0.1]),
+        master_seed=11,
         q1=QuantizerSpec(levels=4), q2=QuantizerSpec(levels=8),
     )
     values = [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]], [[4.0, 5.0, 6.0]]]
@@ -594,7 +588,6 @@ def test_rerun_is_bit_identical():
     kw = dict(
         tau=2, gamma=2, mu=0.05, rounds=4, batch=2,
         q1=QuantizerSpec(levels=4), q2=QuantizerSpec(levels=8), master_seed=9,
-        initial_params=np.array([0.3]),
     )
     values = [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]]]
     a = run(quadratic_config([2], values, **kw))
@@ -608,7 +601,7 @@ def test_different_seed_changes_stochastic_run():
     values = [[[1.0, 2.0, 3.0], [0.5, 1.5, 2.5]]]
     kw = dict(
         tau=2, gamma=2, mu=0.05, rounds=4, batch=2,
-        q1=QuantizerSpec(levels=4), initial_params=np.array([0.3]),
+        q1=QuantizerSpec(levels=4),
     )
     a = run(quadratic_config([2], values, master_seed=1, **kw))
     b = run(quadratic_config([2], values, master_seed=2, **kw))
